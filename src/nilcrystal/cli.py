@@ -122,11 +122,8 @@ def _emit(args, text):
 
 def _field(args):
     fld = field_from_spec(args.field)
-    q = None
-    if args.field.startswith("prime:"):
-        q = int(args.field.split(":", 1)[1])
-        if q <= MIN_PRIME:
-            raise ValueError(f"prime field size must exceed 2^31, got {q}")
+    if args.field.startswith("prime:") and fld.p <= MIN_PRIME:
+        raise ValueError(f"prime field size must exceed 2^31, got {fld.p}")
     return fld
 
 

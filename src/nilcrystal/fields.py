@@ -4,18 +4,59 @@ Elements are plain Python objects (ints reduced mod p, or Fractions), so
 matrices are just nested lists and all arithmetic stays exact.
 """
 
+import functools
 from fractions import Fraction
 
 DEFAULT_PRIME = 2**61 - 1
+
+# The first 13 primes: the first 12 (2..37) already accept the composite
+# 318,665,857,834,031,151,167,461.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
+@functools.lru_cache(maxsize=64)
+def is_probable_prime(n):
+    """Deterministic Miller-Rabin test to the prime bases 2..41.
+
+    Exact for n < 3.3e24. Above that it is only a strong-probable-prime
+    test: 3,317,044,064,679,887,385,961,981 = 1,287,836,182,261 *
+    2,575,672,364,521 passes every base, so a larger composite may too.
+    Cached: fields are built often, and the test costs far more than the
+    rest of a field's set-up.
+    """
+    if n < 2:
+        return False
+    for b in _MR_BASES:
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for b in _MR_BASES:
+        x = pow(b, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 class PrimeField:
     """F_p with elements stored as ints in [0, p)."""
 
     def __init__(self, p=DEFAULT_PRIME):
-        if p < 2:
-            raise ValueError("p must be a prime >= 2")
+        if not isinstance(p, int) or not is_probable_prime(p):
+            raise ValueError(f"p must be a prime, got {p!r}")
         self.p = p
+
+    @property
+    def sample_size(self):
+        """Size of the set `random` draws from."""
+        return self.p
 
     @property
     def zero(self):
@@ -43,7 +84,7 @@ class PrimeField:
     def inv(self, a):
         if a % self.p == 0:
             raise ZeroDivisionError("inverse of zero")
-        return pow(a, self.p - 2, self.p)
+        return pow(a, -1, self.p)
 
     def is_zero(self, a):
         return a % self.p == 0
@@ -75,6 +116,11 @@ class RationalField:
 
     # Sampling range for "random" rationals; only genericity matters.
     RAND_BOUND = 2**31
+
+    @property
+    def sample_size(self):
+        """Size of the set `random` draws from: the integers in [0, 2^31)."""
+        return self.RAND_BOUND
 
     @property
     def zero(self):

@@ -7,6 +7,8 @@ the primed part, produces the submodule/quotient families whose dimension
 vectors realize the beta-sequence of the word.
 """
 
+import functools
+
 from ..errors import InvalidVertex, NoEmbeddingFound, NonReducedWord
 from ..fields import default_field
 from ..linalg import Mat
@@ -18,8 +20,14 @@ from ..rootsys import (
     is_reduced,
 )
 from .hom import find_injective_hom
-from .module import PModule, Submodule, arrows_of, quotient, semisimple, simple, zero_module
-from .functors import sigma_word
+from .module import PModule, Submodule, arrows_of, quotient, semisimple, zero_module
+from .functors import sigma
+
+# Bound on the reflection memo, in modules. The largest working set of the
+# test suite, check_modules on D4 up to length 5, holds 1,236 modules of
+# about 2.9 KB each; a whole tier-1 run peaks at 1,557. The bound keeps that
+# set whole and caps the memo near 6 MB in a long-running process.
+_REFLECTION_MEMO_SIZE = 2048
 
 
 def hat_graph(g):
@@ -28,21 +36,37 @@ def hat_graph(g):
     return CartanGraph(2 * g.n, g.edges + extra)
 
 
-def semisimple_primed(g, lam, field=None):
-    """The hat-graph module with multiplicity lam_i at vertex i', zero maps."""
+def _primed_dims(g, lam):
     if any(c < 0 for c in lam.coeffs):
         raise ValueError("weight must be dominant (nonnegative coefficients)")
-    gh = hat_graph(g)
-    dims = (0,) * g.n + lam.coeffs
-    return semisimple(gh, dims, field=field)
+    return (0,) * g.n + lam.coeffs
+
+
+def semisimple_primed(g, lam, field=None):
+    """The hat-graph module with multiplicity lam_i at vertex i', zero maps."""
+    return semisimple(hat_graph(g), _primed_dims(g, lam), field=field)
+
+
+@functools.lru_cache(maxsize=_REFLECTION_MEMO_SIZE)
+def _reflected(g, field, dims, letters):
+    """The semisimple module `dims` over g, reflected along `letters`.
+
+    Letters act first to last. Built from the memoized module of
+    letters[:-1], so words sharing a prefix share its modules; each module
+    is still validated in full by `sigma` when it is first built. Callers
+    must not mutate the result.
+    """
+    if not letters:
+        return semisimple(g, dims, field=field)
+    return sigma(letters[-1], _reflected(g, field, dims, letters[:-1]))
 
 
 def n_hat(g, w, lam, field=None):
     """Reflect the primed semisimple along the word, first letter first."""
     if not is_reduced(g, w):
         raise NonReducedWord(f"word {w.letters} is not reduced")
-    m = semisimple_primed(g, lam, field=field)
-    return sigma_word(w, m)
+    dims = _primed_dims(g, lam)
+    return _reflected(hat_graph(g), field or default_field(), dims, w.letters)
 
 
 def _primed_part(m, g):
@@ -153,9 +177,8 @@ def m_module(g, w, k, route="reflection", field=None, rng=None, retries=8):
         raise InvalidVertex(f"index k={k} outside 1..{len(w)}")
     field = field or default_field()
     if route == "reflection":
-        s = simple(g, w[k - 1], field=field)
-        rev = WeylWord(tuple(reversed(w.letters[: k - 1])))
-        return sigma_word(rev, s)
+        dims = tuple(int(j == w[k - 1]) for j in g.vertices())
+        return _reflected(g, field, dims, tuple(reversed(w.letters[: k - 1])))
     if route == "cokernel":
         km = k_minus(w, k)
         vk = v_module(g, w, k, field=field)

@@ -108,7 +108,6 @@ def sigma_on_map(i, f_map, twist=1):
 
     m, n = f_map.source, f_map.target
     sm, sn = sigma(i, m, twist=twist), sigma(i, n, twist=twist)
-    fld = m.field
     km, kn = _kernel_inclusion(i, m), _kernel_inclusion(i, n)
     # Block-diagonal action on the incoming assemblies restricts to kernels.
     big = _assembled_block_diag(i, f_map, km.nrows)
@@ -126,7 +125,6 @@ def sigma_star_on_map(i, f_map, twist=1):
 
     m, n = f_map.source, f_map.target
     sm, sn = sigma_star(i, m, twist=twist), sigma_star(i, n, twist=twist)
-    fld = m.field
     out_m, out_n = m.out_map(i), n.out_map(i)
     bm = col_basis(out_m)
     em, tm_inv = extend_to_basis(bm)

@@ -3,14 +3,14 @@
 Isomorphism testing samples random elements of the morphism space and
 checks invertibility vertex by vertex. Invertible morphisms form the
 nonvanishing locus of a determinant polynomial of degree at most the
-total dimension, so over a field of size q each failed sample is a false
+total dimension, so when coefficients are drawn from a set of size q (all
+of F_p, or [0, 2^31) for the rationals) each failed sample is a false
 negative with probability at most d/q.
 """
 
 import math
 import random
 
-from ..fields import field_size
 from ..linalg import Mat, nullspace
 from .module import ModuleMap, arrows_of
 
@@ -83,10 +83,12 @@ def random_hom(basis, rng):
 
 
 def retry_budget(field, total_dim, confidence_bits=DEFAULT_CONFIDENCE_BITS):
-    """Samples needed so (d/q)^t <= 2^-confidence_bits; 1 over infinite fields."""
-    q = field_size(field)
-    if q is None:
-        return 1
+    """Samples needed so (d/q)^t <= 2^-confidence_bits.
+
+    q is the size of the set the field samples from, which is finite even
+    for the rationals.
+    """
+    q = field.sample_size
     d = max(total_dim, 1)
     if q <= d:
         raise ValueError("field too small for the requested confidence")

@@ -7,6 +7,7 @@ contributes the arrow (e, +1): u -> v with sign +1 and the reverse arrow
 signed sum of round trips through its incident edges.
 """
 
+import functools
 import json
 from collections import namedtuple
 
@@ -27,20 +28,33 @@ from ..rootsys import CartanGraph, RootVec
 Arrow = namedtuple("Arrow", "edge dir src tgt sign")
 
 
-def arrows_of(g):
-    out = []
+# Per-graph incidence tables. CartanGraph is frozen and hashable, and a
+# program meets only a handful of graphs, so the bound is never reached.
+_GRAPH_CACHE_SIZE = 64
+
+
+@functools.lru_cache(maxsize=_GRAPH_CACHE_SIZE)
+def _incidence(g):
+    """Every arrow of g, with the arrows into and out of each vertex."""
+    arrows = []
     for e, (u, v) in enumerate(g.edges):
-        out.append(Arrow(e, +1, u, v, +1))
-        out.append(Arrow(e, -1, v, u, -1))
-    return out
+        arrows.append(Arrow(e, +1, u, v, +1))
+        arrows.append(Arrow(e, -1, v, u, -1))
+    into = {i: tuple(a for a in arrows if a.tgt == i) for i in g.vertices()}
+    out_of = {i: tuple(a for a in arrows if a.src == i) for i in g.vertices()}
+    return tuple(arrows), into, out_of
+
+
+def arrows_of(g):
+    return _incidence(g)[0]
 
 
 def arrows_into(g, i):
-    return [a for a in arrows_of(g) if a.tgt == i]
+    return _incidence(g)[1].get(i, ())
 
 
 def arrows_out_of(g, i):
-    return [a for a in arrows_of(g) if a.src == i]
+    return _incidence(g)[2].get(i, ())
 
 
 def reverse_arrow(a):
@@ -181,26 +195,42 @@ class PModule:
             return PModule._from_dict_unchecked(data)
         except InvalidModuleFile:
             raise
-        except (KeyError, TypeError, ValueError, StopIteration) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise InvalidModuleFile(f"malformed module data: {exc}") from exc
 
     @staticmethod
     def _from_dict_unchecked(data):
         g = CartanGraph.from_dict(data["graph"])
         fi = data["field"]
-        fld = PrimeField(fi["p"]) if fi["kind"] == "prime" else RationalField()
+        if fi["kind"] == "prime":
+            fld = PrimeField(fi["p"])
+        elif fi["kind"] == "rational":
+            fld = RationalField()
+        else:
+            raise InvalidModuleFile(f"unknown field kind {fi['kind']!r}")
         dims = data["dims"]
+        if not isinstance(dims, list) or len(dims) != g.n:
+            raise InvalidModuleFile(f"dims must be a list of {g.n} entries, one per vertex")
+        if any(type(d) is not int or d < 0 for d in dims):
+            raise InvalidModuleFile(f"dims must be nonnegative integers, got {dims}")
+        by_key = {(a.edge, a.dir): a for a in arrows_of(g)}
         maps = {}
         for rec in data["arrows"]:
-            a = next(
-                x for x in arrows_of(g) if x.edge == rec["edge"] and x.dir == rec["dir"]
-            )
+            key = (rec["edge"], rec["dir"])
+            if key not in by_key:
+                raise InvalidModuleFile(f"the graph has no arrow (edge, dir) = {key}")
+            if key in maps:
+                raise InvalidModuleFile(f"arrow (edge, dir) = {key} appears twice")
+            a = by_key[key]
             nr, nc = dims[a.tgt - 1], dims[a.src - 1]
             vals = [fld.from_str(s) for s in rec["entries"]]
             if len(vals) != nr * nc:
                 raise InvalidModuleFile("entry count does not match dims")
             rows = [vals[r * nc:(r + 1) * nc] for r in range(nr)]
-            maps[(a.edge, a.dir)] = Mat(fld, nr, nc, rows)
+            maps[key] = Mat(fld, nr, nc, rows)
+        missing = sorted(set(by_key) - set(maps))
+        if missing:
+            raise InvalidModuleFile(f"arrows (edge, dir) = {missing} are missing")
         try:
             return PModule(g, fld, dims, maps)
         except InternalRelationFailure as exc:

@@ -5,6 +5,7 @@ so word[0] is the first reflection applied; serialized lists follow the
 same order.
 """
 
+import functools
 import json
 from dataclasses import dataclass
 
@@ -226,6 +227,12 @@ def beta_sequence(g, w):
     return betas
 
 
+# Reducedness depends only on (graph, word), both frozen and hashable; the
+# families and the sampler ask it again for every layer of every word.
+_REDUCED_CACHE_SIZE = 4096
+
+
+@functools.lru_cache(maxsize=_REDUCED_CACHE_SIZE)
 def is_reduced(g, w):
     try:
         beta_sequence(g, w)

@@ -89,10 +89,12 @@ def derive_seed(master_seed, job_id):
 
 
 def _confidence_str(fld):
-    q = field_size(fld)
-    if q is None:
-        return "exact (infinite field)"
-    return f"prime field of size {q}; per-sample false-negative bound d/q"
+    q = fld.sample_size
+    if field_size(fld) == q:
+        drawn = f"prime field of size {q}"
+    else:
+        drawn = f"rationals drawn from [0, {q})"
+    return f"{drawn}; per-sample false-negative bound d/q"
 
 
 def cross_witness(g, fld):

@@ -1,11 +1,14 @@
 import json
+from pathlib import Path
 
 import pytest
 
 from nilcrystal.cli import main
 from nilcrystal.fields import default_field
 from nilcrystal.prepmod import simple, zero_module
-from nilcrystal.rootsys import a_n
+from nilcrystal.rootsys import a_n, affine_a1
+
+GRAPHS = Path(__file__).resolve().parent.parent / "graphs"
 
 
 @pytest.fixture
@@ -92,6 +95,40 @@ def test_missing_graph_exits_4(tmp_path):
 def test_small_prime_rejected(a2_graph):
     assert run(["--graph", a2_graph, "--field", "prime:97",
                 "modules", "M", "1"]) == 2
+
+
+def test_composite_modulus_rejected():
+    assert run(["--graph", str(GRAPHS / "a3.json"), "--field", "prime:4294967296",
+                "verify", "modules"]) == 2
+
+
+def _module_file(tmp_path, graph, dims, arrows):
+    gpath, mpath = tmp_path / "g.json", tmp_path / "m.json"
+    gpath.write_text(json.dumps(graph.to_dict()))
+    mpath.write_text(json.dumps({
+        "graph": graph.to_dict(),
+        "field": {"kind": "prime", "p": default_field().p},
+        "dims": dims,
+        "arrows": arrows,
+    }))
+    return str(gpath), str(mpath)
+
+
+@pytest.mark.parametrize("dims", [[1], [1, -1, 0]])
+def test_extract_malformed_dims_exits_3(tmp_path, capsys, dims):
+    gpath, mpath = _module_file(tmp_path, a_n(3), dims, [])
+    assert run(["--graph", gpath, "extract", mpath, "1"]) == 3
+    assert "dims" in capsys.readouterr().err
+
+
+def test_extract_non_nilpotent_exits_3(tmp_path, capsys):
+    # x0 y0 + x1 y1 = 1 - 1 = 0 holds at both vertices, but y0 x0 = 1 is an
+    # invertible cycle, so no power of the radical vanishes.
+    arrows = [{"edge": e, "dir": d, "entries": [v]}
+              for e, d, v in ((0, 1, "1"), (0, -1, "1"), (1, 1, "1"), (1, -1, "-1"))]
+    gpath, mpath = _module_file(tmp_path, affine_a1(), [1, 1], arrows)
+    assert run(["--graph", gpath, "extract", mpath, "1"]) == 3
+    assert "not nilpotent" in capsys.readouterr().err
 
 
 def test_verify_exit_codes(a2_graph, tmp_path):

@@ -100,6 +100,15 @@ def test_prime_field_str_roundtrip():
     assert f.from_str(f.to_str(x)) == x
 
 
+def test_prime_field_rejects_composite_moduli():
+    # 318665857834031151167461 is a strong pseudoprime to every base 2..37.
+    for n in (15, 4294967296, 561, 3215031751, 318665857834031151167461, 1, 0):
+        with pytest.raises(ValueError):
+            PrimeField(n)
+    f = PrimeField(2**89 - 1)
+    assert f.mul(f.inv(12345), 12345) == 1
+
+
 def test_rational_field_str_roundtrip():
     f = RationalField()
     x = Fraction(-3, 7)

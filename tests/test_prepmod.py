@@ -7,7 +7,8 @@ from nilcrystal.errors import (
     InvalidModuleFile,
     NotInGenericStratum,
 )
-from nilcrystal.fields import default_field
+from nilcrystal.fields import RationalField, default_field
+from nilcrystal.prepmod import families
 from nilcrystal.prepmod import (
     PModule,
     build_filtered,
@@ -35,7 +36,15 @@ from nilcrystal.prepmod import (
     v_module,
     zero_module,
 )
-from nilcrystal.rootsys import Weight, WeylWord, a_n, affine_a1, beta_sequence
+from nilcrystal.rootsys import (
+    Weight,
+    WeylWord,
+    a_n,
+    affine_a1,
+    all_reduced_words_upto,
+    beta_sequence,
+    d4,
+)
 
 F = default_field()
 A2 = a_n(2)
@@ -185,6 +194,14 @@ def test_retry_budget():
     assert retry_budget(PrimeField(997), 12) > 1
 
 
+def test_retry_budget_counts_the_rational_sampling_set():
+    # RationalField.random draws from [0, 2^31): a sample misses with
+    # probability up to d/2^31, so one sample cannot reach 2^-40.
+    assert RationalField().sample_size == 2**31
+    assert retry_budget(RationalField(), 10) > 1
+    assert retry_budget(F, 10) == 1
+
+
 def test_random_extension_relations_hold():
     rng = random.Random(2)
     base = simple(A3, 2, field=F)
@@ -227,6 +244,75 @@ def test_load_rejects_garbage(tmp_path):
     path.write_text("{\"dims\": [1]}")
     with pytest.raises(InvalidModuleFile):
         PModule.load(str(path))
+
+
+def _module_data(**changes):
+    data = sigma(1, simple(A2, 2, field=F)).to_dict()
+    data.update(changes)
+    return data
+
+
+@pytest.mark.parametrize("changes", [
+    {"dims": [1]},
+    {"dims": [1, 1, 0]},
+    {"dims": [-1, 1]},
+    {"dims": [1.0, 1]},
+    {"dims": [True, 1]},
+    {"field": {"kind": "real"}},
+    {"field": {"kind": "prime", "p": 15}},
+])
+def test_from_dict_rejects_bad_schema(changes):
+    PModule.from_dict(_module_data())
+    with pytest.raises(InvalidModuleFile):
+        PModule.from_dict(_module_data(**changes))
+
+
+def test_from_dict_needs_each_arrow_exactly_once():
+    arrows = _module_data()["arrows"]
+    for bad in (arrows[:1], arrows + arrows[:1],
+                arrows + [{"edge": 5, "dir": 1, "entries": []}]):
+        with pytest.raises(InvalidModuleFile):
+            PModule.from_dict(_module_data(arrows=bad))
+
+
+def _same_module(a, b):
+    return a.graph == b.graph and a.dims == b.dims and a.maps == b.maps
+
+
+@pytest.mark.parametrize("g, maxlen", [(A3, 4), (d4(), 3)], ids=["A3", "D4"])
+def test_reflection_memo_matches_direct_reflection(g, maxlen):
+    families._reflected.cache_clear()
+    words = [w for ws in all_reduced_words_upto(g, maxlen).values() for w in ws]
+    for w in words:
+        for k in range(1, len(w) + 1):
+            rev = WeylWord(tuple(reversed(w.letters[: k - 1])))
+            direct = sigma_word(rev, simple(g, w[k - 1], field=F))
+            assert _same_module(m_module(g, w, k, route="reflection", field=F), direct)
+        for i in g.vertices():
+            lam = Weight.fundamental(g.n, i)
+            direct = sigma_word(w, families.semisimple_primed(g, lam, field=F))
+            assert _same_module(n_hat(g, w, lam, field=F), direct)
+    assert families._reflected.cache_info().hits > 0
+
+
+def test_cokernel_route_leaves_no_memo_entry_on_the_base_graph(monkeypatch):
+    # Entries only arise from lookups, so recording every lookup (the memo
+    # recurses through the module-level name) bounds what the route stored.
+    memo = families._reflected
+    graphs = []
+
+    def spy(g, field, dims, letters):
+        graphs.append(g)
+        return memo(g, field, dims, letters)
+
+    monkeypatch.setattr(families, "_reflected", spy)
+    memo.cache_clear()
+    w = WeylWord((1, 2, 1, 3, 2, 1))
+    rng = random.Random(5)
+    for k in range(1, len(w) + 1):
+        m_module(A3, w, k, route="cokernel", field=F, rng=rng)
+    assert graphs and set(graphs) == {families.hat_graph(A3)}
+    assert memo.cache_info().currsize > 0
 
 
 def test_zero_module_is_iso_to_itself():
