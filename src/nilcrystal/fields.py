@@ -1,11 +1,15 @@
 """Exact computation fields: a large prime field and the rationals.
 
 Elements are plain Python objects (ints reduced mod p, or Fractions), so
-matrices are just nested lists and all arithmetic stays exact.
+matrices are just nested lists and all arithmetic stays exact. Besides the
+scalar operations, each field supplies the whole-vector kernels that the
+shared elimination in `linalg` runs on: `matmul`, `dot`, `scale_vec` and
+`sub_scaled`.
 """
 
 import functools
 from fractions import Fraction
+from operator import mul
 
 DEFAULT_PRIME = 2**61 - 1
 
@@ -89,6 +93,23 @@ class PrimeField:
     def is_zero(self, a):
         return a % self.p == 0
 
+    def dot(self, xs, ys):
+        return sum(map(mul, xs, ys)) % self.p
+
+    def matmul(self, a_rows, bt_rows):
+        """Rows of A @ B, given the rows of A and of B transposed."""
+        p = self.p
+        return [[sum(map(mul, r, c)) % p for c in bt_rows] for r in a_rows]
+
+    def scale_vec(self, c, xs):
+        p = self.p
+        return [c * x % p for x in xs]
+
+    def sub_scaled(self, xs, c, ys):
+        """xs - c * ys, entrywise."""
+        p = self.p
+        return [(x - c * y) % p for x, y in zip(xs, ys)]
+
     def random(self, rng):
         return rng.randrange(self.p)
 
@@ -152,6 +173,21 @@ class RationalField:
 
     def is_zero(self, a):
         return a == 0
+
+    def dot(self, xs, ys):
+        return sum(map(mul, xs, ys), Fraction(0))
+
+    def matmul(self, a_rows, bt_rows):
+        """Rows of A @ B, given the rows of A and of B transposed."""
+        zero = Fraction(0)
+        return [[sum(map(mul, r, c), zero) for c in bt_rows] for r in a_rows]
+
+    def scale_vec(self, c, xs):
+        return [c * x for x in xs]
+
+    def sub_scaled(self, xs, c, ys):
+        """xs - c * ys, entrywise."""
+        return [x - c * y for x, y in zip(xs, ys)]
 
     def random(self, rng):
         return Fraction(rng.randrange(self.RAND_BOUND))

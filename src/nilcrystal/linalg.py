@@ -2,8 +2,12 @@
 
 Matrices are immutable-by-convention lists of lists of field elements.
 Zero-row and zero-column matrices are first-class citizens: most of the
-module theory downstream lives at the boundary cases.
+module theory downstream lives at the boundary cases. The arithmetic loops
+belong to the field (`matmul`, `scale_vec`, `sub_scaled`); this module holds
+the one Gaussian elimination that every solve, rank and nullspace shares.
 """
+
+from itertools import chain
 
 
 class Mat:
@@ -29,15 +33,6 @@ class Mat:
         return Mat(field, n, n, [[o if i == j else z for j in range(n)] for i in range(n)])
 
     @staticmethod
-    def from_rows(field, rows, ncols=None):
-        nrows = len(rows)
-        if ncols is None:
-            if nrows == 0:
-                raise ValueError("ncols required for an empty row list")
-            ncols = len(rows[0])
-        return Mat(field, nrows, ncols, [list(r) for r in rows])
-
-    @staticmethod
     def from_int_rows(field, rows, ncols=None):
         nrows = len(rows)
         if ncols is None:
@@ -51,9 +46,6 @@ class Mat:
         return Mat(field, len(entries), 1, [[x] for x in entries])
 
     # -- basic ops -----------------------------------------------------
-
-    def copy(self):
-        return Mat(self.field, self.nrows, self.ncols, [list(r) for r in self.rows])
 
     def __eq__(self, other):
         return (
@@ -74,12 +66,9 @@ class Mat:
         return all(z(x) for row in self.rows for x in row)
 
     def transpose(self):
-        return Mat(
-            self.field,
-            self.ncols,
-            self.nrows,
-            [[self.rows[i][j] for i in range(self.nrows)] for j in range(self.ncols)],
-        )
+        if self.nrows == 0:
+            return Mat(self.field, self.ncols, 0, [[] for _ in range(self.ncols)])
+        return Mat(self.field, self.ncols, self.nrows, [list(c) for c in zip(*self.rows)])
 
     def add(self, other):
         f = self.field
@@ -99,24 +88,13 @@ class Mat:
 
     def scale(self, c):
         f = self.field
-        return Mat(f, self.nrows, self.ncols, [[f.mul(c, x) for x in r] for r in self.rows])
+        return Mat(f, self.nrows, self.ncols, [f.scale_vec(c, r) for r in self.rows])
 
     def mul(self, other):
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch in matrix product")
         f = self.field
-        z = f.zero
-        ot = other.transpose().rows
-        out = []
-        for r in self.rows:
-            row = []
-            for c in ot:
-                acc = z
-                for a, b in zip(r, c):
-                    acc = f.add(acc, f.mul(a, b))
-                row.append(acc)
-            out.append(row)
-        return Mat(f, self.nrows, other.ncols, out)
+        return Mat(f, self.nrows, other.ncols, f.matmul(self.rows, other.transpose().rows))
 
     def __matmul__(self, other):
         return self.mul(other)
@@ -157,22 +135,28 @@ class Mat:
 
 
 def hstack_all(field, mats, nrows):
-    out = Mat(field, nrows, 0, [[] for _ in range(nrows)])
-    for m in mats:
-        out = out.hstack(m)
-    return out
+    if any(m.nrows != nrows for m in mats):
+        raise ValueError("row count mismatch in hstack")
+    rows = [list(chain.from_iterable(m.rows[i] for m in mats)) for i in range(nrows)]
+    return Mat(field, nrows, sum(m.ncols for m in mats), rows)
 
 
 def vstack_all(field, mats, ncols):
-    out = Mat(field, 0, ncols, [])
-    for m in mats:
-        out = out.vstack(m)
-    return out
+    if any(m.ncols != ncols for m in mats):
+        raise ValueError("column count mismatch in vstack")
+    rows = [list(r) for m in mats for r in m.rows]
+    return Mat(field, len(rows), ncols, rows)
 
 
 def rref(m):
-    """Reduced row echelon form. Returns (R, pivot_columns)."""
+    """Reduced row echelon form. Returns (R, pivot_columns).
+
+    Row operations touch only the columns from the pivot column on: the
+    pivot row is zero to the left of it, so scaling the pivot row or
+    subtracting a multiple of it leaves those columns as they are.
+    """
     f = m.field
+    is_zero = f.is_zero
     rows = [list(r) for r in m.rows]
     pivots = []
     prow = 0
@@ -181,18 +165,17 @@ def rref(m):
             break
         sel = None
         for i in range(prow, m.nrows):
-            if not f.is_zero(rows[i][col]):
+            if not is_zero(rows[i][col]):
                 sel = i
                 break
         if sel is None:
             continue
         rows[prow], rows[sel] = rows[sel], rows[prow]
-        inv = f.inv(rows[prow][col])
-        rows[prow] = [f.mul(inv, x) for x in rows[prow]]
-        for i in range(m.nrows):
-            if i != prow and not f.is_zero(rows[i][col]):
-                c = rows[i][col]
-                rows[i] = [f.sub(a, f.mul(c, b)) for a, b in zip(rows[i], rows[prow])]
+        tail = f.scale_vec(f.inv(rows[prow][col]), rows[prow][col:])
+        rows[prow][col:] = tail
+        for i, r in enumerate(rows):
+            if i != prow and not is_zero(r[col]):
+                r[col:] = f.sub_scaled(r[col:], r[col], tail)
         pivots.append(col)
         prow += 1
     return Mat(f, m.nrows, m.ncols, rows), pivots
@@ -206,15 +189,16 @@ def nullspace(m):
     """Basis of the right kernel, as the columns of an (ncols x k) matrix."""
     f = m.field
     R, pivots = rref(m)
-    free = [j for j in range(m.ncols) if j not in pivots]
-    basis_cols = []
-    for fc in free:
-        v = [f.zero] * m.ncols
-        v[fc] = f.one
-        for prow, pcol in enumerate(pivots):
-            v[pcol] = f.neg(R.rows[prow][fc])
-        basis_cols.append(v)
-    return Mat(f, m.ncols, len(basis_cols), [[c[i] for c in basis_cols] for i in range(m.ncols)])
+    pivot_rows = dict(zip(pivots, R.rows))
+    free = [j for j in range(m.ncols) if j not in pivot_rows]
+    z, o = f.zero, f.one
+    minus_one = f.neg(o)
+    rows = [
+        f.scale_vec(minus_one, [pivot_rows[i][fc] for fc in free]) if i in pivot_rows
+        else [o if fc == i else z for fc in free]
+        for i in range(m.ncols)
+    ]
+    return Mat(f, m.ncols, len(free), rows)
 
 
 def solve(a, b):
@@ -227,10 +211,12 @@ def solve(a, b):
     for p in pivots:
         if p >= a.ncols:
             return None
-    x = Mat.zero(f, a.ncols, b.ncols)
-    for prow, pcol in enumerate(pivots):
-        x.rows[pcol] = list(R.rows[prow][a.ncols:])
-    return x
+    by_pivot = dict(zip(pivots, R.rows))
+    rows = [
+        by_pivot[j][a.ncols:] if j in by_pivot else [f.zero] * b.ncols
+        for j in range(a.ncols)
+    ]
+    return Mat(f, a.ncols, b.ncols, rows)
 
 
 def col_basis(m):

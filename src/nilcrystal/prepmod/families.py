@@ -10,10 +10,11 @@ vectors realize the beta-sequence of the word.
 import functools
 
 from ..errors import InvalidVertex, NoEmbeddingFound, NonReducedWord
-from ..fields import default_field
-from ..linalg import Mat
+from ..fields import RationalField, default_field
+from ..linalg import Mat, is_invertible, solve
 from ..rootsys import (
     CartanGraph,
+    RootVec,
     Weight,
     WeylWord,
     apply_word_to_weight,
@@ -122,36 +123,20 @@ def v_dim_weight(g, w, k):
 
 
 def weight_to_root(g, lam):
-    """Convert a weight-basis vector that lies in the root lattice."""
-    a = g.cartan()
-    n = g.n
-    # Solve A^T x = lam over the rationals; entries must come out integral.
-    from fractions import Fraction
+    """Convert a weight-basis vector that lies in the root lattice.
 
-    rows = [[Fraction(a[j][i]) for j in range(n)] for i in range(n)]
-    rhs = [Fraction(c) for c in lam.coeffs]
-    # Gaussian elimination; the Cartan matrix of our graphs is invertible in
-    # the finite cases used here. (Affine graphs route around this helper.)
-    aug = [rows[i] + [rhs[i]] for i in range(n)]
-    piv = 0
-    for col in range(n):
-        sel = next((r for r in range(piv, n) if aug[r][col] != 0), None)
-        if sel is None:
-            continue
-        aug[piv], aug[sel] = aug[sel], aug[piv]
-        aug[piv] = [x / aug[piv][col] for x in aug[piv]]
-        for r in range(n):
-            if r != piv and aug[r][col] != 0:
-                c = aug[r][col]
-                aug[r] = [x - c * y for x, y in zip(aug[r], aug[piv])]
-        piv += 1
-    if piv != n:
+    Solves A^T x = lam over the rationals, where A is the Cartan matrix;
+    raises ValueError when A is singular (affine graphs) or x is not
+    integral.
+    """
+    fld = RationalField()
+    at = Mat.from_int_rows(fld, g.cartan(), ncols=g.n).transpose()
+    if not is_invertible(at):
         raise ValueError("Cartan matrix is singular; cannot convert basis")
-    sol = [aug[i][n] for i in range(n)]
+    x = solve(at, Mat.col_vector(fld, [fld.of_int(c) for c in lam.coeffs]))
+    sol = [r[0] for r in x.rows]
     if any(s.denominator != 1 for s in sol):
         raise ValueError("weight vector is not in the root lattice")
-    from ..rootsys import RootVec
-
     return RootVec(tuple(int(s) for s in sol))
 
 

@@ -87,19 +87,15 @@ def _kernel_inclusion(i, m):
 
 def _assembled_block_diag(i, f_map, total_src):
     """Block-diagonal action of a morphism on the incoming assembly at i."""
-    m, n = f_map.source, f_map.target
+    m = f_map.source
+    z = m.field.zero
     slices_m = m.in_block_slices(i)
-    big_rows = sum(n.dims[a.src - 1] for a in arrows_into(n.graph, i))
-    big = Mat.zero(m.field, big_rows, total_src)
-    off = 0
+    rows = []
     for a in arrows_into(m.graph, i):
-        lo, _hi = slices_m[(a.edge, a.dir)]
-        fa = f_map.mat_at(a.src)
-        for r in range(fa.nrows):
-            for cidx in range(fa.ncols):
-                big.rows[off + r][lo + cidx] = fa.rows[r][cidx]
-        off += fa.nrows
-    return big
+        lo, hi = slices_m[(a.edge, a.dir)]
+        for r in f_map.mat_at(a.src).rows:
+            rows.append([z] * lo + list(r) + [z] * (total_src - hi))
+    return Mat(m.field, len(rows), total_src, rows)
 
 
 def sigma_on_map(i, f_map, twist=1):

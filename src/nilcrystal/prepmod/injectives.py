@@ -158,9 +158,10 @@ def injective_module(g, i, field):
     for a in arrows_of(g):
         src, tgt = a.src, a.tgt
         # psi_a : paths (tgt -> i) -> paths (src -> i), p |-> reduce(p . a);
-        # the dual module's arrow matrix is its transpose.
+        # the dual module's arrow matrix is its transpose, built row by row
+        # (row `col` of the transpose is the image of the col-th path).
         nr, nc = len(by_vertex[tgt]), len(by_vertex[src])
-        psi = Mat.zero(f, nc, nr)
+        psi_t = [[f.zero] * nc for _ in range(nr)]
         for col, (d, p) in enumerate(by_vertex[tgt]):
             new_path = (src,) + ((a.edge, a.dir),) + p[1:]
             paths_d1 = alg.degrees[d + 1][0] if d + 1 < len(alg.degrees) else []
@@ -180,8 +181,6 @@ def injective_module(g, i, field):
                         continue
                     if alg._path_end(bp) != i or bp[0] != src:
                         continue
-                    psi.rows[index[bp]][col] = f.add(
-                        psi.rows[index[bp]][col], coords[bloc]
-                    )
-        maps[(a.edge, a.dir)] = psi.transpose()
+                    psi_t[col][index[bp]] = f.add(psi_t[col][index[bp]], coords[bloc])
+        maps[(a.edge, a.dir)] = Mat(f, nr, nc, psi_t)
     return PModule(g, f, dims, maps)

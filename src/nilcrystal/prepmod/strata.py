@@ -74,10 +74,7 @@ def random_extension(sub, quot, rng):
     system = Mat(f, len(rows), total, rows)
     basis = nullspace(system)
     coeffs = [f.random(rng) for _ in range(basis.ncols)]
-    sol = [f.zero] * total
-    for j, cf in enumerate(coeffs):
-        for idx in range(total):
-            sol[idx] = f.add(sol[idx], f.mul(cf, basis.rows[idx][j]))
+    sol = [f.dot(row, coeffs) for row in basis.rows]
 
     dims = tuple(s + q for s, q in zip(sub.dims, quot.dims))
     maps = {}

@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 
 from .crystal import datum, extraction_chain, weight
 from .errors import InternalRelationFailure, NotInGenericStratum
-from .fields import default_field, field_size
+from .fields import RationalField, default_field, field_size
+from .linalg import Mat, is_invertible
 from .prepmod import (
     build_filtered,
     eps_star_mod,
@@ -31,7 +32,6 @@ from .prepmod import (
     sigma_on_map,
     sigma_star,
     sigma_star_on_map,
-    simple,
     soc_chain,
     soc_i,
     socle_dims,
@@ -40,6 +40,7 @@ from .prepmod import (
     weight_to_root,
     zero_module,
 )
+from .prepmod.families import _reflected
 from .rootsys import (
     Weight,
     WeylWord,
@@ -104,7 +105,6 @@ def cross_witness(g, fld):
     preserve, so this module makes the mutation self-test deterministic.
     Returns None when no vertex has two incoming arrows (e.g. one edge).
     """
-    from .linalg import Mat
     from .prepmod.module import PModule, arrows_into, arrows_of
 
     a1 = a2 = None
@@ -132,12 +132,11 @@ def cross_witness(g, fld):
         maps[(a.edge, a.dir)] = Mat.zero(f, dims[a.tgt - 1], dims[a.src - 1])
     t = f.neg(f.of_int(a1.sign * a2.sign))
     for a, p, scale in ((a1, p1, f.one), (a2, p2, t)):
-        into = Mat.zero(f, 2, dims[a.src - 1])
-        into.rows[1][p] = scale  # x -> z
-        maps[(a.edge, a.dir)] = into
-        outof = Mat.zero(f, dims[a.src - 1], 2)
-        outof.rows[p][0] = f.one  # y -> x
-        maps[(a.edge, -a.dir)] = outof
+        d = dims[a.src - 1]
+        into = [[f.zero] * d, [scale if j == p else f.zero for j in range(d)]]
+        maps[(a.edge, a.dir)] = Mat(f, 2, d, into)  # x -> z
+        outof = [[f.one if j == p else f.zero, f.zero] for j in range(d)]
+        maps[(a.edge, -a.dir)] = Mat(f, d, 2, outof)  # y -> x
     return PModule(g, f, dims, maps)
 
 
@@ -373,11 +372,14 @@ def check_modules(g, maxlen, rng=None, fld=None, socle_chain_oracle=False):
                          "reflection": m_ref.to_dict(), "cokernel": m_cok.to_dict()}
                     )
                     break
-                # Trivial tops of every partial product.
-                part = simple(g, w[k - 1], field=fld)
-                for ll in range(k - 1, 0, -1):
-                    part = sigma(w[ll - 1], part)
-                    if ll - 1 >= 1 and top_i_dim(part, w[ll - 2]) != 0:
+                # Trivial tops of every partial product: the simple at
+                # w[k-1] reflected along w[k-2], ..., w[ll-1], which the
+                # memo holds as prefixes of the m_module key above.
+                simple_dims = tuple(int(j == w[k - 1]) for j in g.vertices())
+                for ll in range(k - 1, 1, -1):
+                    letters = tuple(reversed(w.letters[ll - 1 : k - 1]))
+                    part = _reflected(g, fld, simple_dims, letters)
+                    if top_i_dim(part, w[ll - 2]) != 0:
                         failures.append(
                             {"kind": "partial-top", "word": list(w.letters),
                              "k": k, "l": ll - 1}
@@ -411,24 +413,7 @@ def check_modules(g, maxlen, rng=None, fld=None, socle_chain_oracle=False):
 
 
 def _cartan_invertible(g):
-    from fractions import Fraction
-
-    a = g.cartan()
-    n = g.n
-    rows = [[Fraction(x) for x in r] for r in a]
-    piv = 0
-    for col in range(n):
-        sel = next((r for r in range(piv, n) if rows[r][col] != 0), None)
-        if sel is None:
-            continue
-        rows[piv], rows[sel] = rows[sel], rows[piv]
-        rows[piv] = [x / rows[piv][col] for x in rows[piv]]
-        for r in range(n):
-            if r != piv and rows[r][col] != 0:
-                c = rows[r][col]
-                rows[r] = [x - c * y for x, y in zip(rows[r], rows[piv])]
-        piv += 1
-    return piv == n
+    return is_invertible(Mat.from_int_rows(RationalField(), g.cartan(), ncols=g.n))
 
 
 def check_cross_model(g, word, bound, samples, rng, fld=None):

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 from fractions import Fraction
 
@@ -10,11 +12,15 @@ from nilcrystal.linalg import (
     Mat,
     col_basis,
     extend_to_basis,
+    hstack_all,
     nullspace,
     rank,
     rref,
     solve,
+    vstack_all,
 )
+from nilcrystal.prepmod import build_filtered
+from nilcrystal.rootsys import WeylWord, a_n
 
 FIELDS = [PrimeField(997), RationalField()]
 
@@ -124,3 +130,172 @@ def test_rref_idempotent(rows):
     r1, piv1 = rref(m)
     r2, piv2 = rref(r1)
     assert r1.rows == r2.rows and piv1 == piv2
+
+
+# -- scalar-loop references: one field call per entry ---------------------
+
+
+def ref_mul(a, b):
+    f = a.field
+    out = []
+    for r in a.rows:
+        row = []
+        for j in range(b.ncols):
+            acc = f.zero
+            for k, x in enumerate(r):
+                acc = f.add(acc, f.mul(x, b.rows[k][j]))
+            row.append(acc)
+        out.append(row)
+    return out
+
+
+def ref_rref(m):
+    f = m.field
+    rows = [list(r) for r in m.rows]
+    pivots = []
+    prow = 0
+    for col in range(m.ncols):
+        if prow >= m.nrows:
+            break
+        sel = next((i for i in range(prow, m.nrows) if not f.is_zero(rows[i][col])), None)
+        if sel is None:
+            continue
+        rows[prow], rows[sel] = rows[sel], rows[prow]
+        inv = f.inv(rows[prow][col])
+        rows[prow] = [f.mul(inv, x) for x in rows[prow]]
+        for i in range(m.nrows):
+            if i != prow and not f.is_zero(rows[i][col]):
+                c = rows[i][col]
+                rows[i] = [f.sub(x, f.mul(c, y)) for x, y in zip(rows[i], rows[prow])]
+        pivots.append(col)
+        prow += 1
+    return rows, pivots
+
+
+def ref_nullspace(m):
+    f = m.field
+    rows, pivots = ref_rref(m)
+    basis_cols = []
+    for fc in (j for j in range(m.ncols) if j not in pivots):
+        v = [f.zero] * m.ncols
+        v[fc] = f.one
+        for prow, pcol in enumerate(pivots):
+            v[pcol] = f.neg(rows[prow][fc])
+        basis_cols.append(v)
+    return [[c[i] for c in basis_cols] for i in range(m.ncols)], len(basis_cols)
+
+
+def ref_solve(a, b):
+    f = a.field
+    rows, pivots = ref_rref(a.hstack(b))
+    if any(p >= a.ncols for p in pivots):
+        return None
+    x = [[f.zero] * b.ncols for _ in range(a.ncols)]
+    for prow, pcol in enumerate(pivots):
+        x[pcol] = rows[prow][a.ncols:]
+    return x
+
+
+def low_rank_mat(f, nr, nc, rk, rng):
+    """A product of random nr x rk and rk x nc factors (rank at most rk)."""
+    return rand_mat(f, nr, rk, rng) @ rand_mat(f, rk, nc, rng)
+
+
+def kernel_cases(f, seed):
+    rng = random.Random(seed)
+    shapes = [(0, 3), (3, 0), (0, 0), (1, 1), (2, 2), (4, 7), (7, 4), (9, 9)]
+    mats = [rand_mat(f, nr, nc, rng) for nr, nc in shapes]
+    mats += [low_rank_mat(f, nr, nc, rk, rng)
+             for nr, nc, rk in ((5, 5, 2), (6, 8, 3), (8, 6, 0), (7, 7, 6))]
+    return mats, rng
+
+
+@pytest.mark.parametrize("f", FIELDS)
+def test_mul_matches_scalar_loops(f):
+    mats, rng = kernel_cases(f, 20)
+    for a in mats:
+        for inner_b in (rand_mat(f, a.ncols, 0, rng), rand_mat(f, a.ncols, 5, rng)):
+            prod = a @ inner_b
+            assert (prod.nrows, prod.ncols) == (a.nrows, inner_b.ncols)
+            assert prod.rows == ref_mul(a, inner_b)
+    a, b = rand_mat(f, 3, 0, rng), rand_mat(f, 0, 4, rng)
+    assert (a @ b).rows == ref_mul(a, b) == [[f.zero] * 4 for _ in range(3)]
+
+
+@pytest.mark.parametrize("f", FIELDS)
+def test_rref_nullspace_solve_match_scalar_loops(f):
+    mats, rng = kernel_cases(f, 21)
+    for m in mats:
+        r, piv = rref(m)
+        assert (r.rows, piv) == ref_rref(m)
+        ns = nullspace(m)
+        assert (ns.rows, ns.ncols) == ref_nullspace(m)
+        for b in (rand_mat(f, m.nrows, 2, rng), m @ rand_mat(f, m.ncols, 2, rng)):
+            x = solve(m, b)
+            want = ref_solve(m, b)
+            assert (x is None and want is None) or x.rows == want
+
+
+def test_prime_kernels_reduce_unreduced_inputs():
+    f = PrimeField(997)
+    xs = [-1, 997, 1500, -2000, 0, 996]
+    ys = [998, -997, 3, -1, 5, 996]
+    c = -3
+    dot = sum(x * y for x, y in zip(xs, ys)) % 997
+    assert f.dot(xs, ys) == dot
+    assert f.matmul([xs, ys], [ys]) == [[dot], [f.dot(ys, ys)]]
+    assert f.scale_vec(c, xs) == [c * x % 997 for x in xs]
+    assert f.sub_scaled(xs, c, ys) == [(x - c * y) % 997 for x, y in zip(xs, ys)]
+    for out in (f.scale_vec(c, xs), f.sub_scaled(xs, c, ys), f.matmul([xs], [ys])[0]):
+        assert all(0 <= v < 997 for v in out)
+
+
+def test_rational_kernels_return_fractions():
+    f = RationalField()
+    xs, ys = [Fraction(1, 2), Fraction(-3)], [Fraction(2, 3), Fraction(5, 7)]
+    assert f.dot(xs, ys) == Fraction(1, 3) - Fraction(15, 7)
+    assert f.dot([], []) == 0 and isinstance(f.dot([], []), Fraction)
+    assert f.matmul([xs], [ys]) == [[f.dot(xs, ys)]]
+    assert f.sub_scaled(xs, Fraction(2), ys) == [Fraction(1, 2) - Fraction(4, 3),
+                                                 Fraction(-3) - Fraction(10, 7)]
+
+
+def test_stacks_match_pairwise_stacking():
+    f = PrimeField(997)
+    rng = random.Random(22)
+    widths = [2, 0, 3, 0, 1]
+    blocks = [rand_mat(f, 3, w, rng) for w in widths]
+    folded = Mat(f, 3, 0, [[], [], []])
+    for b in blocks:
+        folded = folded.hstack(b)
+    assert hstack_all(f, blocks, 3) == folded
+    assert hstack_all(f, [], 3) == Mat(f, 3, 0, [[], [], []])
+    assert hstack_all(f, [rand_mat(f, 0, w, rng) for w in widths], 0).ncols == 6
+    tall = [b.transpose() for b in blocks]
+    folded = Mat(f, 0, 3, [])
+    for b in tall:
+        folded = folded.vstack(b)
+    assert vstack_all(f, tall, 3) == folded
+    assert vstack_all(f, [], 2) == Mat(f, 0, 2, [])
+    assert vstack_all(f, [rand_mat(f, 2, 0, rng)] * 2, 0) == Mat(f, 4, 0, [[]] * 4)
+    with pytest.raises(ValueError):
+        hstack_all(f, [rand_mat(f, 2, 1, rng)], 3)
+    with pytest.raises(ValueError):
+        vstack_all(f, [rand_mat(f, 2, 1, rng)], 3)
+
+
+# sha256 of the JSON of one stratum sample over each field; the values were
+# computed with one field call per entry, so any change to the draws or the
+# arithmetic shows here.
+PINNED_SAMPLES = {
+    "prime": "373f967e8df908f256ddc638e30d8b18db43541ab883b5f78a9eb43972f5589b",
+    "rat": "7dc575155abb57c239edae2a8f9a7c32df2bc3337bb9bb755f4e687d2057dfd7",
+}
+
+
+@pytest.mark.parametrize("spec", sorted(PINNED_SAMPLES))
+def test_build_filtered_sample_is_pinned(spec):
+    x = build_filtered(a_n(3), WeylWord((1, 2, 1, 3, 2, 1)), (2, 1, 2, 1, 2, 1),
+                       random.Random(11), field=field_from_spec(spec))
+    digest = hashlib.sha256(json.dumps(x.to_dict(), sort_keys=True).encode())
+    assert digest.hexdigest() == PINNED_SAMPLES[spec]

@@ -81,3 +81,9 @@ def test_write_reports(tmp_path):
     lines = cp.read_text().strip().splitlines()
     assert lines[0].startswith("check_id") and len(lines) == 2
     assert veritas.all_pass([r])
+
+
+def test_cartan_invertible():
+    assert not veritas._cartan_invertible(affine_a1())
+    assert veritas._cartan_invertible(a_n(3))
+    assert veritas._cartan_invertible(d4())
