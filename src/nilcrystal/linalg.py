@@ -55,9 +55,6 @@ class Mat:
             and self.rows == other.rows
         )
 
-    def __hash__(self):
-        return hash((self.nrows, self.ncols, tuple(tuple(r) for r in self.rows)))
-
     def __repr__(self):
         return f"Mat({self.nrows}x{self.ncols}, {self.rows})"
 

@@ -149,7 +149,7 @@ def k_minus(w, k):
     return 0
 
 
-def m_module(g, w, k, route="reflection", field=None, rng=None, retries=8):
+def m_module(g, w, k, route="reflection", field=None, rng=None):
     """The k-th subquotient layer, by either construction route.
 
     route="reflection": reflect the k-th letter's simple along the reversed
@@ -170,7 +170,7 @@ def m_module(g, w, k, route="reflection", field=None, rng=None, retries=8):
         if km == 0:
             return vk
         vkm = v_module(g, w, km, field=field)
-        emb = find_injective_hom(vkm, vk, rng=rng, retries=retries)
+        emb = find_injective_hom(vkm, vk, rng=rng)
         if emb is None:
             raise NoEmbeddingFound(
                 f"no injective morphism for layer k={k} of word {w.letters}"

@@ -6,11 +6,15 @@ forward functor replaces the space at i by ker(in), the backward one by
 coker(out), each with a twisted structure map built from -(out . in).
 The twist sign is a parameter only so the harness can demonstrate that the
 flipped convention breaks the contracts; production code never passes it.
+The real functors (twist 1) preserve nilpotent modules (Baumann-Kamnitzer,
+Preprojective algebras and MV polytopes, 2012), so their results are checked
+for shapes and relations only; a twisted result also gets the nilpotency
+check.
 """
 
 from ..errors import InternalRelationFailure
 from ..linalg import Mat, col_basis, extend_to_basis, nullspace, solve
-from .module import PModule, arrows_into
+from .module import ModuleMap, PModule, arrows_into
 
 
 def sigma(i, m, twist=1):
@@ -36,8 +40,9 @@ def sigma(i, m, twist=1):
         maps[(a.edge, a.dir)] = blk_in if a.sign > 0 else blk_in.neg()
         # New outgoing component is the inclusion block.
         maps[(a.edge, -a.dir)] = k.row_slice(lo, hi)
+    build = PModule._derived if twist == 1 else PModule
     try:
-        return PModule(g, f, dims, maps)
+        return build(g, f, dims, maps)
     except InternalRelationFailure as exc:
         raise InternalRelationFailure(f"forward reflection at {i} broke relations: {exc}") from exc
 
@@ -48,9 +53,7 @@ def sigma_star(i, m, twist=1):
     in_i = m.in_map(i)
     out_i = m.out_map(i)
     slices = m.in_block_slices(i)
-    b = col_basis(out_i)  # image of out inside the incoming assembly
-    e, t_inv = extend_to_basis(b)
-    proj = t_inv.row_slice(b.ncols, out_i.nrows)  # total-in -> coker
+    e, proj = _cokernel(out_i)
     new_dim = proj.nrows
     # Induced map coker -> total-in from twist * out . in (kills image(out)).
     induced = (out_i @ in_i).scale(f.of_int(twist)) @ e
@@ -62,8 +65,9 @@ def sigma_star(i, m, twist=1):
         blk_in = proj.col_slice(lo, hi)
         maps[(a.edge, a.dir)] = blk_in if a.sign > 0 else blk_in.neg()
         maps[(a.edge, -a.dir)] = induced.row_slice(lo, hi)
+    build = PModule._derived if twist == 1 else PModule
     try:
-        return PModule(g, f, dims, maps)
+        return build(g, f, dims, maps)
     except InternalRelationFailure as exc:
         raise InternalRelationFailure(f"backward reflection at {i} broke relations: {exc}") from exc
 
@@ -81,8 +85,11 @@ def sigma_star_word(word, m, twist=1):
     return m
 
 
-def _kernel_inclusion(i, m):
-    return nullspace(m.in_map(i))
+def _cokernel(out_i):
+    """A basis extension of image(out) and the projection total-in -> coker."""
+    b = col_basis(out_i)
+    e, t_inv = extend_to_basis(b)
+    return e, t_inv.row_slice(b.ncols, out_i.nrows)
 
 
 def _assembled_block_diag(i, f_map, total_src):
@@ -100,11 +107,9 @@ def _assembled_block_diag(i, f_map, total_src):
 
 def sigma_on_map(i, f_map, twist=1):
     """The forward functor applied to a morphism."""
-    from .module import ModuleMap
-
     m, n = f_map.source, f_map.target
     sm, sn = sigma(i, m, twist=twist), sigma(i, n, twist=twist)
-    km, kn = _kernel_inclusion(i, m), _kernel_inclusion(i, n)
+    km, kn = nullspace(m.in_map(i)), nullspace(n.in_map(i))
     # Block-diagonal action on the incoming assemblies restricts to kernels.
     big = _assembled_block_diag(i, f_map, km.nrows)
     restricted = solve(kn, big @ km)
@@ -117,18 +122,11 @@ def sigma_on_map(i, f_map, twist=1):
 
 def sigma_star_on_map(i, f_map, twist=1):
     """The backward functor applied to a morphism."""
-    from .module import ModuleMap
-
     m, n = f_map.source, f_map.target
     sm, sn = sigma_star(i, m, twist=twist), sigma_star(i, n, twist=twist)
-    out_m, out_n = m.out_map(i), n.out_map(i)
-    bm = col_basis(out_m)
-    em, tm_inv = extend_to_basis(bm)
-    proj_m = tm_inv.row_slice(bm.ncols, out_m.nrows)
-    bn = col_basis(out_n)
-    _en, tn_inv = extend_to_basis(bn)
-    proj_n = tn_inv.row_slice(bn.ncols, out_n.nrows)
-    big = _assembled_block_diag(i, f_map, out_m.nrows)
+    em, proj_m = _cokernel(m.out_map(i))
+    _, proj_n = _cokernel(n.out_map(i))
+    big = _assembled_block_diag(i, f_map, proj_m.ncols)
     induced = proj_n @ big @ em
     mats = list(f_map.mats)
     mats[i - 1] = induced

@@ -131,14 +131,17 @@ def is_iso(m, n, rng=None, confidence_bits=DEFAULT_CONFIDENCE_BITS):
     return find_iso(m, n, rng=rng, confidence_bits=confidence_bits) is not None
 
 
-def find_injective_hom(m, n, rng=None, retries=8):
-    """A generic injective morphism m -> n, or None after bounded retries."""
+def find_injective_hom(m, n, rng=None):
+    """A generic injective morphism m -> n, or None; misses have degree <= dim m."""
     rng = rng or random.Random(0)
     basis = hom_space(m, n)
-    return _search(m, n, basis, rng, lambda h: h.is_injective(), retries)
+    tries = retry_budget(m.field, m.total_dim)
+    return _search(m, n, basis, rng, lambda h: h.is_injective(), tries)
 
 
-def find_surjective_hom(m, n, rng=None, retries=8):
+def find_surjective_hom(m, n, rng=None):
+    """A generic surjective morphism m -> n, or None; misses have degree <= dim n."""
     rng = rng or random.Random(0)
     basis = hom_space(m, n)
-    return _search(m, n, basis, rng, lambda h: h.is_surjective(), retries)
+    tries = retry_budget(n.field, n.total_dim)
+    return _search(m, n, basis, rng, lambda h: h.is_surjective(), tries)

@@ -29,6 +29,7 @@ class _GradedQuotient:
         self._build()
 
     def _paths_of_degree(self, d):
+        """Every path of length d, each one of degree d - 1 extended."""
         if d == 0:
             return [(v,) for v in self.g.vertices()]
         out = []
@@ -46,25 +47,10 @@ class _GradedQuotient:
         a = next(x for x in self.arrows if x.edge == e and x.dir == dr)
         return a.tgt
 
-    def _path_start(self, p):
-        return p[0]
-
-    def _raw_paths(self, d):
-        cur = [(v,) for v in self.g.vertices()]
-        for _ in range(d):
-            nxt = []
-            for p in cur:
-                end = self._path_end(p)
-                for a in self.arrows:
-                    if a.src == end:
-                        nxt.append(p + ((a.edge, a.dir),))
-            cur = nxt
-        return cur
-
     def _build(self):
         f = self.field
         for d in range(MAX_DEGREE + 1):
-            paths = self._raw_paths(d)
+            paths = self._paths_of_degree(d)
             # Raw path counts explode on non-finite-type graphs long before
             # the degree cap; bail out by size as well.
             if len(paths) > MAX_RAW_PATHS:
@@ -77,11 +63,11 @@ class _GradedQuotient:
                 basis = list(range(len(paths)))
             else:
                 gens = []
-                for base in self._raw_paths(d - 2):
+                for base in self.degrees[d - 2][0]:
                     for cut in range(len(base)):
                         # base = prefix + suffix arrows; insert round trips at
                         # the vertex reached after `cut` arrows.
-                        at = self._prefix_end(base, cut)
+                        at = self._path_end(base[: cut + 1])
                         vec = [f.zero] * len(paths)
                         any_term = False
                         for a in self.arrows:
@@ -111,13 +97,6 @@ class _GradedQuotient:
             "graded algebra did not terminate; graph is not of finite type"
         )
 
-    def _prefix_end(self, base, cut):
-        if cut == 0:
-            return base[0]
-        e, dr = base[cut]
-        a = next(x for x in self.arrows if x.edge == e and x.dir == dr)
-        return a.tgt
-
     def reduce(self, d, vec):
         """Reduce a raw path-space vector to quotient coordinates."""
         f = self.field
@@ -129,9 +108,6 @@ class _GradedQuotient:
                 for j in range(len(v)):
                     v[j] = f.sub(v[j], f.mul(c, row[j]))
         return [v[j] for j in basis]
-
-    def max_degree(self):
-        return len(self.degrees) - 1
 
 
 def injective_module(g, i, field):

@@ -103,7 +103,18 @@ class PModule:
             acc = acc.add(term if a.sign > 0 else term.neg())
         return acc
 
-    def validate(self):
+    @classmethod
+    def _derived(cls, graph, field, dims, maps):
+        """A module made from nilpotent ones by an operation that keeps
+        nilpotency.
+
+        Shapes and relations are checked; nilpotency is not.
+        """
+        m = cls(graph, field, dims, maps, check=False)
+        m.validate(_nilpotency=False)
+        return m
+
+    def validate(self, *, _nilpotency=True):
         for a in arrows_of(self.graph):
             m = self.arrow_map(a)
             want = (self.dims[a.tgt - 1], self.dims[a.src - 1])
@@ -114,7 +125,7 @@ class PModule:
         for i in self.graph.vertices():
             if not self.relation_at(i).is_zero():
                 raise InternalRelationFailure(f"relation fails at vertex {i}")
-        if not self.is_nilpotent():
+        if _nilpotency and not self.is_nilpotent():
             raise InternalRelationFailure("module is not nilpotent")
 
     def is_nilpotent(self):
@@ -324,7 +335,10 @@ class Submodule:
                 raise ValueError(f"subspace is not closed under arrow {a}")
 
     def as_module(self):
-        """The submodule as a PModule, with its inclusion morphism."""
+        """The submodule as a PModule, with its inclusion morphism.
+
+        A submodule of a nilpotent module is nilpotent.
+        """
         g = self.parent.graph
         f = self.parent.field
         maps = {}
@@ -334,7 +348,7 @@ class Submodule:
             if restricted is None:
                 raise ValueError(f"subspace is not closed under arrow {a}")
             maps[(a.edge, a.dir)] = restricted
-        sub = PModule(g, f, self.dims(), maps)
+        sub = PModule._derived(g, f, self.dims(), maps)
         incl = ModuleMap(sub, self.parent, list(self.bases), check=False)
         return sub, incl
 
@@ -374,25 +388,31 @@ def semisimple(g, mults, field=None):
     return PModule(g, field, tuple(mults), {}, check=False)
 
 
+def _block_sum(g, f, ms):
+    """The direct sum of the modules ms over g, each map block-diagonal."""
+    z = f.zero
+    maps = {}
+    for a in arrows_of(g):
+        blocks = [m.arrow_map(a) for m in ms]
+        width = sum(b.ncols for b in blocks)
+        rows, left = [], 0
+        for b in blocks:
+            rows += [[z] * left + r + [z] * (width - left - b.ncols) for r in b.rows]
+            left += b.ncols
+        maps[(a.edge, a.dir)] = Mat(f, len(rows), width, rows)
+    dims = tuple(sum(m.dims[i] for m in ms) for i in range(g.n))
+    return PModule(g, f, dims, maps, check=False)
+
+
 def direct_sum(m, n):
     if m.graph != n.graph or m.field != n.field:
         raise ValueError("direct sum needs matching graph and field")
-    f = m.field
-    dims = tuple(a + b for a, b in zip(m.dims, n.dims))
-    maps = {}
-    for a in arrows_of(m.graph):
-        mm, nn = m.arrow_map(a), n.arrow_map(a)
-        top = mm.hstack(Mat.zero(f, mm.nrows, nn.ncols))
-        bot = Mat.zero(f, nn.nrows, mm.ncols).hstack(nn)
-        maps[(a.edge, a.dir)] = top.vstack(bot)
-    return PModule(m.graph, f, dims, maps, check=False)
+    return _block_sum(m.graph, m.field, [m, n])
 
 
 def direct_power(m, k):
-    out = zero_module(m.graph, m.field)
-    for _ in range(k):
-        out = direct_sum(out, m)
-    return out
+    """The direct sum of k copies of m, built in one pass."""
+    return _block_sum(m.graph, m.field, [m] * k)
 
 
 def soc_i(m, i):
@@ -418,7 +438,10 @@ def socle_dims(m):
 
 
 def quotient(m, u):
-    """Quotient by a submodule, with the projection morphism."""
+    """Quotient by a submodule, with the projection morphism.
+
+    A quotient of a nilpotent module is nilpotent.
+    """
     g, f = m.graph, m.field
     sections = []
     projs = []
@@ -430,7 +453,7 @@ def quotient(m, u):
     maps = {}
     for a in arrows_of(g):
         maps[(a.edge, a.dir)] = projs[a.tgt - 1] @ m.arrow_map(a) @ sections[a.src - 1]
-    q = PModule(g, f, tuple(p.nrows for p in projs), maps)
+    q = PModule._derived(g, f, tuple(p.nrows for p in projs), maps)
     proj = ModuleMap(m, q, projs)
     return q, proj
 

@@ -15,6 +15,7 @@ from .functors import sigma_star
 from .module import (
     ModuleMap,
     PModule,
+    arrows_into,
     arrows_of,
     direct_power,
     reverse_arrow,
@@ -31,45 +32,48 @@ def random_extension(sub, quot, rng):
     Returns (X, inclusion, projection) where `sub` embeds as the first
     block and X/sub is the given quotient. The unknown off-diagonal blocks
     form the solution space of an exact linear system; a uniformly random
-    solution is drawn (zero gives the direct sum).
+    solution is drawn (zero gives the direct sum). An extension of
+    nilpotent modules is nilpotent, so X is checked for shapes and
+    relations only.
     """
     if sub.graph != quot.graph or sub.field != quot.field:
         raise ValueError("extension pieces need matching graph and field")
     g, f = sub.graph, sub.field
     arr = arrows_of(g)
+    # B_h is the sub.dim(tgt) x quot.dim(src) block of arrow h, row-major.
     offsets = {}
     total = 0
     for a in arr:
         offsets[(a.edge, a.dir)] = total
         total += sub.dim_at(a.tgt) * quot.dim_at(a.src)
 
-    def var(a, r, c):
-        return offsets[(a.edge, a.dir)] + r * quot.dim_at(a.src) + c
-
     # Relation at vertex v, top-right block:
     #   sum over arrows h into v of sign(h) (S_h B_hbar + B_h Q_hbar) = 0.
+    # The blocks B_hbar (out of v) and B_h (into v) are distinct for every
+    # h, since the graph has no loops, so each entry of a row is set once.
     rows = []
     for v in g.vertices():
+        qv = quot.dim_at(v)
+        terms = []
+        for a in arrows_into(g, v):
+            s_rows = sub.arrow_map(a).rows
+            q_cols = quot.arrow_map(reverse_arrow(a)).transpose().rows
+            if a.sign < 0:
+                s_rows = [[f.neg(x) for x in r] for r in s_rows]
+                q_cols = [[f.neg(x) for x in c] for c in q_cols]
+            qa = quot.dim_at(a.src)
+            terms.append(
+                (offsets[(a.edge, -a.dir)], sub.dim_at(a.src), s_rows,
+                 offsets[(a.edge, a.dir)], qa, q_cols)
+            )
         for r in range(sub.dim_at(v)):
-            for c in range(quot.dim_at(v)):
+            for c in range(qv):
                 row = [f.zero] * total
-                for a in arr:
-                    if a.tgt != v:
-                        continue
-                    ra = reverse_arrow(a)
-                    s_h = sub.arrow_map(a)
-                    q_rb = quot.arrow_map(ra)
-                    sgn = a.sign
+                for off_rb, sa, s_rows, off_a, qa, q_cols in terms:
                     # (S_h B_hbar)[r][c] = sum_k S_h[r][k] * B_hbar[k][c]
-                    for k in range(sub.dim_at(a.src)):
-                        val = s_h.rows[r][k] if sgn > 0 else f.neg(s_h.rows[r][k])
-                        idx = var(ra, k, c)
-                        row[idx] = f.add(row[idx], val)
+                    row[off_rb + c : off_rb + c + sa * qv : qv] = s_rows[r]
                     # (B_h Q_hbar)[r][c] = sum_k B_h[r][k] * Q_hbar[k][c]
-                    for k in range(quot.dim_at(a.src)):
-                        val = q_rb.rows[k][c] if sgn > 0 else f.neg(q_rb.rows[k][c])
-                        idx = var(a, r, k)
-                        row[idx] = f.add(row[idx], val)
+                    row[off_a + r * qa : off_a + (r + 1) * qa] = q_cols[c]
                 rows.append(row)
     system = Mat(f, len(rows), total, rows)
     basis = nullspace(system)
@@ -81,13 +85,12 @@ def random_extension(sub, quot, rng):
     for a in arr:
         sr, qr = sub.dim_at(a.tgt), quot.dim_at(a.tgt)
         sc, qc = sub.dim_at(a.src), quot.dim_at(a.src)
-        b = Mat(
-            f, sr, qc, [[sol[var(a, r, c)] for c in range(qc)] for r in range(sr)]
-        )
+        off = offsets[(a.edge, a.dir)]
+        b = Mat(f, sr, qc, [sol[off + r * qc : off + (r + 1) * qc] for r in range(sr)])
         top = sub.arrow_map(a).hstack(b)
         bot = Mat.zero(f, qr, sc).hstack(quot.arrow_map(a))
         maps[(a.edge, a.dir)] = top.vstack(bot)
-    x = PModule(g, f, dims, maps)
+    x = PModule._derived(g, f, dims, maps)
     incl_mats = [
         Mat.identity(f, sub.dim_at(i)).vstack(Mat.zero(f, quot.dim_at(i), sub.dim_at(i)))
         for i in g.vertices()

@@ -12,11 +12,14 @@ import random
 import time
 from dataclasses import dataclass, field
 
-from .crystal import datum, extraction_chain, weight
+from .crystal import datum, extraction_chain, transition, weight
 from .errors import InternalRelationFailure, NotInGenericStratum
 from .fields import RationalField, default_field, field_size
 from .linalg import Mat, is_invertible
 from .prepmod import (
+    PModule,
+    arrows_into,
+    arrows_of,
     build_filtered,
     eps_star_mod,
     extract_datum,
@@ -28,6 +31,7 @@ from .prepmod import (
     n_hat,
     n_module,
     random_extension,
+    semisimple,
     sigma,
     sigma_on_map,
     sigma_star,
@@ -45,9 +49,11 @@ from .rootsys import (
     Weight,
     WeylWord,
     all_reduced_words_upto,
+    apply_word_to_weight,
     beta_sequence,
     braid_moves,
     is_reduced,
+    reflect_root,
 )
 
 RETRY_BUDGET = 8
@@ -105,8 +111,6 @@ def cross_witness(g, fld):
     preserve, so this module makes the mutation self-test deterministic.
     Returns None when no vertex has two incoming arrows (e.g. one edge).
     """
-    from .prepmod.module import PModule, arrows_into, arrows_of
-
     a1 = a2 = None
     for c in g.vertices():
         arrows = list(arrows_into(g, c))
@@ -153,10 +157,12 @@ def random_corpus(g, size, rng, fld, max_total_dim=12, layers=3):
             mults = [0] * g.n
             for _ in range(rng.randrange(1, room + 1)):
                 mults[rng.randrange(g.n)] += 1
-            from .prepmod import semisimple
-
             layer = semisimple(g, mults, field=fld)
             x, _, _ = random_extension(x, layer, rng)
+        # The corpus is a trust boundary, so each module gets the
+        # nilpotency check that random_extension leaves out.
+        if not x.is_nilpotent():
+            raise InternalRelationFailure("corpus module is not nilpotent")
         out.append(x)
     return out
 
@@ -193,8 +199,6 @@ def check_reflection_contracts(g, corpus_size, rng, fld=None, twist=1):
     def fail(kind, m, extra=None):
         failures.append({"kind": kind, "module": m.to_dict(), "extra": extra})
 
-    from .rootsys import reflect_root
-
     for m in corpus:
         if failures:
             break
@@ -218,7 +222,7 @@ def check_reflection_contracts(g, corpus_size, rng, fld=None, twist=1):
             # kernel the socle part; injection of backward-of-forward with
             # cokernel the top part.
             fwd_bwd = sigma(i, ssm, twist=twist)
-            surj = find_surjective_hom(m, fwd_bwd, rng=rng, retries=RETRY_BUDGET)
+            surj = find_surjective_hom(m, fwd_bwd, rng=rng)
             if surj is None:
                 fail("no-surjection", m, {"vertex": i})
                 break
@@ -228,7 +232,7 @@ def check_reflection_contracts(g, corpus_size, rng, fld=None, twist=1):
                 fail("kernel-not-socle", m, {"vertex": i, "kernel": ker.dims()})
                 break
             bwd_fwd = sigma_star(i, sm, twist=twist)
-            inj = find_injective_hom(bwd_fwd, m, rng=rng, retries=RETRY_BUDGET)
+            inj = find_injective_hom(bwd_fwd, m, rng=rng)
             if inj is None:
                 fail("no-injection", m, {"vertex": i})
                 break
@@ -240,8 +244,6 @@ def check_reflection_contracts(g, corpus_size, rng, fld=None, twist=1):
             break
         # One-sided exactness through a random extension triple.
         for i in g.vertices():
-            from .prepmod import semisimple
-
             mults = [rng.randrange(2) for _ in range(g.n)]
             if sum(mults) == 0:
                 mults[rng.randrange(g.n)] = 1
@@ -330,8 +332,6 @@ def check_modules(g, maxlen, rng=None, fld=None, socle_chain_oracle=False):
             # Quotient-family laws for the full word, one per final letter.
             for i in g.vertices():
                 lam = Weight.fundamental(g.n, i)
-                from .rootsys import apply_word_to_weight
-
                 rev = WeylWord(tuple(reversed(w.letters)))
                 drop = lam - apply_word_to_weight(g, rev, lam)
                 if all(c == 0 for c in drop.coeffs):
@@ -525,8 +525,6 @@ def check_transitions(g, word, bound, rng, fld=None, samples=1):
         "samples": samples,
     }
     claim = "rank-2 transition maps preserve weight and match the module side"
-    from .crystal import transition
-
     moves = braid_moves(g, word)
     if not moves:
         return CheckReport(

@@ -69,6 +69,11 @@ def test_solve_inconsistent_returns_none(f):
     assert solve(a, b) is None
 
 
+def test_mat_is_unhashable():
+    with pytest.raises(TypeError):
+        hash(Mat.zero(PrimeField(997), 1, 1))
+
+
 @pytest.mark.parametrize("f", FIELDS)
 def test_extend_to_basis(f):
     rng = random.Random(3)

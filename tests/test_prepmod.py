@@ -2,26 +2,33 @@ import random
 
 import pytest
 
+from nilcrystal import veritas
 from nilcrystal.errors import (
     InternalRelationFailure,
     InvalidModuleFile,
+    NoEmbeddingFound,
     NotInGenericStratum,
 )
-from nilcrystal.fields import RationalField, default_field
-from nilcrystal.prepmod import families
+from nilcrystal.fields import PrimeField, RationalField, default_field
+from nilcrystal.prepmod import families, hom
 from nilcrystal.prepmod import (
+    ModuleMap,
     PModule,
     build_filtered,
+    direct_power,
     direct_sum,
     eps_star_mod,
     extract_datum,
     find_injective_hom,
+    find_iso,
+    find_surjective_hom,
     hom_space,
     injective_module,
     is_iso,
     m_module,
     n_hat,
     n_module,
+    quotient,
     random_extension,
     retry_budget,
     semisimple,
@@ -64,16 +71,24 @@ def test_direct_sum_dims():
     assert socle_dims(m) == (1, 1)
 
 
-def test_relation_violation_rejected():
+def _broken_a2_maps():
     # Nonzero composite around the single A2 edge breaks the relation.
     from nilcrystal.linalg import Mat
 
-    maps = {
+    return {
         (0, 1): Mat(F, 1, 1, [[F.one]]),
         (0, -1): Mat(F, 1, 1, [[F.one]]),
     }
+
+
+def test_relation_violation_rejected():
     with pytest.raises(InternalRelationFailure):
-        PModule(A2, F, [1, 1], maps)
+        PModule(A2, F, [1, 1], _broken_a2_maps())
+
+
+def test_derived_modules_still_get_the_relation_check():
+    with pytest.raises(InternalRelationFailure, match="relation fails"):
+        PModule._derived(A2, F, [1, 1], _broken_a2_maps())
 
 
 def test_nilpotency_required():
@@ -86,9 +101,9 @@ def test_nilpotency_required():
         (0, 1): Mat(F, 1, 1, [[one]]),
         (0, -1): Mat(F, 1, 1, [[one]]),
         (1, 1): Mat(F, 1, 1, [[one]]),
-        (1, -1): Mat(F, 1, 1, [[one]]),
+        (1, -1): Mat(F, 1, 1, [[F.neg(one)]]),
     }
-    with pytest.raises(InternalRelationFailure):
+    with pytest.raises(InternalRelationFailure, match="module is not nilpotent"):
         PModule(g, F, [1, 1], maps)
 
 
@@ -349,3 +364,95 @@ def test_weight_to_root_rejects_off_lattice_and_singular():
         families.weight_to_root(a_n(2), Weight.fundamental(2, 1))
     with pytest.raises(ValueError, match="singular"):
         families.weight_to_root(affine_a1(), Weight((2, -2)))
+
+
+@pytest.mark.parametrize("f", [F, RationalField()], ids=["prime", "rat"])
+def test_direct_power_matches_iterated_direct_sum(f):
+    m = sigma(1, sigma(2, simple(A3, 3, field=f)))
+    assert any(not mat.is_zero() for mat in m.maps.values())
+    folded = zero_module(A3, f)
+    for k in range(4):
+        got = direct_power(m, k)
+        assert got.dims == folded.dims and got.maps == folded.maps
+        folded = direct_sum(folded, m)
+
+
+def test_hom_searches_stop_at_the_retry_budget(monkeypatch):
+    # Over F_101 the budget grows with d, so each search must size it by the
+    # right module: the source for injections, the target for surjections.
+    f = PrimeField(101)
+    assert retry_budget(f, 1) < retry_budget(f, 2) < retry_budget(f, 4)
+    calls = []
+    real = hom.random_hom
+
+    def counting(basis, rng):
+        calls.append(1)
+        return real(basis, rng)
+
+    monkeypatch.setattr(hom, "random_hom", counting)
+    for name in ("is_injective", "is_surjective", "is_isomorphism"):
+        monkeypatch.setattr(ModuleMap, name, lambda self: False)
+    s1 = simple(A3, 1, field=f)
+    s1_4 = direct_power(s1, 4)
+    s1_2 = direct_power(s1, 2)
+    w = WeylWord((1, 2, 1))
+    searches = [
+        (lambda: find_injective_hom(s1, s1_4), retry_budget(f, 1)),
+        (lambda: find_surjective_hom(s1_4, s1), retry_budget(f, 1)),
+        (lambda: find_iso(s1_2, s1_2), retry_budget(f, 2)),
+    ]
+    for search, budget in searches:
+        calls.clear()
+        assert search() is None
+        assert len(calls) == budget
+    calls.clear()
+    with pytest.raises(NoEmbeddingFound):
+        m_module(A2, w, 3, route="cokernel", field=f)
+    assert len(calls) == retry_budget(f, v_module(A2, w, 1, field=f).total_dim)
+
+
+@pytest.mark.parametrize("f", [F, RationalField()], ids=["prime", "rat"])
+@pytest.mark.parametrize("g", [a_n(3), d4(), affine_a1()], ids=["A3", "D4", "affA1"])
+def test_derived_modules_are_nilpotent(g, f):
+    # sigma, sigma_star, random_extension, quotient and Submodule.as_module
+    # skip the nilpotency check; every module they return must pass it.
+    rng = random.Random(3)
+    modules = veritas.random_corpus(g, 3, rng, f, max_total_dim=6)
+    w = all_reduced_words_upto(g, 3)[3][0]
+    for k in range(1, len(w) + 1):
+        modules += [m_module(g, w, k, field=f), v_module(g, w, k, field=f)]
+    derived = []
+    for m in modules:
+        u = soc_chain(m, g.vertices())
+        derived += [sigma(i, m) for i in g.vertices()]
+        derived += [sigma_star(i, m) for i in g.vertices()]
+        derived += [random_extension(m, modules[0], rng)[0], quotient(m, u)[0],
+                    u.as_module()[0]]
+    assert all(x.is_nilpotent() for x in derived)
+
+
+def test_round_trip_checks_no_nilpotency(monkeypatch):
+    w = WeylWord((1, 2, 1, 3, 2, 1))
+    a = (1, 0, 1, 1, 0, 1)
+    extract_datum(A3, w, build_filtered(A3, w, a, random.Random(5), field=F))
+    calls = []
+    real = PModule.is_nilpotent
+
+    def counting(self):
+        calls.append(1)
+        return real(self)
+
+    monkeypatch.setattr(PModule, "is_nilpotent", counting)
+    x = build_filtered(A3, w, a, random.Random(6), field=F)
+    assert extract_datum(A3, w, x) == a
+    assert calls == []
+
+
+def test_twisted_reflection_checks_nilpotency(monkeypatch):
+    # The twisted maps are not a functor, so only its results get the check.
+    monkeypatch.setattr(PModule, "is_nilpotent", lambda self: False)
+    m = simple(A3, 2, field=F)
+    assert sigma(1, m).dims == sigma_star(1, m).dims == (1, 1, 0)
+    for reflect in (sigma, sigma_star):
+        with pytest.raises(InternalRelationFailure, match="not nilpotent"):
+            reflect(1, m, twist=-1)
