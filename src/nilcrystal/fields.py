@@ -2,13 +2,18 @@
 
 Elements are plain Python objects (ints reduced mod p, or Fractions), so
 matrices are just nested lists and all arithmetic stays exact. Besides the
-scalar operations, each field supplies the whole-vector kernels that the
-shared elimination in `linalg` runs on: `matmul`, `dot`, `scale_vec` and
-`sub_scaled`.
+scalar operations, each field supplies the whole-vector kernels `matmul`,
+`dot` and `scale_vec`, and the steps of the shared elimination in `linalg`
+(`elim_rows`, `elim_pivot`, `elim_reduce`, `elim_result`) on rows of ints.
+Over the rationals, a product puts each row of A and each column of B over
+one common denominator and builds one Fraction per output entry; the
+elimination clears each row to integers, reduces fraction-free, and divides
+each pivot row by its pivot once, at the end.
 """
 
 import functools
 from fractions import Fraction
+from math import gcd, lcm
 from operator import mul
 
 DEFAULT_PRIME = 2**61 - 1
@@ -105,16 +110,31 @@ class PrimeField:
         p = self.p
         return [c * x % p for x in xs]
 
-    def sub_scaled(self, xs, c, ys):
-        """xs - c * ys, entrywise."""
+    # -- elimination steps, on rows of reduced residues -------------------
+
+    def elim_rows(self, rows):
         p = self.p
-        return [(x - c * y) % p for x, y in zip(xs, ys)]
+        return [[x % p for x in r] for r in rows]
+
+    def elim_pivot(self, row, col):
+        """Scale row so its pivot at col is 1; return its tail from col on."""
+        p = self.p
+        inv = pow(row[col], -1, p)
+        tail = [inv * x % p for x in row[col:]]
+        row[col:] = tail
+        return tail
+
+    def elim_reduce(self, row, col, tail):
+        """Clear row[col] with the pivot tail, in place."""
+        p = self.p
+        c = row[col]
+        row[col:] = [(x - c * y) % p for x, y in zip(row[col:], tail)]
+
+    def elim_result(self, rows, pivots):
+        return rows
 
     def random(self, rng):
         return rng.randrange(self.p)
-
-    def random_nonzero(self, rng):
-        return rng.randrange(1, self.p)
 
     def to_str(self, a):
         return str(a)
@@ -132,6 +152,10 @@ class PrimeField:
         return f"PrimeField({self.p})"
 
 
+# Fractions are immutable, so the constants are shared.
+_ZERO, _ONE = Fraction(0), Fraction(1)
+
+
 class RationalField:
     """Exact rationals via fractions.Fraction."""
 
@@ -145,11 +169,11 @@ class RationalField:
 
     @property
     def zero(self):
-        return Fraction(0)
+        return _ZERO
 
     @property
     def one(self):
-        return Fraction(1)
+        return _ONE
 
     def of_int(self, k):
         return Fraction(k)
@@ -175,25 +199,59 @@ class RationalField:
         return a == 0
 
     def dot(self, xs, ys):
-        return sum(map(mul, xs, ys), Fraction(0))
+        return self.matmul([xs], [ys])[0][0]
 
     def matmul(self, a_rows, bt_rows):
         """Rows of A @ B, given the rows of A and of B transposed."""
-        zero = Fraction(0)
-        return [[sum(map(mul, r, c), zero) for c in bt_rows] for r in a_rows]
+        cols = [_over_lcm(c) for c in bt_rows]
+        out = []
+        for r in a_rows:
+            nr, dr = _over_lcm(r)
+            out.append([Fraction(n, dr * dc) if (n := sum(map(mul, nr, nc))) else _ZERO
+                        for nc, dc in cols])
+        return out
 
     def scale_vec(self, c, xs):
         return [c * x for x in xs]
 
-    def sub_scaled(self, xs, c, ys):
-        """xs - c * ys, entrywise."""
-        return [x - c * y for x, y in zip(xs, ys)]
+    # -- elimination steps, on rows of ints with gcd 1 --------------------
+    # Scaling a row by a nonzero rational does not change the RREF.
+
+    def elim_rows(self, rows):
+        out = []
+        for r in rows:
+            nums, _ = _over_lcm(r)
+            g = gcd(*nums)
+            out.append([x // g for x in nums] if g > 1 else nums)
+        return out
+
+    def elim_pivot(self, row, col):
+        return row[col:]
+
+    def elim_reduce(self, row, col, tail):
+        """row <- (p/g) row - (a/g) pivot row, in place, for the pivot p,
+        a = row[col] and g = gcd(p, a); then divide out the row's gcd."""
+        p, a = tail[0], row[col]
+        g = gcd(p, a)
+        p, a = p // g, a // g
+        if p != 1:
+            row[:col] = [p * x for x in row[:col]]
+        row[col:] = [p * x - a * y for x, y in zip(row[col:], tail)]
+        g = gcd(*row)
+        if g > 1:
+            row[:] = [x // g for x in row]
+
+    def elim_result(self, rows, pivots):
+        """Divide each pivot row by its pivot; the rows below are zero."""
+        out = []
+        for r, col in zip(rows, pivots):
+            p = r[col]
+            out.append([Fraction(x, p) if x else _ZERO for x in r])
+        out += [[_ZERO] * len(r) for r in rows[len(pivots):]]
+        return out
 
     def random(self, rng):
         return Fraction(rng.randrange(self.RAND_BOUND))
-
-    def random_nonzero(self, rng):
-        return Fraction(rng.randrange(1, self.RAND_BOUND))
 
     def to_str(self, a):
         f = Fraction(a)
@@ -213,6 +271,14 @@ class RationalField:
 
     def __repr__(self):
         return "RationalField()"
+
+
+def _over_lcm(xs):
+    """Rationals xs as (integer numerators, d) over their common denominator d."""
+    d = lcm(*[x.denominator for x in xs])
+    if d == 1:
+        return [x.numerator for x in xs], 1
+    return [x.numerator * (d // x.denominator) for x in xs], d
 
 
 def default_field():

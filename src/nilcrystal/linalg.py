@@ -3,8 +3,11 @@
 Matrices are immutable-by-convention lists of lists of field elements.
 Zero-row and zero-column matrices are first-class citizens: most of the
 module theory downstream lives at the boundary cases. The arithmetic loops
-belong to the field (`matmul`, `scale_vec`, `sub_scaled`); this module holds
-the one Gaussian elimination that every solve, rank and nullspace shares.
+belong to the field (`matmul`, `scale_vec` and the elimination steps); this
+module holds the one Gaussian elimination that every solve, rank and
+nullspace shares. Over the rationals, products and eliminations run on
+integers over common denominators, with one Fraction built per output
+entry.
 """
 
 from itertools import chain
@@ -148,34 +151,32 @@ def vstack_all(field, mats, ncols):
 def rref(m):
     """Reduced row echelon form. Returns (R, pivot_columns).
 
-    Row operations touch only the columns from the pivot column on: the
-    pivot row is zero to the left of it, so scaling the pivot row or
-    subtracting a multiple of it leaves those columns as they are.
+    It runs on the field's working rows of ints, so a zero test is a truth
+    test. The field owns the steps: `elim_pivot` prepares the pivot row,
+    `elim_reduce` clears one entry of another row with it, and
+    `elim_result` turns the rows back into field elements.
     """
     f = m.field
-    is_zero = f.is_zero
-    rows = [list(r) for r in m.rows]
+    rows = f.elim_rows(m.rows)
+    pivot, reduce = f.elim_pivot, f.elim_reduce
     pivots = []
     prow = 0
     for col in range(m.ncols):
         if prow >= m.nrows:
             break
-        sel = None
-        for i in range(prow, m.nrows):
-            if not is_zero(rows[i][col]):
-                sel = i
+        for sel in range(prow, m.nrows):
+            if rows[sel][col]:
                 break
-        if sel is None:
+        else:
             continue
         rows[prow], rows[sel] = rows[sel], rows[prow]
-        tail = f.scale_vec(f.inv(rows[prow][col]), rows[prow][col:])
-        rows[prow][col:] = tail
+        tail = pivot(rows[prow], col)
         for i, r in enumerate(rows):
-            if i != prow and not is_zero(r[col]):
-                r[col:] = f.sub_scaled(r[col:], r[col], tail)
+            if r[col] and i != prow:
+                reduce(r, col, tail)
         pivots.append(col)
         prow += 1
-    return Mat(f, m.nrows, m.ncols, rows), pivots
+    return Mat(f, m.nrows, m.ncols, f.elim_result(rows, pivots)), pivots
 
 
 def rank(m):

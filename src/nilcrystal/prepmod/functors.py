@@ -79,12 +79,6 @@ def sigma_word(word, m, twist=1):
     return m
 
 
-def sigma_star_word(word, m, twist=1):
-    for i in word:
-        m = sigma_star(i, m, twist=twist)
-    return m
-
-
 def _cokernel(out_i):
     """A basis extension of image(out) and the projection total-in -> coker."""
     b = col_basis(out_i)

@@ -20,7 +20,6 @@ from .module import (
     direct_power,
     reverse_arrow,
     soc_i,
-    top_i_dim,
     zero_module,
 )
 from .families import m_module
@@ -124,11 +123,6 @@ def build_filtered(g, w, a, rng, field=None):
 def eps_star_mod(i, x):
     """Socle multiplicity of the i-th simple."""
     return soc_i(x, i).dim_at(i)
-
-
-def eps_mod(i, x):
-    """Top multiplicity of the i-th simple (dual statistic)."""
-    return top_i_dim(x, i)
 
 
 def extract_datum(g, w, x, trace=None):

@@ -206,12 +206,31 @@ def low_rank_mat(f, nr, nc, rk, rng):
     return rand_mat(f, nr, rk, rng) @ rand_mat(f, rk, nc, rng)
 
 
+def mixed_denominator_mat(f, nr, nc, rng):
+    """Rationals over denominators 1-12, signs mixed, with one zero row and
+    one zero column when the shape has them."""
+    rows = [[Fraction(rng.randrange(-9, 10), rng.choice((1, 2, 3, 4, 6, 7, 12)))
+             for _ in range(nc)] for _ in range(nr)]
+    if nr and nc:
+        rows[rng.randrange(nr)] = [Fraction(0)] * nc
+        zero_col = rng.randrange(nc)
+        for r in rows:
+            r[zero_col] = Fraction(0)
+    return Mat(f, nr, nc, rows)
+
+
 def kernel_cases(f, seed):
     rng = random.Random(seed)
     shapes = [(0, 3), (3, 0), (0, 0), (1, 1), (2, 2), (4, 7), (7, 4), (9, 9)]
     mats = [rand_mat(f, nr, nc, rng) for nr, nc in shapes]
     mats += [low_rank_mat(f, nr, nc, rk, rng)
              for nr, nc, rk in ((5, 5, 2), (6, 8, 3), (8, 6, 0), (7, 7, 6))]
+    if isinstance(f, RationalField):
+        # Integer entries alone cannot catch a wrong common-denominator rescale.
+        mats += [mixed_denominator_mat(f, nr, nc, rng)
+                 for nr, nc in ((1, 4), (3, 3), (5, 7), (7, 5), (8, 8))]
+        mats += [mixed_denominator_mat(f, nr, rk, rng) @ mixed_denominator_mat(f, rk, nc, rng)
+                 for nr, nc, rk in ((6, 6, 3), (5, 9, 4))]
     return mats, rng
 
 
@@ -250,8 +269,14 @@ def test_prime_kernels_reduce_unreduced_inputs():
     assert f.dot(xs, ys) == dot
     assert f.matmul([xs, ys], [ys]) == [[dot], [f.dot(ys, ys)]]
     assert f.scale_vec(c, xs) == [c * x % 997 for x in xs]
-    assert f.sub_scaled(xs, c, ys) == [(x - c * y) % 997 for x, y in zip(xs, ys)]
-    for out in (f.scale_vec(c, xs), f.sub_scaled(xs, c, ys), f.matmul([xs], [ys])[0]):
+    rows = f.elim_rows([xs, ys])
+    assert rows == [[x % 997 for x in xs], [y % 997 for y in ys]]
+    tail = f.elim_pivot(rows[0], 0)
+    assert tail == rows[0] and tail[0] == 1
+    want = [(x - ys[0] * y) % 997 for x, y in zip(ys, tail)]
+    f.elim_reduce(rows[1], 0, tail)
+    assert rows[1] == want and rows[1][0] == 0
+    for out in (f.scale_vec(c, xs), *rows, f.matmul([xs], [ys])[0]):
         assert all(0 <= v < 997 for v in out)
 
 
@@ -261,8 +286,28 @@ def test_rational_kernels_return_fractions():
     assert f.dot(xs, ys) == Fraction(1, 3) - Fraction(15, 7)
     assert f.dot([], []) == 0 and isinstance(f.dot([], []), Fraction)
     assert f.matmul([xs], [ys]) == [[f.dot(xs, ys)]]
-    assert f.sub_scaled(xs, Fraction(2), ys) == [Fraction(1, 2) - Fraction(4, 3),
-                                                 Fraction(-3) - Fraction(10, 7)]
+    # Rows enter the elimination as integer vectors with gcd 1 ...
+    rows = f.elim_rows([xs, ys, [Fraction(0), Fraction(-4, 6)]])
+    assert rows == [[1, -6], [14, 15], [0, -1]]
+    # ... are reduced fraction-free: [14, 15] - 14 [1, -6] = [0, 99] ~ [0, 1] ...
+    f.elim_reduce(rows[1], 0, f.elim_pivot(rows[0], 0))
+    assert rows[1] == [0, 1]
+    # ... and leave as Fractions, each pivot row divided by its pivot.
+    out = f.elim_result([[0, -4, 6], [0, 0, 0]], [1])
+    assert out == [[0, 1, Fraction(-3, 2)], [0, 0, 0]]
+    # Every kernel output entry is a Fraction, also over mixed denominators.
+    entries = [x for r in out for x in r]
+    mats, rng = kernel_cases(f, 23)
+    for m in mats:
+        b = mixed_denominator_mat(f, m.ncols, 3, rng)
+        for res in (m @ b, rref(m)[0], nullspace(m), solve(m, m @ b)):
+            entries += [x for r in res.rows for x in r]
+        col = b.transpose().rows[0]
+        dots = [f.dot(r, col) for r in m.rows]
+        assert dots == [sum((x * y for x, y in zip(r, col)), Fraction(0)) for r in m.rows]
+        entries += dots
+    assert any(x.denominator > 1 for x in entries)
+    assert all(type(x) is Fraction for x in entries)
 
 
 def test_stacks_match_pairwise_stacking():

@@ -91,6 +91,54 @@ def test_derived_modules_still_get_the_relation_check():
         PModule._derived(A2, F, [1, 1], _broken_a2_maps())
 
 
+@pytest.mark.parametrize("f", [F, RationalField()], ids=["prime", "rat"])
+def test_relation_at_is_the_signed_sum_of_round_trips(f):
+    from nilcrystal.linalg import Mat
+    from nilcrystal.prepmod.module import arrows_into, arrows_of, reverse_arrow
+
+    def signed_sum(m, i):
+        d = m.dim_at(i)
+        acc = [[f.zero] * d for _ in range(d)]
+        for a in arrows_into(m.graph, i):
+            term = (m.arrow_map(a) @ m.arrow_map(reverse_arrow(a))).rows
+            acc = [[f.add(x, y if a.sign > 0 else f.neg(y)) for x, y in zip(r, t)]
+                   for r, t in zip(acc, term)]
+        return acc
+
+    rng = random.Random(4)
+    broken = 0
+    for g in (a_n(3), d4(), affine_a1()):
+        for m in veritas.random_corpus(g, 4, rng, f, max_total_dim=6):
+            # The same shapes with random maps, so the relations do not hold.
+            scrambled = PModule(g, f, m.dims, {
+                (a.edge, a.dir): Mat(f, m.dim_at(a.tgt), m.dim_at(a.src),
+                                     [[f.of_int(rng.randrange(-3, 4))
+                                       for _ in range(m.dim_at(a.src))]
+                                      for _ in range(m.dim_at(a.tgt))])
+                for a in arrows_of(g)}, check=False)
+            for x in (m, scrambled):
+                for i in g.vertices():
+                    r = x.relation_at(i)
+                    assert (r.nrows, r.ncols) == (x.dim_at(i), x.dim_at(i))
+                    assert r.rows == signed_sum(x, i)
+            assert all(m.relation_at(i).is_zero() for i in g.vertices())
+            broken += sum(not scrambled.relation_at(i).is_zero() for i in g.vertices())
+    assert broken >= 10
+
+
+@pytest.mark.parametrize("f", [F, RationalField()], ids=["prime", "rat"])
+def test_module_map_must_commute(f):
+    from nilcrystal.linalg import Mat
+
+    # 1 -> 2 nonzero, 2 -> 1 zero: a nilpotent module of A2.
+    m = PModule(A2, f, [1, 1], {(0, 1): Mat(f, 1, 1, [[f.one]])})
+    one, zero, two = (Mat(f, 1, 1, [[x]]) for x in (f.one, f.zero, f.of_int(2)))
+    ModuleMap(m, m, [two, two])
+    with pytest.raises(ValueError, match="fails to commute"):
+        ModuleMap(m, m, [one, zero])
+    assert ModuleMap(m, m, [one, zero], check=False).mats == (one, zero)
+
+
 def test_nilpotency_required():
     # Valid relations on affine A1 but an invertible cycle is not nilpotent.
     g = affine_a1()
