@@ -7,7 +7,8 @@ belong to the field (`matmul`, `scale_vec` and the elimination steps); this
 module holds the one Gaussian elimination that every solve, rank and
 nullspace shares. Over the rationals, products and eliminations run on
 integers over common denominators, with one Fraction built per output
-entry.
+entry. A `Mat` trusts its shape: `PModule.from_dict` counts the entries
+of rows from outside, and the stacks raise `ValueError` on a mismatch.
 """
 
 from itertools import chain
@@ -17,7 +18,6 @@ class Mat:
     __slots__ = ("field", "nrows", "ncols", "rows")
 
     def __init__(self, field, nrows, ncols, rows):
-        assert len(rows) == nrows and all(len(r) == ncols for r in rows)
         self.field = field
         self.nrows = nrows
         self.ncols = ncols
@@ -88,6 +88,8 @@ class Mat:
 
     def scale(self, c):
         f = self.field
+        if c == f.one:  # the reflection functors scale by their twist, 1
+            return self
         return Mat(f, self.nrows, self.ncols, [f.scale_vec(c, r) for r in self.rows])
 
     def mul(self, other):
@@ -189,10 +191,9 @@ def nullspace(m):
     R, pivots = rref(m)
     pivot_rows = dict(zip(pivots, R.rows))
     free = [j for j in range(m.ncols) if j not in pivot_rows]
-    z, o = f.zero, f.one
-    minus_one = f.neg(o)
+    z, o, neg = f.zero, f.one, f.neg
     rows = [
-        f.scale_vec(minus_one, [pivot_rows[i][fc] for fc in free]) if i in pivot_rows
+        [neg(pivot_rows[i][fc]) for fc in free] if i in pivot_rows
         else [o if fc == i else z for fc in free]
         for i in range(m.ncols)
     ]

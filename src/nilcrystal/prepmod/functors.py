@@ -8,8 +8,8 @@ The twist sign is a parameter only so the harness can demonstrate that the
 flipped convention breaks the contracts; production code never passes it.
 The real functors (twist 1) preserve nilpotent modules (Baumann-Kamnitzer,
 Preprojective algebras and MV polytopes, 2012), so their results are checked
-for shapes and relations only; a twisted result also gets the nilpotency
-check.
+for shapes only, and for relations in `veritas.check_reflection_contracts`;
+a twisted result gets the full check, nilpotency included.
 """
 
 from ..errors import InternalRelationFailure

@@ -105,16 +105,17 @@ class PModule:
 
     @classmethod
     def _derived(cls, graph, field, dims, maps):
-        """A module made from nilpotent ones by an operation that keeps
-        nilpotency.
-
-        Shapes and relations are checked; nilpotency is not.
+        """A module built by an operation that keeps the relations and
+        nilpotency, so only shapes are checked. `sigma`/`sigma_star` at
+        twist 1 are functors (`veritas.check_reflection_contracts` checks
+        their relations), `random_extension`'s blocks solve the relations,
+        and `quotient` and `Submodule.as_module` induce or restrict maps.
         """
         m = cls(graph, field, dims, maps, check=False)
-        m.validate(_nilpotency=False)
+        m._check_shapes()
         return m
 
-    def validate(self, *, _nilpotency=True):
+    def _check_shapes(self):
         for a in arrows_of(self.graph):
             m = self.arrow_map(a)
             want = (self.dims[a.tgt - 1], self.dims[a.src - 1])
@@ -122,6 +123,9 @@ class PModule:
                 raise InternalRelationFailure(
                     f"arrow {a} has shape {(m.nrows, m.ncols)}, expected {want}"
                 )
+
+    def validate(self, *, _nilpotency=True):
+        self._check_shapes()
         for i in self.graph.vertices():
             if not self.relation_at(i).is_zero():
                 raise InternalRelationFailure(f"relation fails at vertex {i}")
@@ -337,7 +341,7 @@ class Submodule:
     def as_module(self):
         """The submodule as a PModule, with its inclusion morphism.
 
-        A submodule of a nilpotent module is nilpotent.
+        The maps are restrictions, so the relations and nilpotency hold.
         """
         g = self.parent.graph
         f = self.parent.field
@@ -433,7 +437,8 @@ def socle_dims(m):
 def quotient(m, u):
     """Quotient by a submodule, with the projection morphism.
 
-    A quotient of a nilpotent module is nilpotent.
+    Its maps are projection . arrow . section, so neither its relations
+    nor the projection's commuting with the arrows is checked again.
     """
     g, f = m.graph, m.field
     sections = []
@@ -447,8 +452,7 @@ def quotient(m, u):
     for a in arrows_of(g):
         maps[(a.edge, a.dir)] = projs[a.tgt - 1] @ m.arrow_map(a) @ sections[a.src - 1]
     q = PModule._derived(g, f, tuple(p.nrows for p in projs), maps)
-    proj = ModuleMap(m, q, projs)
-    return q, proj
+    return q, ModuleMap(m, q, projs, check=False)
 
 
 def preimage_submodule(proj, u):

@@ -31,9 +31,9 @@ def random_extension(sub, quot, rng):
     Returns (X, inclusion, projection) where `sub` embeds as the first
     block and X/sub is the given quotient. The unknown off-diagonal blocks
     form the solution space of an exact linear system; a uniformly random
-    solution is drawn (zero gives the direct sum). An extension of
-    nilpotent modules is nilpotent, so X is checked for shapes and
-    relations only.
+    solution is drawn (zero gives the direct sum). The blocks solve the
+    relations, and an extension of nilpotent modules is nilpotent, so X is
+    checked for shapes only.
     """
     if sub.graph != quot.graph or sub.field != quot.field:
         raise ValueError("extension pieces need matching graph and field")

@@ -86,9 +86,27 @@ def test_relation_violation_rejected():
         PModule(A2, F, [1, 1], _broken_a2_maps())
 
 
-def test_derived_modules_still_get_the_relation_check():
-    with pytest.raises(InternalRelationFailure, match="relation fails"):
-        PModule._derived(A2, F, [1, 1], _broken_a2_maps())
+def test_reflection_contracts_check_the_relations_of_functor_results(monkeypatch):
+    # Derived modules are checked for shapes only, so a twist-1 functor that
+    # breaks the relations must be caught by the harness, as a construction
+    # failure.
+    from nilcrystal.prepmod.module import arrows_into
+
+    assert PModule._derived(A2, F, [1, 1], _broken_a2_maps()).dims == (1, 1)
+    real = veritas.sigma
+
+    def flipped(i, m, twist=1):
+        sm = real(i, m, twist=twist)
+        key = next((a.edge, a.dir) for a in arrows_into(m.graph, i))
+        maps = dict(sm.maps)
+        maps[key] = maps[key].neg()
+        return PModule._derived(sm.graph, sm.field, sm.dims, maps)
+
+    monkeypatch.setattr(veritas, "sigma", flipped)
+    r = veritas.check_reflection_contracts(A3, 3, random.Random(1))
+    assert r.outcome == "fail"
+    assert r.witness["kind"] == "construction"
+    assert "relation fails" in r.witness["extra"]
 
 
 @pytest.mark.parametrize("f", [F, RationalField()], ids=["prime", "rat"])
@@ -332,8 +350,11 @@ def test_from_dict_rejects_bad_schema(changes):
 
 def test_from_dict_needs_each_arrow_exactly_once():
     arrows = _module_data()["arrows"]
+    # The entry count is the one shape check on rows from a file.
+    wrong_count = [[dict(arrows[0], entries=arrows[0]["entries"] * 2)] + arrows[1:],
+                   arrows[:1] + [dict(arrows[1], entries=[])]]
     for bad in (arrows[:1], arrows + arrows[:1],
-                arrows + [{"edge": 5, "dir": 1, "entries": []}]):
+                arrows + [{"edge": 5, "dir": 1, "entries": []}], *wrong_count):
         with pytest.raises(InvalidModuleFile):
             PModule.from_dict(_module_data(arrows=bad))
 
@@ -463,20 +484,29 @@ def test_hom_searches_stop_at_the_retry_budget(monkeypatch):
 @pytest.mark.parametrize("g", [a_n(3), d4(), affine_a1()], ids=["A3", "D4", "affA1"])
 def test_derived_modules_are_nilpotent(g, f):
     # sigma, sigma_star, random_extension, quotient and Submodule.as_module
-    # skip the nilpotency check; every module they return must pass it.
+    # check only shapes, and their morphisms are not checked; every module
+    # they return must pass the full check, and every morphism must commute.
     rng = random.Random(3)
     modules = veritas.random_corpus(g, 3, rng, f, max_total_dim=6)
     w = all_reduced_words_upto(g, 3)[3][0]
     for k in range(1, len(w) + 1):
         modules += [m_module(g, w, k, field=f), v_module(g, w, k, field=f)]
-    derived = []
+    # A nonzero round trip through a vertex fed from two places.
+    modules += [x for x in [veritas.cross_witness(g, f)] if x is not None]
+    derived, morphisms = [], []
     for m in modules:
         u = soc_chain(m, g.vertices())
         derived += [sigma(i, m) for i in g.vertices()]
         derived += [sigma_star(i, m) for i in g.vertices()]
-        derived += [random_extension(m, modules[0], rng)[0], quotient(m, u)[0],
-                    u.as_module()[0]]
-    assert all(x.is_nilpotent() for x in derived)
+        x, incl, proj = random_extension(m, modules[0], rng)
+        q, q_proj = quotient(m, u)
+        sub, sub_incl = u.as_module()
+        derived += [x, q, sub]
+        morphisms += [incl, proj, q_proj, sub_incl]
+    for x in derived:
+        x.validate()
+    for h in morphisms:
+        h.validate()
 
 
 def test_round_trip_checks_no_nilpotency(monkeypatch):

@@ -2,6 +2,7 @@ import json
 import random
 
 from nilcrystal import veritas
+from nilcrystal.errors import NotInGenericStratum
 from nilcrystal.fields import default_field
 from nilcrystal.rootsys import WeylWord, a_n, affine_a1, d4
 
@@ -87,3 +88,60 @@ def test_cartan_invertible():
     assert not veritas._cartan_invertible(affine_a1())
     assert veritas._cartan_invertible(a_n(3))
     assert veritas._cartan_invertible(d4())
+
+
+def _always_missing(*args, **kwargs):
+    raise NotInGenericStratum("forced miss")
+
+
+def test_cross_model_with_every_sample_missing_is_vacuous(monkeypatch):
+    monkeypatch.setattr(veritas, "extract_datum", _always_missing)
+    r = veritas.check_cross_model(a_n(2), WeylWord((1, 2, 1)), 1, 1,
+                                  random.Random(3))
+    assert r.outcome == "vacuous-pass" and not r.witness
+    assert r.details["sampling_misses"] == r.details["samples"] == 8
+    assert "generic stratum" in r.details["warning"]
+
+
+def test_cross_model_steps_through_the_module_it_read(monkeypatch):
+    built, stepped = [], []
+    real_build, real_extract, real_star = (
+        veritas.build_filtered, veritas.extract_datum, veritas.sigma_star)
+
+    def build(*args, **kwargs):
+        built.append(real_build(*args, **kwargs))
+        return built[-1]
+
+    def extract(g, w, x, trace=None):
+        if x is built[0]:
+            raise NotInGenericStratum("forced miss")
+        return real_extract(g, w, x)
+
+    def star(i, x):
+        stepped.append(x)
+        return real_star(i, x)
+
+    monkeypatch.setattr(veritas, "build_filtered", build)
+    monkeypatch.setattr(veritas, "extract_datum", extract)
+    monkeypatch.setattr(veritas, "sigma_star", star)
+    r = veritas.check_cross_model(a_n(2), WeylWord((1, 2, 1)), 0, 1,
+                                  random.Random(3))
+    assert r.outcome == "pass" and r.details["sampling_misses"] == 0
+    assert len(built) == 2 and stepped[0] is built[1]
+
+
+def test_cross_model_counts_stepwise_misses(monkeypatch):
+    word = WeylWord((1, 2, 1))
+    real = veritas.extract_datum
+
+    def tails_miss(g, w, x, trace=None):
+        if len(w) < len(word):
+            raise NotInGenericStratum("forced miss")
+        return real(g, w, x)
+
+    r = veritas.check_cross_model(a_n(2), word, 1, 1, random.Random(3))
+    assert "stepwise_misses" not in r.details
+    monkeypatch.setattr(veritas, "extract_datum", tails_miss)
+    r = veritas.check_cross_model(a_n(2), word, 1, 1, random.Random(3))
+    assert r.passed and r.details["sampling_misses"] == 0
+    assert r.details["stepwise_misses"] == 8 * len(word)
