@@ -5,10 +5,11 @@ matrices are just nested lists and all arithmetic stays exact. Besides the
 scalar operations, each field supplies the whole-vector kernels `matmul`,
 `dot` and `scale_vec`, and the steps of the shared elimination in `linalg`
 (`elim_rows`, `elim_pivot`, `elim_reduce`, `elim_result`) on rows of ints.
-Over the rationals, a product puts each row of A and each column of B over
-one common denominator and builds one Fraction per output entry; the
-elimination clears each row to integers, reduces fraction-free, and divides
-each pivot row by its pivot once, at the end.
+Over F_p a pivot row passes on only its nonzero entries, so a reduce step
+touches only their columns. Over the rationals, a product puts each row of
+A and each column of B over one common denominator and builds one Fraction
+per output entry; the elimination clears each row to integers, reduces
+fraction-free, and divides each pivot row by its pivot once, at the end.
 """
 
 import functools
@@ -117,18 +118,23 @@ class PrimeField:
         return [[x % p for x in r] for r in rows]
 
     def elim_pivot(self, row, col):
-        """Scale row so its pivot at col is 1; return its tail from col on."""
+        """Scale row so its pivot at col is 1, in place; return the nonzero
+        entries of its tail from col on, as (column, value) pairs."""
         p = self.p
         inv = pow(row[col], -1, p)
-        tail = [inv * x % p for x in row[col:]]
-        row[col:] = tail
+        tail = []
+        for j in range(col, len(row)):
+            if x := row[j]:
+                row[j] = x = inv * x % p
+                tail.append((j, x))
         return tail
 
     def elim_reduce(self, row, col, tail):
-        """Clear row[col] with the pivot tail, in place."""
+        """Clear row[col] with the pivot tail, in place; only its columns move."""
         p = self.p
         c = row[col]
-        row[col:] = [(x - c * y) % p for x, y in zip(row[col:], tail)]
+        for j, y in tail:
+            row[j] = (row[j] - c * y) % p
 
     def elim_result(self, rows, pivots):
         return rows

@@ -5,7 +5,8 @@ Zero-row and zero-column matrices are first-class citizens: most of the
 module theory downstream lives at the boundary cases. The arithmetic loops
 belong to the field (`matmul`, `scale_vec` and the elimination steps); this
 module holds the one Gaussian elimination that every solve, rank and
-nullspace shares. Over the rationals, products and eliminations run on
+nullspace shares, and turns its RREF into kernel vectors (`nullspace`,
+`kernel_vector`). Over the rationals, products and eliminations run on
 integers over common denominators, with one Fraction built per output
 entry. A `Mat` trusts its shape: `PModule.from_dict` counts the entries
 of rows from outside, and the stacks raise `ValueError` on a mismatch.
@@ -185,12 +186,17 @@ def rank(m):
     return len(rref(m)[1])
 
 
+def _kernel_frame(m):
+    """The RREF rows of m by pivot column, and the free columns in order."""
+    R, pivots = rref(m)
+    pivot_rows = dict(zip(pivots, R.rows))
+    return pivot_rows, [j for j in range(m.ncols) if j not in pivot_rows]
+
+
 def nullspace(m):
     """Basis of the right kernel, as the columns of an (ncols x k) matrix."""
     f = m.field
-    R, pivots = rref(m)
-    pivot_rows = dict(zip(pivots, R.rows))
-    free = [j for j in range(m.ncols) if j not in pivot_rows]
+    pivot_rows, free = _kernel_frame(m)
     z, o, neg = f.zero, f.one, f.neg
     rows = [
         [neg(pivot_rows[i][fc]) for fc in free] if i in pivot_rows
@@ -198,6 +204,20 @@ def nullspace(m):
         for i in range(m.ncols)
     ]
     return Mat(f, m.ncols, len(free), rows)
+
+
+def kernel_vector(m, draw):
+    """nullspace(m) @ c as a list, without the basis: c is one draw() per free
+    column, in ascending order, and pivot column j is -(RREF row of j)[free] . c."""
+    f = m.field
+    pivot_rows, free = _kernel_frame(m)
+    x = [f.zero] * m.ncols
+    for j in free:
+        x[j] = draw()
+    on_free = [[r[j] for j in free] for r in pivot_rows.values()]
+    for j, (v,) in zip(pivot_rows, f.matmul(on_free, [[f.neg(x[j]) for j in free]])):
+        x[j] = v
+    return x
 
 
 def solve(a, b):

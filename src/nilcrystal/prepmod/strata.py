@@ -1,15 +1,13 @@
 """Random extensions, stratum sampling, and datum extraction on modules.
 
 A point of the stratum attached to (word, a) is sampled by stacking random
-extensions layer by layer; extraction reads the sample back by alternating
-socle-dimension reads with backward reflections.
+extensions layer by layer; extraction reads the sample back by backward
+reflections, each of which also gives the socle multiplicity it removes.
 """
-
-import random
 
 from ..errors import LengthMismatch, NonReducedWord, NotInGenericStratum
 from ..fields import default_field
-from ..linalg import Mat, nullspace
+from ..linalg import Mat, kernel_vector
 from ..rootsys import is_reduced
 from .functors import sigma_star
 from .module import (
@@ -26,14 +24,14 @@ from .families import m_module
 
 
 def random_extension(sub, quot, rng):
-    """A random module extension of `quot` by `sub`.
+    """A random module extension X of `quot` by `sub`.
 
-    Returns (X, inclusion, projection) where `sub` embeds as the first
-    block and X/sub is the given quotient. The unknown off-diagonal blocks
-    form the solution space of an exact linear system; a uniformly random
-    solution is drawn (zero gives the direct sum). The blocks solve the
-    relations, and an extension of nilpotent modules is nilpotent, so X is
-    checked for shapes only.
+    `sub` embeds as the first block of each space and X/sub is the given
+    quotient (`extension_maps` gives the two maps). The unknown
+    off-diagonal blocks form the solution space of an exact linear system;
+    a uniformly random solution is drawn (zero gives the direct sum). The
+    blocks solve the relations, and an extension of nilpotent modules is
+    nilpotent, so X is checked for shapes only.
     """
     if sub.graph != quot.graph or sub.field != quot.field:
         raise ValueError("extension pieces need matching graph and field")
@@ -74,33 +72,27 @@ def random_extension(sub, quot, rng):
                     # (B_h Q_hbar)[r][c] = sum_k B_h[r][k] * Q_hbar[k][c]
                     row[off_a + r * qa : off_a + (r + 1) * qa] = q_cols[c]
                 rows.append(row)
-    system = Mat(f, len(rows), total, rows)
-    basis = nullspace(system)
-    coeffs = [f.random(rng) for _ in range(basis.ncols)]
-    sol = [f.dot(row, coeffs) for row in basis.rows]
+    sol = kernel_vector(Mat(f, len(rows), total, rows), lambda: f.random(rng))
 
-    dims = tuple(s + q for s, q in zip(sub.dims, quot.dims))
+    # Each map is [[S_h, B_h], [0, Q_h]].
     maps = {}
     for a in arr:
-        sr, qr = sub.dim_at(a.tgt), quot.dim_at(a.tgt)
-        sc, qc = sub.dim_at(a.src), quot.dim_at(a.src)
-        off = offsets[(a.edge, a.dir)]
-        b = Mat(f, sr, qc, [sol[off + r * qc : off + (r + 1) * qc] for r in range(sr)])
-        top = sub.arrow_map(a).hstack(b)
-        bot = Mat.zero(f, qr, sc).hstack(quot.arrow_map(a))
-        maps[(a.edge, a.dir)] = top.vstack(bot)
-    x = PModule._derived(g, f, dims, maps)
-    incl_mats = [
-        Mat.identity(f, sub.dim_at(i)).vstack(Mat.zero(f, quot.dim_at(i), sub.dim_at(i)))
-        for i in g.vertices()
-    ]
-    proj_mats = [
-        Mat.zero(f, quot.dim_at(i), sub.dim_at(i)).hstack(Mat.identity(f, quot.dim_at(i)))
-        for i in g.vertices()
-    ]
-    incl = ModuleMap(sub, x, incl_mats, check=False)
-    proj = ModuleMap(x, quot, proj_mats, check=False)
-    return x, incl, proj
+        qc, sc, off = quot.dim_at(a.src), sub.dim_at(a.src), offsets[(a.edge, a.dir)]
+        top = [s + sol[off + r * qc : off + (r + 1) * qc]
+               for r, s in enumerate(sub.arrow_map(a).rows)]
+        bot = [[f.zero] * sc + q for q in quot.arrow_map(a).rows]
+        maps[(a.edge, a.dir)] = Mat(f, len(top) + len(bot), sc + qc, top + bot)
+    dims = tuple(s + q for s, q in zip(sub.dims, quot.dims))
+    return PModule._derived(g, f, dims, maps)
+
+
+def extension_maps(sub, x, quot):
+    """The inclusion sub -> x and the projection x -> quot of an extension
+    made by `random_extension`, whose spaces put sub's block first."""
+    f, pieces = sub.field, list(zip(sub.dims, quot.dims))
+    incl = [Mat.identity(f, s).vstack(Mat.zero(f, q, s)) for s, q in pieces]
+    proj = [Mat.zero(f, q, s).hstack(Mat.identity(f, q)) for s, q in pieces]
+    return ModuleMap(sub, x, incl, check=False), ModuleMap(x, quot, proj, check=False)
 
 
 def build_filtered(g, w, a, rng, field=None):
@@ -111,12 +103,9 @@ def build_filtered(g, w, a, rng, field=None):
         raise LengthMismatch(f"|a|={len(a)} but word length is {len(w)}")
     field = field or default_field()
     x = zero_module(g, field)
-    layers = [
-        direct_power(m_module(g, w, k, route="reflection", field=field), a[k - 1])
-        for k in range(1, len(w) + 1)
-    ]
-    for layer in layers:
-        x, _, _ = random_extension(x, layer, rng)
+    for k in range(1, len(w) + 1):
+        layer = direct_power(m_module(g, w, k, route="reflection", field=field), a[k - 1])
+        x = random_extension(x, layer, rng)
     return x
 
 
@@ -136,8 +125,11 @@ def extract_datum(g, w, x, trace=None):
         raise NonReducedWord(f"word {w.letters} is not reduced")
     out = []
     for i in w:
-        a_k = eps_star_mod(i, x)
+        # a_k = dim ker(out_i), for out_i from the space at i to the incoming
+        # sum; sigma_star puts coker(out_i) at i, so no second elimination.
+        a_k = x.dim_at(i) - sum(x.dim_at(a.src) for a in arrows_into(g, i))
         x = sigma_star(i, x)
+        a_k += x.dim_at(i)
         out.append(a_k)
         if trace is not None:
             trace.append((a_k, x.dims))

@@ -22,6 +22,7 @@ from .prepmod import (
     arrows_of,
     build_filtered,
     eps_star_mod,
+    extension_maps,
     extract_datum,
     find_injective_hom,
     find_surjective_hom,
@@ -158,7 +159,7 @@ def random_corpus(g, size, rng, fld, max_total_dim=12, layers=3):
             for _ in range(rng.randrange(1, room + 1)):
                 mults[rng.randrange(g.n)] += 1
             layer = semisimple(g, mults, field=fld)
-            x, _, _ = random_extension(x, layer, rng)
+            x = random_extension(x, layer, rng)
         # The corpus is a trust boundary, so each module gets the relation
         # and nilpotency checks that random_extension leaves out.
         x.validate()
@@ -250,7 +251,8 @@ def check_reflection_contracts(g, corpus_size, rng, fld=None, twist=1):
             if sum(mults) == 0:
                 mults[rng.randrange(g.n)] = 1
             quot = semisimple(g, mults, field=fld)
-            x, incl, proj = random_extension(m, quot, rng)
+            x = random_extension(m, quot, rng)
+            incl, proj = extension_maps(m, x, quot)
             try:
                 s_incl = sigma_on_map(i, incl, twist=twist)
                 s_proj = sigma_on_map(i, proj, twist=twist)
@@ -487,20 +489,20 @@ def check_cross_model(g, word, bound, samples, rng, fld=None):
                "sampling_misses": misses, "miss_rate": misses / max(total_samples, 1)}
     if stepwise_misses:  # absent when every stepwise tail was read
         details["stepwise_misses"] = stepwise_misses
-    outcome = "fail" if failures else ("pass" if bound == 0 else "probabilistic-pass")
-    if not failures and misses == total_samples:
+    clean = "pass" if bound == 0 else "probabilistic-pass"
+    return _sampled_report("cross-model", claim, params, fld, t0, failures, details, clean)
+
+
+def _sampled_report(check_id, claim, params, fld, t0, failures, details, clean):
+    """The report of a check on stratum samples: `clean` unless it failed,
+    and a vacuous pass, saying so, when no sample was read back."""
+    outcome = "fail" if failures else clean
+    if not failures and details["sampling_misses"] == details["samples"]:
         outcome = "vacuous-pass"
         details["warning"] = "no sample was read back from the generic stratum"
-    return CheckReport(
-        "cross-model",
-        claim,
-        params,
-        outcome,
-        confidence=_confidence_str(fld),
-        witness=failures[0] if failures else None,
-        wall_time=time.time() - t0,
-        details=details,
-    )
+    return CheckReport(check_id, claim, params, outcome, confidence=_confidence_str(fld),
+                       witness=failures[0] if failures else None,
+                       wall_time=time.time() - t0, details=details)
 
 
 def _extract_with_retry(g, word, x, rebuild):
@@ -571,21 +573,9 @@ def check_transitions(g, word, bound, rng, fld=None, samples=1):
                     break
             if failures:
                 break
-    outcome = "fail" if failures else "probabilistic-pass"
-    return CheckReport(
-        "transitions",
-        claim,
-        params,
-        outcome,
-        confidence=_confidence_str(fld),
-        witness=failures[0] if failures else None,
-        wall_time=time.time() - t0,
-        details={
-            "pairs_checked": pairs_checked,
-            "samples": total,
-            "sampling_misses": misses,
-        },
-    )
+    details = {"pairs_checked": pairs_checked, "samples": total, "sampling_misses": misses}
+    return _sampled_report("transitions", claim, params, fld, t0, failures, details,
+                           "probabilistic-pass")
 
 
 def write_reports(reports, json_path=None, csv_path=None):

@@ -13,6 +13,7 @@ from nilcrystal.linalg import (
     col_basis,
     extend_to_basis,
     hstack_all,
+    kernel_vector,
     nullspace,
     rank,
     rref,
@@ -219,12 +220,25 @@ def mixed_denominator_mat(f, nr, nc, rng):
     return Mat(f, nr, nc, rows)
 
 
+def sparse_mat(f, nr, nc, density, rng):
+    """Entries nonzero with probability `density`, like the wide, sparse
+    systems of random_extension."""
+    return Mat(f, nr, nc, [[f.of_int(rng.choice((-3, -2, -1, 1, 2, 3)))
+                            if rng.random() < density else f.zero for _ in range(nc)]
+                           for _ in range(nr)])
+
+
 def kernel_cases(f, seed):
     rng = random.Random(seed)
     shapes = [(0, 3), (3, 0), (0, 0), (1, 1), (2, 2), (4, 7), (7, 4), (9, 9)]
     mats = [rand_mat(f, nr, nc, rng) for nr, nc in shapes]
     mats += [low_rank_mat(f, nr, nc, rk, rng)
              for nr, nc, rk in ((5, 5, 2), (6, 8, 3), (8, 6, 0), (7, 7, 6))]
+    mats += [sparse_mat(f, 40, 60, density, rng) for density in (0.05, 0.1)]
+    # The first pivot row is a unit row, so its tail past the pivot is zero.
+    unit_led = sparse_mat(f, 8, 12, 0.3, rng)
+    unit_led.rows[0] = [f.of_int(5)] + [f.zero] * 11
+    mats.append(unit_led)
     if isinstance(f, RationalField):
         # Integer entries alone cannot catch a wrong common-denominator rescale.
         mats += [mixed_denominator_mat(f, nr, nc, rng)
@@ -260,6 +274,25 @@ def test_rref_nullspace_solve_match_scalar_loops(f):
             assert (x is None and want is None) or x.rows == want
 
 
+@pytest.mark.parametrize("f", FIELDS)
+def test_kernel_vector_is_the_nullspace_combination(f):
+    mats, rng = kernel_cases(f, 24)
+    mats += [Mat.identity(f, 5), rand_mat(f, 3, 0, rng), Mat.zero(f, 4, 6),
+             Mat.from_int_rows(f, [[2, 1, 0, 3], [0, 0, 1, 4]])]
+    if isinstance(f, RationalField):
+        draw = lambda: Fraction(rng.randrange(-9, 10), rng.randrange(1, 8))
+    else:
+        draw = lambda: f.random(rng)
+    for m in mats:
+        ns = nullspace(m)
+        coeffs = [draw() for _ in range(ns.ncols)]
+        given = iter(coeffs)
+        x = kernel_vector(m, given.__next__)
+        assert list(given) == []  # one draw per free column
+        assert x == [r[0] for r in (ns @ Mat.col_vector(f, coeffs)).rows]
+        assert all(v == f.zero for r in (m @ Mat.col_vector(f, x)).rows for v in r)
+
+
 def test_prime_kernels_reduce_unreduced_inputs():
     f = PrimeField(997)
     xs = [-1, 997, 1500, -2000, 0, 996]
@@ -271,11 +304,19 @@ def test_prime_kernels_reduce_unreduced_inputs():
     assert f.scale_vec(c, xs) == [c * x % 997 for x in xs]
     rows = f.elim_rows([xs, ys])
     assert rows == [[x % 997 for x in xs], [y % 997 for y in ys]]
+    # The pivot row is scaled in place; its tail is the nonzero entries from
+    # the pivot column on, as (column, value) pairs.
+    scaled = [pow(996, -1, 997) * x % 997 for x in rows[0]]
     tail = f.elim_pivot(rows[0], 0)
-    assert tail == rows[0] and tail[0] == 1
-    want = [(x - ys[0] * y) % 997 for x, y in zip(ys, tail)]
+    assert rows[0] == scaled and scaled[0] == 1
+    assert tail == [(j, v) for j, v in enumerate(scaled) if v] and len(tail) == 4
+    want = [(x - ys[0] * y) % 997 for x, y in zip(ys, scaled)]
     f.elim_reduce(rows[1], 0, tail)
     assert rows[1] == want and rows[1][0] == 0
+    # A pivot further right leaves the columns before it alone.
+    row = [5, 0, 3, 0, 7]
+    assert f.elim_pivot(row, 2) == [(2, 1), (4, 7 * pow(3, -1, 997) % 997)]
+    assert row[:2] == [5, 0] and row[3] == 0
     for out in (f.scale_vec(c, xs), *rows, f.matmul([xs], [ys])[0]):
         assert all(0 <= v < 997 for v in out)
 

@@ -18,6 +18,7 @@ from nilcrystal.prepmod import (
     direct_power,
     direct_sum,
     eps_star_mod,
+    extension_maps,
     extract_datum,
     find_injective_hom,
     find_iso,
@@ -288,7 +289,8 @@ def test_random_extension_relations_hold():
     base = simple(A3, 2, field=F)
     for _ in range(5):
         quot = semisimple(A3, [1, 0, 1], field=F)
-        x, incl, proj = random_extension(base, quot, rng)
+        x = random_extension(base, quot, rng)
+        incl, proj = extension_maps(base, x, quot)
         x.validate()
         assert incl.is_injective()
         assert proj.is_surjective()
@@ -309,6 +311,32 @@ def test_extract_rejects_off_stratum():
     w = WeylWord((2,))
     with pytest.raises(NotInGenericStratum):
         extract_datum(A2, w, simple(A2, 1, field=F))
+
+
+@pytest.mark.parametrize("g", [A3, d4(), affine_a1()], ids=["A3", "D4", "affA1"])
+def test_extract_datum_reads_the_socle_multiplicities(g):
+    # extract_datum reads a_k off the cokernel that sigma_star builds; it
+    # must equal the socle multiplicity of the module before each step, also
+    # on modules that are not generic and make the read raise at the end.
+    rng = random.Random(8)
+    words = all_reduced_words_upto(g, 4)[4][:3]
+    cases = [(x, w) for x in veritas.random_corpus(g, 10, rng, F, max_total_dim=8)
+             for w in words]
+    cases += [(build_filtered(g, w, (1, 0, 2, 1), rng, field=F), w) for w in words]
+    raised = read = 0
+    for x, w in cases:
+        trace = []
+        try:
+            extract_datum(g, w, x, trace=trace)
+            read += 1
+        except NotInGenericStratum:
+            raised += 1
+        assert len(trace) == len(w)
+        for i, (a_k, dims) in zip(w, trace):
+            assert a_k == eps_star_mod(i, x)
+            x = sigma_star(i, x)
+            assert dims == x.dims
+    assert raised and read
 
 
 def test_module_serialization_roundtrip(tmp_path):
@@ -498,7 +526,8 @@ def test_derived_modules_are_nilpotent(g, f):
         u = soc_chain(m, g.vertices())
         derived += [sigma(i, m) for i in g.vertices()]
         derived += [sigma_star(i, m) for i in g.vertices()]
-        x, incl, proj = random_extension(m, modules[0], rng)
+        x = random_extension(m, modules[0], rng)
+        incl, proj = extension_maps(m, x, modules[0])
         q, q_proj = quotient(m, u)
         sub, sub_incl = u.as_module()
         derived += [x, q, sub]

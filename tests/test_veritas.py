@@ -103,6 +103,16 @@ def test_cross_model_with_every_sample_missing_is_vacuous(monkeypatch):
     assert "generic stratum" in r.details["warning"]
 
 
+def test_transitions_with_every_sample_missing_is_vacuous(monkeypatch):
+    r = veritas.check_transitions(a_n(2), WeylWord((1, 2, 1)), 1, random.Random(4))
+    assert r.outcome == "probabilistic-pass" and "warning" not in r.details
+    monkeypatch.setattr(veritas, "extract_datum", _always_missing)
+    r = veritas.check_transitions(a_n(2), WeylWord((1, 2, 1)), 1, random.Random(4))
+    assert r.outcome == "vacuous-pass" and not r.witness
+    assert r.details["sampling_misses"] == r.details["samples"] == 8
+    assert "generic stratum" in r.details["warning"]
+
+
 def test_cross_model_steps_through_the_module_it_read(monkeypatch):
     built, stepped = [], []
     real_build, real_extract, real_star = (
