@@ -155,3 +155,95 @@ def test_cross_model_counts_stepwise_misses(monkeypatch):
     r = veritas.check_cross_model(a_n(2), word, 1, 1, random.Random(3))
     assert r.passed and r.details["sampling_misses"] == 0
     assert r.details["stepwise_misses"] == 8 * len(word)
+
+
+# Failure reports, pinned: each test forces one failure through a veritas
+# import and fixes the outcome, the whole witness and the counters.
+
+
+def test_reflection_contracts_report_a_missing_surjection(monkeypatch):
+    monkeypatch.setattr(veritas, "find_surjective_hom", lambda *a, **k: None)
+    r = veritas.check_reflection_contracts(a_n(3), 2, random.Random(1))
+    assert r.outcome == "fail" and r.check_id == "reflection-contracts"
+    assert r.witness == {
+        "kind": "no-surjection",
+        "module": veritas.cross_witness(a_n(3), default_field()).to_dict(),
+        "extra": {"vertex": 1},
+    }
+    assert r.details == {"contracts_checked": 1}
+    assert r.confidence is not None
+
+
+def test_mutated_reflection_report_is_pinned():
+    r = veritas.check_reflection_contracts(a_n(3), 5, random.Random(1), twist=-1)
+    assert r.outcome == "fail"
+    assert r.witness == {
+        "kind": "construction",
+        "module": veritas.cross_witness(a_n(3), default_field()).to_dict(),
+        "extra": "forward reflection at 1 broke relations: relation fails at vertex 2",
+    }
+    assert r.details == {"contracts_checked": 0}
+
+
+def test_modules_report_a_nontrivial_top(monkeypatch):
+    monkeypatch.setattr(veritas, "top_i_dim", lambda m, i: 1)
+    r = veritas.check_modules(a_n(3), 3, rng=random.Random(2))
+    assert r.outcome == "fail"
+    assert r.witness == {"kind": "nhat-top", "word": [1, 2], "i": 2}
+    assert r.details == {"words_checked": 4}
+    assert r.confidence is not None
+
+
+def _miss_at(monkeypatch, full, tails):
+    """Make extract_datum miss every read of the full word while the grid
+    is at `full`, and every read of a shorter word while it is at `tails`."""
+    at = []
+    real_datum, real_extract = veritas.datum, veritas.extract_datum
+
+    def datum(g, w, a):
+        at.append(tuple(a))
+        return real_datum(g, w, a)
+
+    def extract(g, w, x, trace=None):
+        if at[-1] == (full if len(w) == 3 else tails):
+            raise NotInGenericStratum("forced miss")
+        return real_extract(g, w, x)
+
+    monkeypatch.setattr(veritas, "datum", datum)
+    monkeypatch.setattr(veritas, "extract_datum", extract)
+
+
+def test_cross_model_report_a_chain_mismatch(monkeypatch):
+    _miss_at(monkeypatch, (0, 1, 0), (0, 0, 1))
+    real_chain = veritas.extraction_chain
+
+    class Wrong:
+        exponents = None
+
+    monkeypatch.setattr(veritas, "extraction_chain", lambda g, d: (
+        Wrong() if d.a == (1, 0, 1) else real_chain(g, d)))
+    r = veritas.check_cross_model(a_n(2), WeylWord((1, 2, 1)), 1, 2, random.Random(3))
+    assert r.outcome == "fail"
+    assert r.witness == {"kind": "chain-mismatch", "a": [1, 0, 1], "got": (1, 0, 1)}
+    assert r.details == {"grid_points": 6, "samples": 11, "sampling_misses": 2,
+                         "miss_rate": 2 / 11, "stepwise_misses": 6}
+    assert r.confidence is not None
+
+
+def test_transitions_report_a_cross_model_mismatch(monkeypatch):
+    _miss_at(monkeypatch, (0, 0, 1), None)
+    calls = []
+    real = veritas.extract_datum
+
+    def extract(g, w, x, trace=None):
+        calls.append(w)
+        got = real(g, w, x)
+        return (9, 9, 9) if len(calls) == 14 else got
+
+    monkeypatch.setattr(veritas, "extract_datum", extract)
+    r = veritas.check_transitions(a_n(3), WeylWord((1, 2, 1)), 1, random.Random(4))
+    assert r.outcome == "fail"
+    assert r.witness == {"kind": "cross-model", "a": [1, 0, 1], "pos": 0,
+                         "got": (9, 9, 9)}
+    assert r.details == {"pairs_checked": 6, "samples": 6, "sampling_misses": 1}
+    assert r.confidence is not None
