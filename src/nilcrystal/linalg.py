@@ -6,7 +6,8 @@ module theory downstream lives at the boundary cases. The arithmetic loops
 belong to the field (`matmul`, `scale_vec` and the elimination steps); this
 module holds the one Gaussian elimination that every solve, rank and
 nullspace shares, and turns its RREF into kernel vectors (`nullspace`,
-`kernel_vector`). Over the rationals, products and eliminations run on
+`kernel_vector`) and, from one elimination of [b | I], into a cokernel
+(`cokernel`). Over the rationals, products and eliminations run on
 integers over common denominators, with one Fraction built per output
 entry. A `Mat` trusts its shape: `PModule.from_dict` counts the entries
 of rows from outside, and the stacks raise `ValueError` on a mismatch.
@@ -244,35 +245,21 @@ def col_basis(m):
     return m.cols(pivots)
 
 
-def extend_to_basis(b):
-    """Complete a full-column-rank (n x k) matrix to a basis of F^n.
+def cokernel(b):
+    """One elimination of [b | I] gives the cokernel of an (n x k) matrix b.
 
-    Returns (E, T_inv) where E is an (n x (n-k)) complement and T_inv is the
-    inverse of [b | E].
+    Returns (E, P): E holds the unit columns of F^n at the pivots that fall
+    in the I-block, so [col_basis(b) | E] is a basis of F^n, and P, the rows
+    of the I-block below the r pivots in b's columns, is the projection
+    F^n -> F^n / image(b) in the coordinates E: P @ b = 0 and P @ E = I.
     """
-    f = b.field
-    n = b.nrows
-    full = b.hstack(Mat.identity(f, n))
-    _, pivots = rref(full)
-    if len(pivots) != n:
-        raise ValueError("input columns are not independent")
-    extra = [p for p in pivots if p >= b.ncols]
-    if len(extra) != n - b.ncols:
-        raise ValueError("input columns are not independent")
-    e = full.cols(extra)
-    t = b.hstack(e)
-    t_inv = invert(t)
-    return e, t_inv
-
-
-def invert(m):
-    if m.nrows != m.ncols:
-        raise ValueError("only square matrices invert")
-    f = m.field
-    R, pivots = rref(m.hstack(Mat.identity(f, m.nrows)))
-    if len(pivots) != m.nrows:
-        raise ValueError("singular matrix")
-    return R.col_slice(m.nrows, 2 * m.nrows)
+    f, n, k = b.field, b.nrows, b.ncols
+    R, pivots = rref(b.hstack(Mat.identity(f, n)))
+    r = sum(p < k for p in pivots)
+    z, o = f.zero, f.one
+    units = [p - k for p in pivots[r:]]
+    e = Mat(f, n, n - r, [[o if i == u else z for u in units] for i in range(n)])
+    return e, Mat(f, n - r, n, [row[k:] for row in R.rows[r:]])
 
 
 def is_invertible(m):

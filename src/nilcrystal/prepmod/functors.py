@@ -3,7 +3,9 @@
 At vertex i, write `in` for the signed incoming assembly and `out` for the
 unsigned outgoing assembly; the defining relation says in . out = 0. The
 forward functor replaces the space at i by ker(in), the backward one by
-coker(out), each with a twisted structure map built from -(out . in).
+coker(out), each with a twisted structure map built from -(out . in). The
+cokernel is one elimination (`linalg.cokernel`): it gives the projection
+onto coker(out) and the unit columns that it maps to the identity.
 The twist sign is a parameter only so the harness can demonstrate that the
 flipped convention breaks the contracts; production code never passes it.
 The real functors (twist 1) preserve nilpotent modules (Baumann-Kamnitzer,
@@ -13,7 +15,7 @@ a twisted result gets the full check, nilpotency included.
 """
 
 from ..errors import InternalRelationFailure
-from ..linalg import Mat, col_basis, extend_to_basis, nullspace, solve
+from ..linalg import Mat, cokernel, nullspace, solve
 from .module import ModuleMap, PModule, arrows_into
 
 
@@ -53,7 +55,7 @@ def sigma_star(i, m, twist=1):
     in_i = m.in_map(i)
     out_i = m.out_map(i)
     slices = m.in_block_slices(i)
-    e, proj = _cokernel(out_i)
+    e, proj = cokernel(out_i)
     new_dim = proj.nrows
     # Induced map coker -> total-in from twist * out . in (kills image(out)).
     induced = (out_i @ in_i).scale(f.of_int(twist)) @ e
@@ -77,13 +79,6 @@ def sigma_word(word, m, twist=1):
     for i in word:
         m = sigma(i, m, twist=twist)
     return m
-
-
-def _cokernel(out_i):
-    """A basis extension of image(out) and the projection total-in -> coker."""
-    b = col_basis(out_i)
-    e, t_inv = extend_to_basis(b)
-    return e, t_inv.row_slice(b.ncols, out_i.nrows)
 
 
 def _assembled_block_diag(i, f_map, total_src):
@@ -118,8 +113,8 @@ def sigma_star_on_map(i, f_map, twist=1):
     """The backward functor applied to a morphism."""
     m, n = f_map.source, f_map.target
     sm, sn = sigma_star(i, m, twist=twist), sigma_star(i, n, twist=twist)
-    em, proj_m = _cokernel(m.out_map(i))
-    _, proj_n = _cokernel(n.out_map(i))
+    em, proj_m = cokernel(m.out_map(i))
+    _, proj_n = cokernel(n.out_map(i))
     big = _assembled_block_diag(i, f_map, proj_m.ncols)
     induced = proj_n @ big @ em
     mats = list(f_map.mats)

@@ -16,8 +16,8 @@ from ..errors import InternalRelationFailure, InvalidModuleFile
 from ..fields import PrimeField, RationalField, default_field
 from ..linalg import (
     Mat,
+    cokernel,
     col_basis,
-    extend_to_basis,
     hstack_all,
     nullspace,
     rank,
@@ -210,7 +210,7 @@ class PModule:
             return PModule._from_dict_unchecked(data)
         except InvalidModuleFile:
             raise
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
             raise InvalidModuleFile(f"malformed module data: {exc}") from exc
 
     @staticmethod
@@ -437,17 +437,18 @@ def socle_dims(m):
 def quotient(m, u):
     """Quotient by a submodule, with the projection morphism.
 
-    Its maps are projection . arrow . section, so neither its relations
-    nor the projection's commuting with the arrows is checked again.
+    At each vertex one elimination (`cokernel`) gives the projection and a
+    section made of unit columns. The maps are projection . arrow . section,
+    so neither their relations nor the projection's commuting with the
+    arrows is checked again.
     """
     g, f = m.graph, m.field
     sections = []
     projs = []
     for i in g.vertices():
-        b = u.bases[i - 1]
-        e, t_inv = extend_to_basis(b)
+        e, p = cokernel(u.bases[i - 1])
         sections.append(e)
-        projs.append(t_inv.row_slice(b.ncols, m.dim_at(i)))
+        projs.append(p)
     maps = {}
     for a in arrows_of(g):
         maps[(a.edge, a.dir)] = projs[a.tgt - 1] @ m.arrow_map(a) @ sections[a.src - 1]
@@ -461,9 +462,7 @@ def preimage_submodule(proj, u):
     bases = []
     for i in m.graph.vertices():
         # x is in the preimage iff proj(x) lies in span(u at i).
-        b = u.bases[i - 1]
-        _, t_inv = extend_to_basis(b)
-        comp_proj = t_inv.row_slice(b.ncols, b.nrows)
+        _, comp_proj = cokernel(u.bases[i - 1])
         bases.append(nullspace(comp_proj @ proj.mat_at(i)))
     return Submodule(m, bases, check=False)
 

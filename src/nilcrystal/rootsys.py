@@ -53,11 +53,16 @@ class CartanGraph:
 
     @staticmethod
     def from_dict(data):
-        n = data["vertices"]
-        edges = [tuple(e) for e in data.get("edges", [])]
+        """The graph of a JSON object; ValueError on a missing or mistyped field."""
+        if not isinstance(data, dict):
+            raise ValueError("a graph must be a JSON object")
+        n = data.get("vertices")
+        if type(n) is not int or n < 0:
+            raise ValueError(f"vertices must be a nonnegative integer, got {n!r}")
+        edges = _vertex_pairs(data.get("edges", []), "edges")
         orient = data.get("orientation")
         if orient is not None:
-            oriented = [tuple(e) for e in orient]
+            oriented = _vertex_pairs(orient, "orientation")
             if sorted(frozenset(e) for e in oriented) != sorted(frozenset(e) for e in edges):
                 raise ValueError("orientation does not match the edge multiset")
             edges = oriented
@@ -72,6 +77,15 @@ class CartanGraph:
 
     def to_dict(self):
         return {"vertices": self.n, "edges": [list(e) for e in self.edges]}
+
+
+def _vertex_pairs(pairs, key):
+    if not isinstance(pairs, list) or any(
+        not isinstance(e, list) or len(e) != 2 or any(type(x) is not int for x in e)
+        for e in pairs
+    ):
+        raise ValueError(f"{key} must be a list of pairs of vertices")
+    return [tuple(e) for e in pairs]
 
 
 # Stock graphs used throughout the test suites.

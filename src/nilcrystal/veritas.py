@@ -167,6 +167,46 @@ def random_corpus(g, size, rng, fld, max_total_dim=12, layers=3):
     return out
 
 
+class _Failed(Exception):
+    def __init__(self, witness):
+        super().__init__(witness["kind"])
+        self.witness = witness
+
+
+def _fail(kind, **witness):
+    """Stop the running check at its first failure, with this witness."""
+    raise _Failed({"kind": kind, **witness})
+
+
+def _run(check_id, claim, params, fld, work, body, clean="probabilistic-pass"):
+    """Run one check body and report on it: the only place a CheckReport is made.
+
+    The body counts its work in `details`, calls `_fail` at the first
+    failure, and returns a reason when there is nothing to check. The
+    outcome is `fail` with the witness. It is `vacuous-pass`, with a
+    warning, when the body gave a reason or `details[work]` is 0 (then no
+    confidence is stated), or when every stratum sample missed. Else it is
+    `clean`.
+    """
+    t0 = time.time()
+    details = {}
+    witness, confidence, warning = None, _confidence_str(fld), None
+    try:
+        idle = body(details)
+    except _Failed as exc:
+        witness = exc.witness
+    else:
+        if idle is not None or not details[work]:
+            warning, confidence = idle or f"nothing was checked: {work} is 0", None
+        elif "samples" in details and details["sampling_misses"] == details["samples"]:
+            warning = "no sample was read back from the generic stratum"
+    if warning is not None:
+        details["warning"] = warning
+    outcome = "fail" if witness else "vacuous-pass" if warning else clean
+    return CheckReport(check_id, claim, params, outcome, confidence=confidence,
+                       witness=witness, wall_time=time.time() - t0, details=details)
+
+
 def check_reflection_contracts(g, corpus_size, rng, fld=None, twist=1):
     """Reflection-functor contracts on a random corpus.
 
@@ -175,7 +215,6 @@ def check_reflection_contracts(g, corpus_size, rng, fld=None, twist=1):
     dimension-vector reflection law. With twist=-1 the flipped sign
     convention must fail its self-checks (mutation mode).
     """
-    t0 = time.time()
     fld = fld or default_field()
     params = {
         "graph": g.to_dict(),
@@ -183,124 +222,90 @@ def check_reflection_contracts(g, corpus_size, rng, fld=None, twist=1):
         "twist": twist,
         "field": repr(fld),
     }
-    claim = "reflection functor exact sequences, braid isomorphism, dims law"
-    if corpus_size == 0:
-        return CheckReport(
-            "reflection-contracts", claim, params, "vacuous-pass",
-            details={"warning": "empty corpus"}, wall_time=time.time() - t0,
-        )
-    corpus = random_corpus(g, corpus_size, rng, fld)
-    witness_mod = cross_witness(g, fld)
-    if witness_mod is not None:
-        corpus.insert(0, witness_mod)
-    checked = 0
-    failures = []
 
-    def fail(kind, m, extra=None):
-        failures.append({"kind": kind, "module": m.to_dict(), "extra": extra})
+    def body(details):
+        if corpus_size <= 0:
+            return "empty corpus"
+        corpus = random_corpus(g, corpus_size, rng, fld)
+        witness_mod = cross_witness(g, fld)
+        if witness_mod is not None:
+            corpus.insert(0, witness_mod)
+        details["contracts_checked"] = 0
 
-    for m in corpus:
-        if failures:
-            break
-        for i in g.vertices():
-            try:
-                sm = sigma(i, m, twist=twist)
-                ssm = sigma_star(i, m, twist=twist)
-                # The functors check only shapes: the relations are checked here.
-                sm.validate(_nilpotency=False)
-                ssm.validate(_nilpotency=False)
-            except InternalRelationFailure as exc:
-                fail("construction", m, str(exc))
-                break
-            checked += 1
-            # Dimension law on one-sided-trivial modules.
-            si_dims = reflect_root(g, i, m.dim_vector()).coeffs
-            if top_i_dim(m, i) == 0 and sm.dims != si_dims:
-                fail("dims-forward", m, {"vertex": i, "got": sm.dims})
-                break
-            if soc_i(m, i).dim_at(i) == 0 and ssm.dims != si_dims:
-                fail("dims-backward", m, {"vertex": i, "got": ssm.dims})
-                break
-            # Functorial sequences: surjection onto forward-of-backward with
-            # kernel the socle part; injection of backward-of-forward with
-            # cokernel the top part.
-            fwd_bwd = sigma(i, ssm, twist=twist)
-            surj = find_surjective_hom(m, fwd_bwd, rng=rng)
-            if surj is None:
-                fail("no-surjection", m, {"vertex": i})
-                break
-            ker = surj.kernel()
-            soc = soc_i(m, i)
-            if ker.dims() != soc.dims():
-                fail("kernel-not-socle", m, {"vertex": i, "kernel": ker.dims()})
-                break
-            bwd_fwd = sigma_star(i, sm, twist=twist)
-            inj = find_injective_hom(bwd_fwd, m, rng=rng)
-            if inj is None:
-                fail("no-injection", m, {"vertex": i})
-                break
-            codim = m.total_dim - bwd_fwd.total_dim
-            if codim != top_i_dim(m, i):
-                fail("cokernel-not-top", m, {"vertex": i, "codim": codim})
-                break
-        if failures:
-            break
-        # One-sided exactness through a random extension triple.
-        for i in g.vertices():
-            mults = [rng.randrange(2) for _ in range(g.n)]
-            if sum(mults) == 0:
-                mults[rng.randrange(g.n)] = 1
-            quot = semisimple(g, mults, field=fld)
-            x = random_extension(m, quot, rng)
-            incl, proj = extension_maps(m, x, quot)
-            try:
-                s_incl = sigma_on_map(i, incl, twist=twist)
-                s_proj = sigma_on_map(i, proj, twist=twist)
-            except (InternalRelationFailure, ValueError) as exc:
-                fail("functor-on-map", m, str(exc))
-                break
-            checked += 1
-            if not s_incl.is_injective():
-                fail("left-exactness-mono", m, {"vertex": i})
-                break
-            # Exactness in the middle: ker(sigma proj) = im(sigma incl).
-            if s_proj.kernel().dims() != s_incl.image().dims():
-                fail("left-exactness-middle", m, {"vertex": i})
-                break
-            try:
-                ss_proj = sigma_star_on_map(i, proj, twist=twist)
-            except (InternalRelationFailure, ValueError) as exc:
-                fail("functor-on-map", m, str(exc))
-                break
-            if not ss_proj.is_surjective():
-                fail("right-exactness-epi", m, {"vertex": i})
-                break
-        if failures:
-            break
-        # Single-edge braid isomorphism.
-        for (u, v) in {frozenset(e) for e in g.edges}:
-            if g.edge_count(u, v) != 1:
-                continue
-            lhs = sigma(u, sigma(v, sigma(u, m, twist=twist), twist=twist), twist=twist)
-            rhs = sigma(v, sigma(u, sigma(v, m, twist=twist), twist=twist), twist=twist)
-            checked += 1
-            if not is_iso(lhs, rhs, rng=rng):
-                fail("braid-iso", m, {"pair": [u, v]})
-                break
-        if failures:
-            break
+        def fail(kind, extra=None):  # the witness is the module under test
+            _fail(kind, module=m.to_dict(), extra=extra)
 
-    outcome = "fail" if failures else "probabilistic-pass"
-    return CheckReport(
-        "reflection-contracts" if twist == 1 else "reflection-contracts-mutated",
-        claim,
-        params,
-        outcome,
-        confidence=_confidence_str(fld),
-        witness=failures[0] if failures else None,
-        wall_time=time.time() - t0,
-        details={"contracts_checked": checked},
-    )
+        for m in corpus:
+            for i in g.vertices():
+                try:
+                    sm = sigma(i, m, twist=twist)
+                    ssm = sigma_star(i, m, twist=twist)
+                    # The functors check only shapes: the relations are checked here.
+                    sm.validate(_nilpotency=False)
+                    ssm.validate(_nilpotency=False)
+                except InternalRelationFailure as exc:
+                    fail("construction", str(exc))
+                details["contracts_checked"] += 1
+                # Dimension law on one-sided-trivial modules.
+                si_dims = reflect_root(g, i, m.dim_vector()).coeffs
+                if top_i_dim(m, i) == 0 and sm.dims != si_dims:
+                    fail("dims-forward", {"vertex": i, "got": sm.dims})
+                if soc_i(m, i).dim_at(i) == 0 and ssm.dims != si_dims:
+                    fail("dims-backward", {"vertex": i, "got": ssm.dims})
+                # Functorial sequences: surjection onto forward-of-backward with
+                # kernel the socle part; injection of backward-of-forward with
+                # cokernel the top part.
+                fwd_bwd = sigma(i, ssm, twist=twist)
+                surj = find_surjective_hom(m, fwd_bwd, rng=rng)
+                if surj is None:
+                    fail("no-surjection", {"vertex": i})
+                ker = surj.kernel()
+                if ker.dims() != soc_i(m, i).dims():
+                    fail("kernel-not-socle", {"vertex": i, "kernel": ker.dims()})
+                bwd_fwd = sigma_star(i, sm, twist=twist)
+                if find_injective_hom(bwd_fwd, m, rng=rng) is None:
+                    fail("no-injection", {"vertex": i})
+                codim = m.total_dim - bwd_fwd.total_dim
+                if codim != top_i_dim(m, i):
+                    fail("cokernel-not-top", {"vertex": i, "codim": codim})
+            # One-sided exactness through a random extension triple.
+            for i in g.vertices():
+                mults = [rng.randrange(2) for _ in range(g.n)]
+                if sum(mults) == 0:
+                    mults[rng.randrange(g.n)] = 1
+                quot = semisimple(g, mults, field=fld)
+                x = random_extension(m, quot, rng)
+                incl, proj = extension_maps(m, x, quot)
+                try:
+                    s_incl = sigma_on_map(i, incl, twist=twist)
+                    s_proj = sigma_on_map(i, proj, twist=twist)
+                except (InternalRelationFailure, ValueError) as exc:
+                    fail("functor-on-map", str(exc))
+                details["contracts_checked"] += 1
+                if not s_incl.is_injective():
+                    fail("left-exactness-mono", {"vertex": i})
+                # Exactness in the middle: ker(sigma proj) = im(sigma incl).
+                if s_proj.kernel().dims() != s_incl.image().dims():
+                    fail("left-exactness-middle", {"vertex": i})
+                try:
+                    ss_proj = sigma_star_on_map(i, proj, twist=twist)
+                except (InternalRelationFailure, ValueError) as exc:
+                    fail("functor-on-map", str(exc))
+                if not ss_proj.is_surjective():
+                    fail("right-exactness-epi", {"vertex": i})
+            # Single-edge braid isomorphism.
+            for (u, v) in {frozenset(e) for e in g.edges}:
+                if g.edge_count(u, v) != 1:
+                    continue
+                lhs = sigma(u, sigma(v, sigma(u, m, twist=twist), twist=twist), twist=twist)
+                rhs = sigma(v, sigma(u, sigma(v, m, twist=twist), twist=twist), twist=twist)
+                details["contracts_checked"] += 1
+                if not is_iso(lhs, rhs, rng=rng):
+                    fail("braid-iso", {"pair": [u, v]})
+
+    return _run("reflection-contracts" if twist == 1 else "reflection-contracts-mutated",
+                "reflection functor exact sequences, braid isomorphism, dims law",
+                params, fld, "contracts_checked", body)
 
 
 def check_modules(g, maxlen, rng=None, fld=None, socle_chain_oracle=False):
@@ -311,7 +316,6 @@ def check_modules(g, maxlen, rng=None, fld=None, socle_chain_oracle=False):
     trivial tops of partial reflection products, and (optionally, finite
     type) the socle-chain construction of the submodule family.
     """
-    t0 = time.time()
     fld = fld or default_field()
     rng = rng or random.Random(0)
     params = {
@@ -320,100 +324,61 @@ def check_modules(g, maxlen, rng=None, fld=None, socle_chain_oracle=False):
         "field": repr(fld),
         "socle_chain_oracle": socle_chain_oracle,
     }
-    claim = "module family laws: socles, dims, route agreement, trivial tops"
-    failures = []
-    words_checked = 0
-    injectives = {}
-    if socle_chain_oracle:
-        injectives = {i: injective_module(g, i, fld) for i in g.vertices()}
-    by_len = all_reduced_words_upto(g, maxlen)
-    for l in range(1, maxlen + 1):
-        for w in by_len[l]:
-            if failures:
-                break
-            words_checked += 1
-            betas = beta_sequence(g, w)
-            # Quotient-family laws for the full word, one per final letter.
-            for i in g.vertices():
-                lam = Weight.fundamental(g.n, i)
-                rev = WeylWord(tuple(reversed(w.letters)))
-                drop = lam - apply_word_to_weight(g, rev, lam)
-                if all(c == 0 for c in drop.coeffs):
-                    continue
-                nm = n_module(g, rev, lam, fld)
-                want = weight_to_root(g, drop) if _cartan_invertible(g) else None
-                if want is not None and nm.dims != want.coeffs:
-                    failures.append({"kind": "n-dims", "word": list(w.letters), "i": i})
-                    break
-                socs = socle_dims(nm)
-                expected_soc = tuple(1 if j == i else 0 for j in g.vertices())
-                if socs != expected_soc:
-                    failures.append({"kind": "n-socle", "word": list(w.letters), "i": i})
-                    break
-                # Trivial top for letters extending the word.
-                ext = WeylWord(rev.letters + (i,))
-                if is_reduced(g, ext):
-                    nh = n_hat(g, rev, lam, fld)
-                    if top_i_dim(nh, i) != 0:
-                        failures.append(
-                            {"kind": "nhat-top", "word": list(w.letters), "i": i}
-                        )
-                        break
-            if failures:
-                break
-            for k in range(1, l + 1):
-                m_ref = m_module(g, w, k, route="reflection", field=fld)
-                if m_ref.dims != betas[k - 1].coeffs:
-                    failures.append(
-                        {"kind": "m-dims", "word": list(w.letters), "k": k,
-                         "got": m_ref.dims, "want": betas[k - 1].coeffs}
-                    )
-                    break
-                m_cok = m_module(g, w, k, route="cokernel", field=fld, rng=rng)
-                if not is_iso(m_ref, m_cok, rng=rng):
-                    failures.append(
-                        {"kind": "m-routes", "word": list(w.letters), "k": k,
-                         "reflection": m_ref.to_dict(), "cokernel": m_cok.to_dict()}
-                    )
-                    break
-                # Trivial tops of every partial product: the simple at
-                # w[k-1] reflected along w[k-2], ..., w[ll-1], which the
-                # memo holds as prefixes of the m_module key above.
-                simple_dims = tuple(int(j == w[k - 1]) for j in g.vertices())
-                for ll in range(k - 1, 1, -1):
-                    letters = tuple(reversed(w.letters[ll - 1 : k - 1]))
-                    part = _reflected(g, fld, simple_dims, letters)
-                    if top_i_dim(part, w[ll - 2]) != 0:
-                        failures.append(
-                            {"kind": "partial-top", "word": list(w.letters),
-                             "k": k, "l": ll - 1}
-                        )
-                        break
-                if failures:
-                    break
-                if socle_chain_oracle:
-                    seq = tuple(reversed(w.letters[:k]))
-                    sub = soc_chain(injectives[w[k - 1]], seq)
-                    vsc, _ = sub.as_module()
-                    v = v_module(g, w, k, field=fld)
-                    if not is_iso(vsc, v, rng=rng):
-                        failures.append(
-                            {"kind": "v-socle-chain", "word": list(w.letters), "k": k}
-                        )
-                        break
-        if failures:
-            break
-    outcome = "fail" if failures else "probabilistic-pass"
-    return CheckReport(
-        "modules",
-        claim,
-        params,
-        outcome,
-        confidence=_confidence_str(fld),
-        witness=failures[0] if failures else None,
-        wall_time=time.time() - t0,
-        details={"words_checked": words_checked},
-    )
+
+    def body(details):
+        details["words_checked"] = 0
+        injectives = {}
+        if socle_chain_oracle:
+            injectives = {i: injective_module(g, i, fld) for i in g.vertices()}
+        finite_type = _cartan_invertible(g)
+        by_len = all_reduced_words_upto(g, maxlen)
+        for l in range(1, maxlen + 1):
+            for w in by_len[l]:
+                details["words_checked"] += 1
+                word = list(w.letters)
+                betas = beta_sequence(g, w)
+                # Quotient-family laws for the full word, one per final letter.
+                for i in g.vertices():
+                    lam = Weight.fundamental(g.n, i)
+                    rev = WeylWord(tuple(reversed(w.letters)))
+                    drop = lam - apply_word_to_weight(g, rev, lam)
+                    if all(c == 0 for c in drop.coeffs):
+                        continue
+                    nm = n_module(g, rev, lam, fld)
+                    if finite_type and nm.dims != weight_to_root(g, drop).coeffs:
+                        _fail("n-dims", word=word, i=i)
+                    if socle_dims(nm) != tuple(1 if j == i else 0 for j in g.vertices()):
+                        _fail("n-socle", word=word, i=i)
+                    # Trivial top for letters extending the word.
+                    ext = WeylWord(rev.letters + (i,))
+                    if is_reduced(g, ext) and top_i_dim(n_hat(g, rev, lam, fld), i) != 0:
+                        _fail("nhat-top", word=word, i=i)
+                for k in range(1, l + 1):
+                    m_ref = m_module(g, w, k, route="reflection", field=fld)
+                    if m_ref.dims != betas[k - 1].coeffs:
+                        _fail("m-dims", word=word, k=k, got=m_ref.dims,
+                              want=betas[k - 1].coeffs)
+                    m_cok = m_module(g, w, k, route="cokernel", field=fld, rng=rng)
+                    if not is_iso(m_ref, m_cok, rng=rng):
+                        _fail("m-routes", word=word, k=k, reflection=m_ref.to_dict(),
+                              cokernel=m_cok.to_dict())
+                    # Trivial tops of every partial product: the simple at
+                    # w[k-1] reflected along w[k-2], ..., w[ll-1], which the
+                    # memo holds as prefixes of the m_module key above.
+                    simple_dims = tuple(int(j == w[k - 1]) for j in g.vertices())
+                    for ll in range(k - 1, 1, -1):
+                        letters = tuple(reversed(w.letters[ll - 1 : k - 1]))
+                        part = _reflected(g, fld, simple_dims, letters)
+                        if top_i_dim(part, w[ll - 2]) != 0:
+                            _fail("partial-top", word=word, k=k, l=ll - 1)
+                    if socle_chain_oracle:
+                        seq = tuple(reversed(w.letters[:k]))
+                        vsc, _ = soc_chain(injectives[w[k - 1]], seq).as_module()
+                        if not is_iso(vsc, v_module(g, w, k, field=fld), rng=rng):
+                            _fail("v-socle-chain", word=word, k=k)
+
+    return _run("modules", "module family laws: socles, dims, route agreement, trivial tops",
+                params, fld, "words_checked", body)
 
 
 def _cartan_invertible(g):
@@ -426,7 +391,6 @@ def check_cross_model(g, word, bound, samples, rng, fld=None):
     Per sample: weight law, first-socle law, equality of crystal and
     module extraction, and the stepwise residual law along the chain.
     """
-    t0 = time.time()
     fld = fld or default_field()
     params = {
         "graph": g.to_dict(),
@@ -435,74 +399,49 @@ def check_cross_model(g, word, bound, samples, rng, fld=None):
         "samples": samples,
         "field": repr(fld),
     }
-    claim = "crystal datum extraction matches module extraction on strata"
-    failures = []
-    grid_points = 0
-    misses = 0
-    stepwise_misses = 0
-    total_samples = 0
     r = len(word)
-    for a in itertools.product(range(bound + 1), repeat=r):
-        if failures:
-            break
-        grid_points += 1
-        d = datum(g, word, a)
-        cert = extraction_chain(g, d)
-        expected_weight = weight(g, d)
-        for _ in range(samples):
-            total_samples += 1
-            x = build_filtered(g, word, a, rng, field=fld)
-            if x.dims != expected_weight.coeffs:
-                failures.append({"kind": "weight-law", "a": list(a), "dims": x.dims})
-                break
-            if eps_star_mod(word[0], x) != (a[0] if r else 0):
-                failures.append({"kind": "socle-law", "a": list(a),
-                                 "module": x.to_dict()})
-                break
-            rebuild = lambda: build_filtered(g, word, a, rng, field=fld)
-            got, x = _extract_with_retry(g, word, x, rebuild)
-            if got is None:
-                misses += 1
-                continue
-            if got != cert.exponents:
-                failures.append({"kind": "chain-mismatch", "a": list(a), "got": got})
-                break
-            # Stepwise: residual after each backward reflection carries the
-            # truncated tuple under the shortened word.
-            res = x
-            for step in range(r):
-                res = sigma_star(word[step], res)
-                short = WeylWord(word.letters[step + 1:])
-                try:
-                    tail = extract_datum(g, short, res)
-                except NotInGenericStratum:
-                    stepwise_misses += 1
-                    tail = None
-                if tail is not None and tail != tuple(a[step + 1:]):
-                    failures.append(
-                        {"kind": "stepwise", "a": list(a), "step": step, "tail": tail}
-                    )
-                    break
-            if failures:
-                break
-    details = {"grid_points": grid_points, "samples": total_samples,
-               "sampling_misses": misses, "miss_rate": misses / max(total_samples, 1)}
-    if stepwise_misses:  # absent when every stepwise tail was read
-        details["stepwise_misses"] = stepwise_misses
-    clean = "pass" if bound == 0 else "probabilistic-pass"
-    return _sampled_report("cross-model", claim, params, fld, t0, failures, details, clean)
 
+    def body(details):
+        details.update(grid_points=0, samples=0, sampling_misses=0)
+        try:
+            for a in itertools.product(range(bound + 1), repeat=r):
+                details["grid_points"] += 1
+                d = datum(g, word, a)
+                cert = extraction_chain(g, d)
+                expected_weight = weight(g, d)
+                for _ in range(samples):
+                    details["samples"] += 1
+                    x = build_filtered(g, word, a, rng, field=fld)
+                    if x.dims != expected_weight.coeffs:
+                        _fail("weight-law", a=list(a), dims=x.dims)
+                    if eps_star_mod(word[0], x) != (a[0] if r else 0):
+                        _fail("socle-law", a=list(a), module=x.to_dict())
+                    rebuild = lambda: build_filtered(g, word, a, rng, field=fld)
+                    got, x = _extract_with_retry(g, word, x, rebuild)
+                    if got is None:
+                        details["sampling_misses"] += 1
+                        continue
+                    if got != cert.exponents:
+                        _fail("chain-mismatch", a=list(a), got=got)
+                    # Stepwise: residual after each backward reflection carries
+                    # the truncated tuple under the shortened word.
+                    res = x
+                    for step in range(r):
+                        res = sigma_star(word[step], res)
+                        short = WeylWord(word.letters[step + 1:])
+                        try:
+                            tail = extract_datum(g, short, res)
+                        except NotInGenericStratum:
+                            # Absent from the report while every tail is read.
+                            details["stepwise_misses"] = details.get("stepwise_misses", 0) + 1
+                            continue
+                        if tail != tuple(a[step + 1:]):
+                            _fail("stepwise", a=list(a), step=step, tail=tail)
+        finally:
+            details["miss_rate"] = details["sampling_misses"] / max(details["samples"], 1)
 
-def _sampled_report(check_id, claim, params, fld, t0, failures, details, clean):
-    """The report of a check on stratum samples: `clean` unless it failed,
-    and a vacuous pass, saying so, when no sample was read back."""
-    outcome = "fail" if failures else clean
-    if not failures and details["sampling_misses"] == details["samples"]:
-        outcome = "vacuous-pass"
-        details["warning"] = "no sample was read back from the generic stratum"
-    return CheckReport(check_id, claim, params, outcome, confidence=_confidence_str(fld),
-                       witness=failures[0] if failures else None,
-                       wall_time=time.time() - t0, details=details)
+    return _run("cross-model", "crystal datum extraction matches module extraction on strata",
+                params, fld, "samples", body, clean="pass" if bound == 0 else "probabilistic-pass")
 
 
 def _extract_with_retry(g, word, x, rebuild):
@@ -519,7 +458,6 @@ def _extract_with_retry(g, word, x, rebuild):
 
 def check_transitions(g, word, bound, rng, fld=None, samples=1):
     """Transition-map coherence across every braid neighbor of a word."""
-    t0 = time.time()
     fld = fld or default_field()
     params = {
         "graph": g.to_dict(),
@@ -528,54 +466,36 @@ def check_transitions(g, word, bound, rng, fld=None, samples=1):
         "field": repr(fld),
         "samples": samples,
     }
-    claim = "rank-2 transition maps preserve weight and match the module side"
-    moves = braid_moves(g, word)
-    if not moves:
-        return CheckReport(
-            "transitions", claim, params, "vacuous-pass",
-            details={"warning": "no braid moves for this word"},
-            wall_time=time.time() - t0,
-        )
-    failures = []
-    pairs_checked = 0
-    misses = 0
-    total = 0
-    r = len(word)
-    for a in itertools.product(range(bound + 1), repeat=r):
-        if failures:
-            break
-        d = datum(g, word, a)
-        for pos, kind, moved in moves:
-            pairs_checked += 1
-            d2 = transition(g, d, pos, kind)
-            if weight(g, d2).coeffs != weight(g, d).coeffs:
-                failures.append({"kind": "weight", "a": list(a), "pos": pos})
-                break
-            back = transition(g, d2, pos, kind)
-            if back.a != d.a or back.word.letters != word.letters:
-                failures.append({"kind": "involution", "a": list(a), "pos": pos})
-                break
-            if any(x < 0 for x in d2.a):
-                failures.append({"kind": "negative-entry", "a": list(a), "pos": pos})
-                break
-            for _ in range(samples):
-                total += 1
-                x = build_filtered(g, word, a, rng, field=fld)
-                rebuild = lambda: build_filtered(g, word, a, rng, field=fld)
-                got, _ = _extract_with_retry(g, d2.word, x, rebuild)
-                if got is None:
-                    misses += 1
-                    continue
-                if got != d2.a:
-                    failures.append(
-                        {"kind": "cross-model", "a": list(a), "pos": pos, "got": got}
-                    )
-                    break
-            if failures:
-                break
-    details = {"pairs_checked": pairs_checked, "samples": total, "sampling_misses": misses}
-    return _sampled_report("transitions", claim, params, fld, t0, failures, details,
-                           "probabilistic-pass")
+
+    def body(details):
+        moves = braid_moves(g, word)
+        if not moves:
+            return "no braid moves for this word"
+        details.update(pairs_checked=0, samples=0, sampling_misses=0)
+        for a in itertools.product(range(bound + 1), repeat=len(word)):
+            d = datum(g, word, a)
+            for pos, kind, moved in moves:
+                details["pairs_checked"] += 1
+                d2 = transition(g, d, pos, kind)
+                if weight(g, d2).coeffs != weight(g, d).coeffs:
+                    _fail("weight", a=list(a), pos=pos)
+                back = transition(g, d2, pos, kind)
+                if back.a != d.a or back.word.letters != word.letters:
+                    _fail("involution", a=list(a), pos=pos)
+                if any(x < 0 for x in d2.a):
+                    _fail("negative-entry", a=list(a), pos=pos)
+                for _ in range(samples):
+                    details["samples"] += 1
+                    x = build_filtered(g, word, a, rng, field=fld)
+                    rebuild = lambda: build_filtered(g, word, a, rng, field=fld)
+                    got, _ = _extract_with_retry(g, d2.word, x, rebuild)
+                    if got is None:
+                        details["sampling_misses"] += 1
+                    elif got != d2.a:
+                        _fail("cross-model", a=list(a), pos=pos, got=got)
+
+    return _run("transitions", "rank-2 transition maps preserve weight and match the module side",
+                params, fld, "pairs_checked", body)
 
 
 def write_reports(reports, json_path=None, csv_path=None):

@@ -1,12 +1,16 @@
 import json
+import random
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from nilcrystal import veritas
 from nilcrystal.cli import main
-from nilcrystal.fields import default_field
+from nilcrystal.fields import RationalField, default_field
 from nilcrystal.prepmod import simple, zero_module
-from nilcrystal.rootsys import a_n, affine_a1
+from nilcrystal.rootsys import a_n, affine_a1, d4
 
 GRAPHS = Path(__file__).resolve().parent.parent / "graphs"
 
@@ -121,6 +125,14 @@ def test_extract_malformed_dims_exits_3(tmp_path, capsys, dims):
     assert "dims" in capsys.readouterr().err
 
 
+def test_extract_zero_denominator_exits_3(tmp_path):
+    gpath, mpath = _module_file(tmp_path, a_n(2), [1, 1], [
+        {"edge": 0, "dir": 1, "entries": ["1/0"]}, {"edge": 0, "dir": -1, "entries": ["0"]}])
+    data = json.loads(Path(mpath).read_text())
+    Path(mpath).write_text(json.dumps(dict(data, field={"kind": "rational"})))
+    assert run(["--graph", gpath, "extract", mpath, "1"]) == 3
+
+
 def test_extract_non_nilpotent_exits_3(tmp_path, capsys):
     # x0 y0 + x1 y1 = 1 - 1 = 0 holds at both vertices, but y0 x0 = 1 is an
     # invertible cycle, so no power of the radical vanishes.
@@ -152,3 +164,77 @@ def test_byte_identical_reruns(a2_graph, tmp_path):
         run(["--graph", a2_graph, "--json", "--no-timestamp", "--out", str(p),
              "modules", "M", "1", "2", "1"])
     assert p1.read_bytes() == p2.read_bytes()
+
+
+@pytest.mark.parametrize("graph", [
+    [], None, {"vertices": "2", "edges": [[1, 2]]}, {"vertices": 2.5, "edges": []},
+    {"vertices": 2, "edges": 5}, {"vertices": 2, "edges": [None]},
+    {"vertices": 2, "edges": [[1, 2]], "orientation": 3},
+])
+def test_mistyped_graph_file_exits_4(tmp_path, graph):
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(graph))
+    assert run(["--graph", str(path), "roots", "1"]) == 4
+
+
+# Small, often malformed inputs for the fuzzers below.
+_junk = st.sampled_from([None, True, -1, 2.5, "2", "", [], {}, [None], [[1, 2, 3]]])
+_pairs = st.one_of(st.lists(st.lists(st.integers(0, 3), min_size=2, max_size=2), max_size=3),
+                   _junk)
+_graphs = st.one_of(
+    st.sampled_from([g.to_dict() for g in (a_n(2), a_n(3), affine_a1(), d4())]),
+    st.fixed_dictionaries({"vertices": st.one_of(st.integers(0, 3), _junk), "edges": _pairs},
+                          optional={"orientation": _pairs}),
+    _junk,
+)
+_sound_modules = [m.to_dict() for fld in (default_field(), RationalField())
+                  for m in veritas.random_corpus(a_n(2), 3, random.Random(0), fld)
+                  + [zero_module(affine_a1(), fld), simple(a_n(3), 2, field=fld)]]
+_entries = st.lists(st.sampled_from(["0", "1", "-1", "2/3", "1/0", "1/2/3", "x", "",
+                                     1, 0.5, None]), max_size=4)
+
+
+@st.composite
+def _modules(draw):
+    """A sound module file, with up to two of its fields replaced."""
+    data = json.loads(json.dumps(draw(st.sampled_from(_sound_modules))))
+    for _ in range(draw(st.integers(0, 2))):
+        key = draw(st.sampled_from(["graph", "field", "p", "dims", "arrows", "edge", "dir",
+                                    "drop"] + ["entries"] * 4))
+        arrows = data.get("arrows")
+        if key in ("graph", "dims", "arrows", "field"):
+            data[key] = draw(_graphs if key == "graph" else st.one_of(
+                _junk, st.lists(st.integers(-1, 2), max_size=3)))
+        elif key == "p" and isinstance(data.get("field"), dict):
+            data["field"] = {"kind": "prime", "p": draw(st.sampled_from([7, 4, -5, "7"]))}
+        elif key == "drop" and data:
+            del data[draw(st.sampled_from(sorted(data)))]
+        elif isinstance(arrows, list) and arrows and isinstance(arrows[0], dict):
+            arrows[draw(st.integers(0, len(arrows) - 1))][key] = draw(
+                _entries if key == "entries" else st.one_of(st.integers(-1, 2), _junk))
+    return data
+
+
+_fields = st.sampled_from(["rat", "prime", "prime:4294967311", "prime:2305843009213693951",
+                           "prime:7", "prime:4", "prime:x", "prime:-5", "float", "", "-x"])
+
+
+@settings(max_examples=60, deadline=None)
+@given(graph=_graphs, spec=_fields, word=st.lists(st.integers(-1, 3), max_size=4),
+       command=st.sampled_from(["roots", "modules M", "modules V", "modules N"]))
+def test_bad_graph_files_fields_and_words_map_to_exit_codes(tmp_path_factory, graph, spec,
+                                                            word, command):
+    path = tmp_path_factory.getbasetemp() / "fuzz-graph.json"
+    path.write_text(json.dumps(graph))
+    args = ["--graph", str(path), "--field", spec] + command.split()
+    assert run(args + [str(x) for x in word]) in {0, 1, 2, 3, 4}
+
+
+@settings(max_examples=60, deadline=None)
+@given(module=_modules(), spec=_fields,
+       word=st.lists(st.integers(-1, 3), min_size=1, max_size=3))
+def test_bad_module_files_map_to_exit_codes(tmp_path_factory, module, spec, word):
+    path = tmp_path_factory.getbasetemp() / "fuzz-module.json"
+    path.write_text(json.dumps(module))
+    args = ["--graph", str(GRAPHS / "a2.json"), "--field", spec, "extract", str(path)]
+    assert run(args + [str(x) for x in word]) in {0, 1, 2, 3, 4}

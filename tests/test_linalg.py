@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from nilcrystal.fields import PrimeField, RationalField, field_from_spec, field_size
 from nilcrystal.linalg import (
     Mat,
+    cokernel,
     col_basis,
-    extend_to_basis,
     hstack_all,
     kernel_vector,
     nullspace,
@@ -76,16 +76,21 @@ def test_mat_is_unhashable():
 
 
 @pytest.mark.parametrize("f", FIELDS)
-def test_extend_to_basis(f):
+def test_cokernel_projects_onto_a_unit_complement(f):
     rng = random.Random(3)
-    for _ in range(10):
-        m = rand_mat(f, 4, 2, rng)
-        b = col_basis(m)
-        e, t_inv = extend_to_basis(b)
-        t = b.hstack(e)
-        assert t.ncols == 4 and rank(t) == 4
-        prod = t_inv @ t
-        assert prod.rows == Mat.identity(f, 4).rows
+    cases = [rand_mat(f, 4, 2, rng) for _ in range(6)]  # full column rank
+    cases += [rand_mat(f, 5, 2, rng) @ rand_mat(f, 2, 4, rng) for _ in range(4)]
+    cases += [Mat.zero(f, 3, 2), Mat.zero(f, 3, 0), Mat.identity(f, 3), Mat.zero(f, 0, 2)]
+    for b in cases:
+        n = b.nrows
+        e, p = cokernel(b)
+        r = rank(b)
+        assert (e.nrows, e.ncols, p.nrows, p.ncols) == (n, n - r, n - r, n)
+        assert (p @ b).is_zero()
+        assert (p @ e).rows == Mat.identity(f, n - r).rows
+        for col in e.transpose().rows:  # unit columns
+            assert sorted(col) == [f.zero] * (n - 1) + [f.one]
+        assert rank(b.hstack(e)) == n
 
 
 def test_zero_dim_matrices():

@@ -247,3 +247,30 @@ def test_transitions_report_a_cross_model_mismatch(monkeypatch):
                          "got": (9, 9, 9)}
     assert r.details == {"pairs_checked": 6, "samples": 6, "sampling_misses": 1}
     assert r.confidence is not None
+
+
+def test_every_check_that_did_no_work_is_a_vacuous_pass_that_says_why():
+    rng = random.Random(0)
+    reports = [
+        veritas.check_modules(a_n(2), 0),
+        veritas.check_modules(a_n(2), -1),
+        veritas.check_reflection_contracts(a_n(2), -3, rng),
+        veritas.check_reflection_contracts(a_n(3), 0, rng),
+        veritas.check_cross_model(a_n(2), WeylWord((1, 2, 1)), 1, 0, rng),
+        veritas.check_transitions(a_n(2), WeylWord((1, 2, 1)), 1, rng, samples=0),
+        veritas.check_transitions(affine_a1(), WeylWord((1, 2, 1)), 1, rng),
+    ]
+    for r in reports:
+        assert r.outcome == "vacuous-pass" and r.passed and not r.witness
+        assert r.details["warning"]
+    assert reports[0].details == {"words_checked": 0,
+                                  "warning": "nothing was checked: words_checked is 0"}
+    assert reports[2].details == reports[3].details == {"warning": "empty corpus"}
+
+
+def test_modules_checks_the_cartan_matrix_once(monkeypatch):
+    calls = []
+    real = veritas._cartan_invertible
+    monkeypatch.setattr(veritas, "_cartan_invertible", lambda g: calls.append(g) or real(g))
+    assert veritas.check_modules(a_n(3), 3, rng=random.Random(2)).passed
+    assert calls == [a_n(3)]
