@@ -11,7 +11,6 @@ from nilcrystal.fields import PrimeField, RationalField, field_from_spec, field_
 from nilcrystal.linalg import (
     Mat,
     cokernel,
-    col_basis,
     hstack_all,
     kernel_vector,
     nullspace,
