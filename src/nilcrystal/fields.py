@@ -146,6 +146,8 @@ class PrimeField:
         return str(a)
 
     def from_str(self, s):
+        if not isinstance(s, str):  # int(1.9) would truncate, int(True) is 1
+            raise TypeError(f"a field entry must be a string, got {s!r}")
         return int(s) % self.p
 
     def __eq__(self, other):

@@ -7,10 +7,12 @@ belong to the field (`matmul`, `scale_vec` and the elimination steps); this
 module holds the one Gaussian elimination that every solve, rank and
 nullspace shares, and turns its RREF into kernel vectors (`nullspace`,
 `kernel_vector`) and, from one elimination of [b | I], into a cokernel
-(`cokernel`). Over the rationals, products and eliminations run on
-integers over common denominators, with one Fraction built per output
-entry. A `Mat` trusts its shape: `PModule.from_dict` counts the entries
-of rows from outside, and the stacks raise `ValueError` on a mismatch.
+(`cokernel`). `block_diag` is the one block-diagonal builder: direct sums
+and a morphism's action on an incoming assembly use it. Over the
+rationals, products and eliminations run on integers over common
+denominators, with one Fraction built per output entry. A `Mat` trusts
+its shape: `PModule.from_dict` counts the entries of rows from outside,
+and the stacks raise `ValueError` on a mismatch.
 """
 
 from itertools import chain
@@ -71,18 +73,6 @@ class Mat:
         if self.nrows == 0:
             return Mat(self.field, self.ncols, 0, [[] for _ in range(self.ncols)])
         return Mat(self.field, self.ncols, self.nrows, [list(c) for c in zip(*self.rows)])
-
-    def add(self, other):
-        f = self.field
-        return Mat(
-            f,
-            self.nrows,
-            self.ncols,
-            [
-                [f.add(a, b) for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.rows, other.rows)
-            ],
-        )
 
     def neg(self):
         f = self.field
@@ -150,6 +140,21 @@ def vstack_all(field, mats, ncols):
         raise ValueError("column count mismatch in vstack")
     rows = [list(r) for m in mats for r in m.rows]
     return Mat(field, len(rows), ncols, rows)
+
+
+def block_diag(field, mats):
+    """The block-diagonal matrix with the blocks mats, top left first."""
+    z = field.zero
+    width = sum(m.ncols for m in mats)
+    rows, left = [], 0
+    for m in mats:
+        right = left + m.ncols
+        for r in m.rows:
+            row = [z] * width
+            row[left:right] = r
+            rows.append(row)
+        left = right
+    return Mat(field, len(rows), width, rows)
 
 
 def rref(m):

@@ -6,6 +6,9 @@ forward functor replaces the space at i by ker(in), the backward one by
 coker(out), each with a twisted structure map built from -(out . in). The
 cokernel is one elimination (`linalg.cokernel`): it gives the projection
 onto coker(out) and the unit columns that it maps to the identity.
+`_forward` and `_backward` return the reflected module together with that
+kernel inclusion or cokernel data, so the functors on morphisms reflect
+each end once and reuse what its reflection computed.
 The twist sign is a parameter only so the harness can demonstrate that the
 flipped convention breaks the contracts; production code never passes it.
 The real functors (twist 1) preserve nilpotent modules (Baumann-Kamnitzer,
@@ -15,63 +18,59 @@ a twisted result gets the full check, nilpotency included.
 """
 
 from ..errors import InternalRelationFailure
-from ..linalg import Mat, cokernel, nullspace, solve
+from ..linalg import block_diag, cokernel, nullspace, solve
 from .module import ModuleMap, PModule, arrows_into
+
+
+def _replace_at(i, m, new_in, new_out, twist, which):
+    """m with the space at i replaced: new_in (new x total-in) holds the
+    signed incoming blocks, new_out (total-in x new) the outgoing ones."""
+    g = m.graph
+    slices = m.in_block_slices(i)
+    maps = dict(m.maps)
+    dims = list(m.dims)
+    dims[i - 1] = new_in.nrows
+    for a in arrows_into(g, i):
+        lo, hi = slices[(a.edge, a.dir)]
+        # New incoming component carries the sign back out of the assembly.
+        blk_in = new_in.col_slice(lo, hi)
+        maps[(a.edge, a.dir)] = blk_in if a.sign > 0 else blk_in.neg()
+        maps[(a.edge, -a.dir)] = new_out.row_slice(lo, hi)
+    build = PModule._derived if twist == 1 else PModule
+    try:
+        return build(g, m.field, dims, maps)
+    except InternalRelationFailure as exc:
+        raise InternalRelationFailure(f"{which} reflection at {i} broke relations: {exc}") from exc
+
+
+def _forward(i, m, twist):
+    """The forward reflection and the inclusion k of its new space ker(in)."""
+    in_i, out_i = m.in_map(i), m.out_map(i)
+    k = nullspace(in_i)  # total-in x newdim, columns span ker(in)
+    # incl . c = twist * out . in, well-defined since in . out = 0.
+    c = solve(k, (out_i @ in_i).scale(m.field.of_int(twist)))
+    if c is None:
+        raise InternalRelationFailure("twisted map does not land in the kernel")
+    return _replace_at(i, m, c, k, twist, "forward"), k
+
+
+def _backward(i, m, twist):
+    """The backward reflection, with the cokernel (e, projection) of out."""
+    in_i, out_i = m.in_map(i), m.out_map(i)
+    e, proj = cokernel(out_i)
+    # Induced map coker -> total-in from twist * out . in (kills image(out)).
+    induced = (out_i @ in_i).scale(m.field.of_int(twist)) @ e
+    return _replace_at(i, m, proj, induced, twist, "backward"), e, proj
 
 
 def sigma(i, m, twist=1):
     """Forward reflection at i: new space ker(in), outgoing = inclusion."""
-    g, f = m.graph, m.field
-    in_i = m.in_map(i)
-    out_i = m.out_map(i)
-    slices = m.in_block_slices(i)
-    k = nullspace(in_i)  # total-in x newdim, columns span ker(in)
-    new_dim = k.ncols
-    # incl . c = twist * out . in, well-defined since in . out = 0.
-    rhs = (out_i @ in_i).scale(f.of_int(twist))
-    c = solve(k, rhs)
-    if c is None:
-        raise InternalRelationFailure("twisted map does not land in the kernel")
-    maps = dict(m.maps)
-    dims = list(m.dims)
-    dims[i - 1] = new_dim
-    for a in arrows_into(g, i):
-        lo, hi = slices[(a.edge, a.dir)]
-        # New incoming component carries the sign back out of the assembly.
-        blk_in = c.col_slice(lo, hi)
-        maps[(a.edge, a.dir)] = blk_in if a.sign > 0 else blk_in.neg()
-        # New outgoing component is the inclusion block.
-        maps[(a.edge, -a.dir)] = k.row_slice(lo, hi)
-    build = PModule._derived if twist == 1 else PModule
-    try:
-        return build(g, f, dims, maps)
-    except InternalRelationFailure as exc:
-        raise InternalRelationFailure(f"forward reflection at {i} broke relations: {exc}") from exc
+    return _forward(i, m, twist)[0]
 
 
 def sigma_star(i, m, twist=1):
     """Backward reflection at i: new space coker(out), incoming = projection."""
-    g, f = m.graph, m.field
-    in_i = m.in_map(i)
-    out_i = m.out_map(i)
-    slices = m.in_block_slices(i)
-    e, proj = cokernel(out_i)
-    new_dim = proj.nrows
-    # Induced map coker -> total-in from twist * out . in (kills image(out)).
-    induced = (out_i @ in_i).scale(f.of_int(twist)) @ e
-    maps = dict(m.maps)
-    dims = list(m.dims)
-    dims[i - 1] = new_dim
-    for a in arrows_into(g, i):
-        lo, hi = slices[(a.edge, a.dir)]
-        blk_in = proj.col_slice(lo, hi)
-        maps[(a.edge, a.dir)] = blk_in if a.sign > 0 else blk_in.neg()
-        maps[(a.edge, -a.dir)] = induced.row_slice(lo, hi)
-    build = PModule._derived if twist == 1 else PModule
-    try:
-        return build(g, f, dims, maps)
-    except InternalRelationFailure as exc:
-        raise InternalRelationFailure(f"backward reflection at {i} broke relations: {exc}") from exc
+    return _backward(i, m, twist)[0]
 
 
 def sigma_word(word, m, twist=1):
@@ -81,42 +80,26 @@ def sigma_word(word, m, twist=1):
     return m
 
 
-def _assembled_block_diag(i, f_map, total_src):
+def _on_assembly(i, f_map):
     """Block-diagonal action of a morphism on the incoming assembly at i."""
     m = f_map.source
-    z = m.field.zero
-    slices_m = m.in_block_slices(i)
-    rows = []
-    for a in arrows_into(m.graph, i):
-        lo, hi = slices_m[(a.edge, a.dir)]
-        for r in f_map.mat_at(a.src).rows:
-            rows.append([z] * lo + list(r) + [z] * (total_src - hi))
-    return Mat(m.field, len(rows), total_src, rows)
+    return block_diag(m.field, [f_map.mat_at(a.src) for a in arrows_into(m.graph, i)])
 
 
 def sigma_on_map(i, f_map, twist=1):
     """The forward functor applied to a morphism."""
-    m, n = f_map.source, f_map.target
-    sm, sn = sigma(i, m, twist=twist), sigma(i, n, twist=twist)
-    km, kn = nullspace(m.in_map(i)), nullspace(n.in_map(i))
+    sm, km = _forward(i, f_map.source, twist)
+    sn, kn = _forward(i, f_map.target, twist)
     # Block-diagonal action on the incoming assemblies restricts to kernels.
-    big = _assembled_block_diag(i, f_map, km.nrows)
-    restricted = solve(kn, big @ km)
+    restricted = solve(kn, _on_assembly(i, f_map) @ km)
     if restricted is None:
         raise InternalRelationFailure("morphism does not restrict to kernels")
-    mats = list(f_map.mats)
-    mats[i - 1] = restricted
-    return ModuleMap(sm, sn, mats)
+    return ModuleMap(sm, sn, f_map.mats[:i - 1] + (restricted,) + f_map.mats[i:])
 
 
 def sigma_star_on_map(i, f_map, twist=1):
     """The backward functor applied to a morphism."""
-    m, n = f_map.source, f_map.target
-    sm, sn = sigma_star(i, m, twist=twist), sigma_star(i, n, twist=twist)
-    em, proj_m = cokernel(m.out_map(i))
-    _, proj_n = cokernel(n.out_map(i))
-    big = _assembled_block_diag(i, f_map, proj_m.ncols)
-    induced = proj_n @ big @ em
-    mats = list(f_map.mats)
-    mats[i - 1] = induced
-    return ModuleMap(sm, sn, mats)
+    sm, em, _ = _backward(i, f_map.source, twist)
+    sn, _, proj_n = _backward(i, f_map.target, twist)
+    induced = proj_n @ _on_assembly(i, f_map) @ em
+    return ModuleMap(sm, sn, f_map.mats[:i - 1] + (induced,) + f_map.mats[i:])

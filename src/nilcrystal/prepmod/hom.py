@@ -1,5 +1,8 @@
 """Morphism spaces by exact linear solve, and randomized iso testing.
 
+The system of a morphism space is written row by row in slices, and a
+random morphism is one product per vertex: the row of coefficients times
+the flattened basis matrices.
 Isomorphism testing samples random elements of the morphism space and
 checks invertibility vertex by vertex. Invertible morphisms form the
 nonvanishing locus of a determinant polynomial of degree at most the
@@ -17,8 +20,19 @@ from .module import ModuleMap, arrows_of
 DEFAULT_CONFIDENCE_BITS = 40
 
 
+def _reshape(f, flat, nr, nc):
+    """The nr x nc matrix whose rows, read in order, make up flat."""
+    return Mat(f, nr, nc, [flat[r * nc:(r + 1) * nc] for r in range(nr)])
+
+
 def hom_space(m, n):
-    """A basis of the space of morphisms m -> n, as ModuleMaps."""
+    """A basis of the space of morphisms m -> n, as ModuleMaps.
+
+    The unknowns are the entries of every f_i, row by row. Each equation
+    (f_tgt . M_a)[r][b] = (N_a . f_src)[r][b] is written as two slices: a
+    column of M_a into row r of f_tgt, and -(row r of N_a) into column b of
+    f_src. There are no loops, so the two blocks never overlap.
+    """
     if m.graph != n.graph:
         raise ValueError("morphism spaces need a common graph")
     f = m.field
@@ -27,58 +41,42 @@ def hom_space(m, n):
     for i in m.graph.vertices():
         offsets.append(total)
         total += n.dim_at(i) * m.dim_at(i)
-
-    def var(i, r, c):
-        return offsets[i - 1] + r * m.dim_at(i) + c
-
     rows = []
     for a in arrows_of(m.graph):
-        ma, na = m.arrow_map(a), n.arrow_map(a)
-        src, tgt = a.src, a.tgt
-        for r in range(n.dim_at(tgt)):
-            for b in range(m.dim_at(src)):
+        mt, ms, ns = m.dim_at(a.tgt), m.dim_at(a.src), n.dim_at(a.src)
+        src_end = offsets[a.src - 1] + ns * ms
+        ma_cols = m.arrow_map(a).transpose().rows
+        for r, neg_na_row in enumerate(n.arrow_map(a).neg().rows):
+            lo = offsets[a.tgt - 1] + r * mt
+            for b, ma_col in enumerate(ma_cols):
                 row = [f.zero] * total
-                # (f_tgt . M_a)[r][b] - (N_a . f_src)[r][b] = 0
-                for c in range(m.dim_at(tgt)):
-                    row[var(tgt, r, c)] = f.add(row[var(tgt, r, c)], ma.rows[c][b])
-                for c in range(n.dim_at(src)):
-                    row[var(src, c, b)] = f.sub(row[var(src, c, b)], na.rows[r][c])
+                row[lo:lo + mt] = ma_col
+                row[offsets[a.src - 1] + b:src_end:ms] = neg_na_row
                 rows.append(row)
-    system = Mat(f, len(rows), total, rows)
-    basis_cols = nullspace(system)
+    basis = nullspace(Mat(f, len(rows), total, rows)).transpose().rows
     out = []
-    for j in range(basis_cols.ncols):
+    for vec in basis:
         mats = []
         for i in m.graph.vertices():
-            nr, nc = n.dim_at(i), m.dim_at(i)
-            off = offsets[i - 1]
-            mats.append(
-                Mat(
-                    f,
-                    nr,
-                    nc,
-                    [
-                        [basis_cols.rows[off + r * nc + c][j] for c in range(nc)]
-                        for r in range(nr)
-                    ],
-                )
-            )
+            nr, nc, off = n.dim_at(i), m.dim_at(i), offsets[i - 1]
+            mats.append(_reshape(f, vec[off:off + nr * nc], nr, nc))
         out.append(ModuleMap(m, n, mats, check=False))
     return out
 
 
 def random_hom(basis, rng):
-    """A random field combination of a morphism basis."""
+    """A random field combination of a morphism basis: at each vertex, one
+    product of the coefficient row with the flattened basis matrices."""
     if not basis:
         return None
     f = basis[0].source.field
     coeffs = [f.random(rng) for _ in basis]
     mats = []
     for i in basis[0].source.graph.vertices():
-        acc = Mat.zero(f, basis[0].target.dim_at(i), basis[0].source.dim_at(i))
-        for c, b in zip(coeffs, basis):
-            acc = acc.add(b.mat_at(i).scale(c))
-        mats.append(acc)
+        nr, nc = basis[0].target.dim_at(i), basis[0].source.dim_at(i)
+        flat_t = zip(*([x for r in b.mat_at(i).rows for x in r] for b in basis))
+        (flat,) = f.matmul([coeffs], list(flat_t))
+        mats.append(_reshape(f, flat, nr, nc))
     return ModuleMap(basis[0].source, basis[0].target, mats, check=False)
 
 

@@ -9,7 +9,7 @@ by transposing the left-multiplication matrices on paths.
 
 from ..errors import CapExceeded
 from ..linalg import Mat, rref
-from .module import PModule, arrows_of
+from .module import PModule, arrows_into, arrows_of, arrows_out_of
 
 MAX_DEGREE = 64
 # Walk counts in finite type stay far below this before the basis empties;
@@ -23,7 +23,8 @@ class _GradedQuotient:
     def __init__(self, g, field):
         self.g = g
         self.field = field
-        self.arrows = arrows_of(g)
+        # (edge, dir) -> the vertex that arrow ends at
+        self.ends = {(a.edge, a.dir): a.tgt for a in arrows_of(g)}
         # degree -> (paths, index_of, reducer); a path is (start, arrows...)
         self.degrees = []
         self._build()
@@ -32,20 +33,11 @@ class _GradedQuotient:
         """Every path of length d, each one of degree d - 1 extended."""
         if d == 0:
             return [(v,) for v in self.g.vertices()]
-        out = []
-        for p in self.degrees[d - 1][0]:
-            end = self._path_end(p)
-            for a in self.arrows:
-                if a.src == end:
-                    out.append(p + ((a.edge, a.dir),))
-        return out
+        return [p + ((a.edge, a.dir),) for p in self.degrees[d - 1][0]
+                for a in arrows_out_of(self.g, self._path_end(p))]
 
     def _path_end(self, p):
-        if len(p) == 1:
-            return p[0]
-        e, dr = p[-1]
-        a = next(x for x in self.arrows if x.edge == e and x.dir == dr)
-        return a.tgt
+        return p[0] if len(p) == 1 else self.ends[p[-1]]
 
     def _build(self):
         f = self.field
@@ -70,9 +62,7 @@ class _GradedQuotient:
                         at = self._path_end(base[: cut + 1])
                         vec = [f.zero] * len(paths)
                         any_term = False
-                        for a in self.arrows:
-                            if a.tgt != at:
-                                continue
+                        for a in arrows_into(self.g, at):
                             ins = ((a.edge, -a.dir), (a.edge, a.dir))
                             cand = (base[0],) + base[1 : cut + 1] + ins + base[cut + 1 :]
                             if cand in index_of:

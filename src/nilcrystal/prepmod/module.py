@@ -16,6 +16,7 @@ from ..errors import InternalRelationFailure, InvalidModuleFile
 from ..fields import PrimeField, RationalField, default_field
 from ..linalg import (
     Mat,
+    block_diag,
     cokernel,
     col_basis,
     hstack_all,
@@ -302,10 +303,6 @@ class ModuleMap:
     def kernel(self):
         return Submodule(self.source, [nullspace(m) for m in self.mats])
 
-    @staticmethod
-    def identity(m):
-        return ModuleMap(m, m, [Mat.identity(m.field, d) for d in m.dims], check=False)
-
 
 class Submodule:
     """Per-vertex subspace bases (columns), closed under every arrow."""
@@ -387,16 +384,7 @@ def semisimple(g, mults, field=None):
 
 def _block_sum(g, f, ms):
     """The direct sum of the modules ms over g, each map block-diagonal."""
-    z = f.zero
-    maps = {}
-    for a in arrows_of(g):
-        blocks = [m.arrow_map(a) for m in ms]
-        width = sum(b.ncols for b in blocks)
-        rows, left = [], 0
-        for b in blocks:
-            rows += [[z] * left + r + [z] * (width - left - b.ncols) for r in b.rows]
-            left += b.ncols
-        maps[(a.edge, a.dir)] = Mat(f, len(rows), width, rows)
+    maps = {(a.edge, a.dir): block_diag(f, [m.arrow_map(a) for m in ms]) for a in arrows_of(g)}
     dims = tuple(sum(m.dims[i] for m in ms) for i in range(g.n))
     return PModule(g, f, dims, maps, check=False)
 

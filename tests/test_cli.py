@@ -133,6 +133,16 @@ def test_extract_zero_denominator_exits_3(tmp_path):
     assert run(["--graph", gpath, "extract", mpath, "1"]) == 3
 
 
+@pytest.mark.parametrize("entry", [1.9, True], ids=["float", "bool"])
+def test_extract_non_string_prime_entry_exits_3(tmp_path, capsys, entry):
+    # Over F_p as over Q, an entry must be a string: int() would read 1.9
+    # and true as 1.
+    gpath, mpath = _module_file(tmp_path, a_n(2), [1, 1], [
+        {"edge": 0, "dir": 1, "entries": [entry]}, {"edge": 0, "dir": -1, "entries": ["0"]}])
+    assert run(["--graph", gpath, "extract", mpath, "1"]) == 3
+    assert "must be a string" in capsys.readouterr().err
+
+
 def test_extract_non_nilpotent_exits_3(tmp_path, capsys):
     # x0 y0 + x1 y1 = 1 - 1 = 0 holds at both vertices, but y0 x0 = 1 is an
     # invertible cycle, so no power of the radical vanishes.

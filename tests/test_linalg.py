@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from nilcrystal.fields import PrimeField, RationalField, field_from_spec, field_size
 from nilcrystal.linalg import (
     Mat,
+    block_diag,
     cokernel,
     hstack_all,
     kernel_vector,
@@ -377,6 +378,21 @@ def test_stacks_match_pairwise_stacking():
         hstack_all(f, [rand_mat(f, 2, 1, rng)], 3)
     with pytest.raises(ValueError):
         vstack_all(f, [rand_mat(f, 2, 1, rng)], 3)
+
+
+def test_block_diag_matches_pairwise_stacking():
+    f = PrimeField(997)
+    rng = random.Random(23)
+    shapes = [(2, 3), (0, 2), (1, 0), (0, 0), (2, 2)]
+    blocks = [rand_mat(f, r, c, rng) for r, c in shapes]
+    folded = Mat(f, 0, 0, [])
+    for b in blocks:
+        top = folded.hstack(Mat.zero(f, folded.nrows, b.ncols))
+        folded = top.vstack(Mat.zero(f, b.nrows, folded.ncols).hstack(b))
+    assert (folded.nrows, folded.ncols) == (5, 7)
+    assert block_diag(f, blocks) == folded
+    assert block_diag(f, []) == Mat(f, 0, 0, [])
+    assert block_diag(f, [rand_mat(f, 0, 2, rng), rand_mat(f, 3, 0, rng)]) == Mat.zero(f, 3, 2)
 
 
 # sha256 of the JSON of one stratum sample over each field; the values were

@@ -10,6 +10,7 @@ from nilcrystal.errors import (
     NotInGenericStratum,
 )
 from nilcrystal.fields import PrimeField, RationalField, default_field
+from nilcrystal.linalg import Mat
 from nilcrystal.prepmod import families, hom
 from nilcrystal.prepmod import (
     ModuleMap,
@@ -31,10 +32,13 @@ from nilcrystal.prepmod import (
     n_module,
     quotient,
     random_extension,
+    random_hom,
     retry_budget,
     semisimple,
     sigma,
+    sigma_on_map,
     sigma_star,
+    sigma_star_on_map,
     sigma_word,
     simple,
     soc_chain,
@@ -563,3 +567,68 @@ def test_twisted_reflection_checks_nilpotency(monkeypatch):
     for reflect in (sigma, sigma_star):
         with pytest.raises(InternalRelationFailure, match="not nilpotent"):
             reflect(1, m, twist=-1)
+
+
+def _compose(h, g):
+    """h after g, vertex by vertex."""
+    return ModuleMap(g.source, h.target, [x @ y for x, y in zip(h.mats, g.mats)], check=False)
+
+
+@pytest.mark.parametrize("f", [F, RationalField()], ids=["prime", "rat"])
+@pytest.mark.parametrize("g", [a_n(3), d4(), affine_a1()], ids=["A3", "D4", "affA1"])
+def test_functors_on_maps_keep_identities_and_composition(g, f):
+    rng = random.Random(8)
+    checked = 0
+    for m in veritas.random_corpus(g, 4, rng, f, max_total_dim=6):
+        basis = hom_space(m, m)
+        one = ModuleMap(m, m, [Mat.identity(f, d) for d in m.dims])
+        gm, hm = random_hom(basis, rng), random_hom(basis, rng)
+        for i in g.vertices():
+            for functor in (sigma_on_map, sigma_star_on_map):
+                f_one = functor(i, one)
+                assert [x.rows for x in f_one.mats] == [
+                    Mat.identity(f, d).rows for d in f_one.source.dims]
+                f_g, f_h = functor(i, gm), functor(i, hm)
+                f_hg = functor(i, _compose(hm, gm))
+                assert [x.rows for x in f_hg.mats] == [
+                    x.rows for x in _compose(f_h, f_g).mats]
+                checked += 1
+    assert checked == 4 * g.n * 2
+
+
+@pytest.mark.parametrize("f", [F, RationalField()], ids=["prime", "rat"])
+@pytest.mark.parametrize("g", [a_n(3), d4(), affine_a1()], ids=["A3", "D4", "affA1"])
+def test_hom_space_bases_commute_and_add_up_over_direct_sums(g, f):
+    rng = random.Random(9)
+    corpus = veritas.random_corpus(g, 4, rng, f, max_total_dim=6)
+    for m in corpus:
+        for k in corpus:
+            basis = hom_space(m, k)
+            for h in basis:
+                ModuleMap(m, k, h.mats, check=True)
+            # A wrong stride in the unknowns of f_src would break additivity.
+            assert len(hom_space(m, direct_sum(m, k))) == len(hom_space(m, m)) + len(basis)
+            assert len(hom_space(direct_sum(m, k), k)) == len(hom_space(m, k)) + len(
+                hom_space(k, k))
+
+
+@pytest.mark.parametrize("f", [F, RationalField()], ids=["prime", "rat"])
+def test_random_hom_is_the_combination_of_its_draws(f):
+    rng = random.Random(10)
+    corpus = veritas.random_corpus(d4(), 4, rng, f, max_total_dim=6)
+    for m in corpus:
+        for n in corpus:
+            basis = hom_space(m, n)
+            if not basis:
+                assert random_hom(basis, rng) is None
+                continue
+            state = rng.getstate()
+            got = random_hom(basis, rng)
+            rng.setstate(state)
+            coeffs = [f.random(rng) for _ in basis]
+            for i in d4().vertices():
+                want = [[f.zero] * m.dim_at(i) for _ in range(n.dim_at(i))]
+                for c, b in zip(coeffs, basis):
+                    want = [[f.add(x, f.mul(c, y)) for x, y in zip(r, br)]
+                            for r, br in zip(want, b.mat_at(i).rows)]
+                assert got.mat_at(i).rows == want
