@@ -259,6 +259,8 @@ def cmd_verify(args, g):
             else:
                 marker = "FAIL (mutation not detected)"
                 ok = False
+        elif r.outcome == "vacuous-pass":  # passed, with the reason it checked nothing
+            marker = f"VACUOUS ({r.details['warning']})"
         else:
             marker = "PASS" if r.passed else "FAIL"
             ok = ok and r.passed

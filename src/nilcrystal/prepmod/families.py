@@ -9,7 +9,7 @@ vectors realize the beta-sequence of the word.
 
 import functools
 
-from ..errors import InvalidVertex, NoEmbeddingFound, NonReducedWord
+from ..errors import InternalRelationFailure, InvalidVertex, NoEmbeddingFound, NonReducedWord
 from ..fields import RationalField, default_field
 from ..linalg import Mat, is_invertible, solve
 from ..rootsys import (
@@ -21,7 +21,7 @@ from ..rootsys import (
     is_reduced,
 )
 from .hom import find_injective_hom
-from .module import PModule, Submodule, arrows_of, quotient, semisimple, zero_module
+from .module import PModule, arrows_of, arrows_out_of, quotient, semisimple, zero_module
 from .functors import sigma
 
 # Bound on the reflection memo, in modules. The largest working set of the
@@ -53,8 +53,9 @@ def _reflected(g, field, dims, letters):
     """The semisimple module `dims` over g, reflected along `letters`.
 
     Letters act first to last. Built from the memoized module of
-    letters[:-1], so words sharing a prefix share its modules; each module
-    is still validated in full by `sigma` when it is first built. Callers
+    letters[:-1], so words sharing a prefix share its modules. `sigma`
+    checks only the shapes of each module it builds; the relations of the
+    functors are checked by `veritas.check_reflection_contracts`. Callers
     must not mutate the result.
     """
     if not letters:
@@ -70,30 +71,25 @@ def n_hat(g, w, lam, field=None):
     return _reflected(hat_graph(g), field or default_field(), dims, w.letters)
 
 
-def _primed_part(m, g):
-    """The full primed-vertex subspace as a submodule of a hat-graph module."""
-    f = m.field
-    bases = []
-    for j in range(1, 2 * g.n + 1):
-        d = m.dim_at(j)
-        bases.append(Mat.identity(f, d) if j > g.n else Mat.zero(f, d, 0))
-    return Submodule(m, bases)
-
-
 def restrict_to_unprimed(m, g):
-    """Reinterpret a hat-graph module with zero primed dims over g itself."""
-    assert all(m.dim_at(g.n + i) == 0 for i in g.vertices())
-    maps = {}
-    for a in arrows_of(g):
-        maps[(a.edge, a.dir)] = m.maps[(a.edge, a.dir)]
+    """The quotient of a hat-graph module by its primed part, as a module over g.
+
+    The primed part is a submodule exactly when every map out of a primed
+    vertex is zero, and then the quotient is the restriction to the
+    unprimed vertices. That closure is a claim of the theory, so it is
+    checked here, and a nonzero map raises InternalRelationFailure.
+    """
+    for i in g.vertices():
+        for a in arrows_out_of(m.graph, g.n + i):
+            if not m.arrow_map(a).is_zero():
+                raise InternalRelationFailure(f"the primed part is not closed under arrow {a}")
+    maps = {(a.edge, a.dir): m.arrow_map(a) for a in arrows_of(g)}
     return PModule(g, m.field, m.dims[: g.n], maps, check=False)
 
 
 def n_module(g, w, lam, field=None):
     """Quotient of the hatted reflection module by its primed part."""
-    nh = n_hat(g, w, lam, field=field)
-    q, _ = quotient(nh, _primed_part(nh, g))
-    return restrict_to_unprimed(q, g)
+    return restrict_to_unprimed(n_hat(g, w, lam, field=field), g)
 
 
 def v_module(g, w, k, field=None):

@@ -36,9 +36,8 @@ def _replace_at(i, m, new_in, new_out, twist, which):
         blk_in = new_in.col_slice(lo, hi)
         maps[(a.edge, a.dir)] = blk_in if a.sign > 0 else blk_in.neg()
         maps[(a.edge, -a.dir)] = new_out.row_slice(lo, hi)
-    build = PModule._derived if twist == 1 else PModule
     try:
-        return build(g, m.field, dims, maps)
+        return PModule(g, m.field, dims, maps, check=twist != 1)
     except InternalRelationFailure as exc:
         raise InternalRelationFailure(f"{which} reflection at {i} broke relations: {exc}") from exc
 

@@ -80,8 +80,8 @@ def random_hom(basis, rng):
     return ModuleMap(basis[0].source, basis[0].target, mats, check=False)
 
 
-def retry_budget(field, total_dim, confidence_bits=DEFAULT_CONFIDENCE_BITS):
-    """Samples needed so (d/q)^t <= 2^-confidence_bits.
+def retry_budget(field, total_dim):
+    """Samples needed so (d/q)^t <= 2^-DEFAULT_CONFIDENCE_BITS.
 
     q is the size of the set the field samples from, which is finite even
     for the rationals.
@@ -91,7 +91,7 @@ def retry_budget(field, total_dim, confidence_bits=DEFAULT_CONFIDENCE_BITS):
     if q <= d:
         raise ValueError("field too small for the requested confidence")
     per_sample_bits = math.log2(q / d)
-    return max(1, math.ceil(confidence_bits / per_sample_bits))
+    return max(1, math.ceil(DEFAULT_CONFIDENCE_BITS / per_sample_bits))
 
 
 def _zero_map(m, n):
@@ -112,7 +112,7 @@ def _search(m, n, basis, rng, predicate, tries):
     return None
 
 
-def find_iso(m, n, rng=None, confidence_bits=DEFAULT_CONFIDENCE_BITS):
+def find_iso(m, n, rng=None):
     """An explicit isomorphism witness, or None (probabilistically)."""
     if m.graph != n.graph:
         raise ValueError("isomorphism testing needs a common graph")
@@ -120,13 +120,13 @@ def find_iso(m, n, rng=None, confidence_bits=DEFAULT_CONFIDENCE_BITS):
         return None
     rng = rng or random.Random(0)
     basis = hom_space(m, n)
-    tries = retry_budget(m.field, m.total_dim, confidence_bits)
+    tries = retry_budget(m.field, m.total_dim)
     return _search(m, n, basis, rng, lambda h: h.is_isomorphism(), tries)
 
 
-def is_iso(m, n, rng=None, confidence_bits=DEFAULT_CONFIDENCE_BITS):
+def is_iso(m, n, rng=None):
     """Randomized isomorphism test; False on unequal dims is certain."""
-    return find_iso(m, n, rng=rng, confidence_bits=confidence_bits) is not None
+    return find_iso(m, n, rng=rng) is not None
 
 
 def find_injective_hom(m, n, rng=None):

@@ -68,7 +68,11 @@ class PModule:
     """A representation of the double quiver satisfying the signed relations.
 
     Immutable after construction. `dims` is a tuple indexed by vertex - 1;
-    `maps` is keyed by (edge_index, direction).
+    `maps` is keyed by (edge_index, direction); a missing arrow gets the
+    zero map. Shapes are always checked. `check=False` skips the relations
+    and nilpotency, for a module made by an operation that keeps both: the
+    twist-1 functors, `random_extension`, quotients, submodules and
+    restrictions.
     """
 
     def __init__(self, graph, field, dims, maps, check=True):
@@ -78,8 +82,14 @@ class PModule:
         self.maps = dict(maps)
         for a in arrows_of(graph):
             key = (a.edge, a.dir)
-            if key not in self.maps:
-                self.maps[key] = Mat.zero(field, self.dims[a.tgt - 1], self.dims[a.src - 1])
+            want = (self.dims[a.tgt - 1], self.dims[a.src - 1])
+            m = self.maps.get(key)
+            if m is None:
+                self.maps[key] = Mat.zero(field, *want)
+            elif (m.nrows, m.ncols) != want:
+                raise InternalRelationFailure(
+                    f"arrow {a} has shape {(m.nrows, m.ncols)}, expected {want}"
+                )
         if check:
             self.validate()
 
@@ -104,29 +114,7 @@ class PModule:
         """
         return self.in_map(i) @ self.out_map(i)
 
-    @classmethod
-    def _derived(cls, graph, field, dims, maps):
-        """A module built by an operation that keeps the relations and
-        nilpotency, so only shapes are checked. `sigma`/`sigma_star` at
-        twist 1 are functors (`veritas.check_reflection_contracts` checks
-        their relations), `random_extension`'s blocks solve the relations,
-        and `quotient` and `Submodule.as_module` induce or restrict maps.
-        """
-        m = cls(graph, field, dims, maps, check=False)
-        m._check_shapes()
-        return m
-
-    def _check_shapes(self):
-        for a in arrows_of(self.graph):
-            m = self.arrow_map(a)
-            want = (self.dims[a.tgt - 1], self.dims[a.src - 1])
-            if (m.nrows, m.ncols) != want:
-                raise InternalRelationFailure(
-                    f"arrow {a} has shape {(m.nrows, m.ncols)}, expected {want}"
-                )
-
     def validate(self, *, _nilpotency=True):
-        self._check_shapes()
         for i in self.graph.vertices():
             if not self.relation_at(i).is_zero():
                 raise InternalRelationFailure(f"relation fails at vertex {i}")
@@ -153,7 +141,7 @@ class PModule:
 
     # -- assembled boundary maps at a vertex ---------------------------
 
-    def in_map(self, i, signed=True):
+    def in_map(self, i):
         """Signed block row (sum of incoming spaces) -> M_i.
 
         Block order follows arrows_into; the relation says this composed
@@ -162,7 +150,7 @@ class PModule:
         blocks = []
         for a in arrows_into(self.graph, i):
             m = self.arrow_map(a)
-            blocks.append(m if (a.sign > 0 or not signed) else m.neg())
+            blocks.append(m if a.sign > 0 else m.neg())
         return hstack_all(self.field, blocks, self.dims[i - 1])
 
     def out_map(self, i):
@@ -305,35 +293,21 @@ class ModuleMap:
 
 
 class Submodule:
-    """Per-vertex subspace bases (columns), closed under every arrow."""
+    """Per-vertex subspace bases (columns), closed under every arrow.
 
-    def __init__(self, parent, bases, check=True):
+    Closure is not checked: every caller builds the bases of a kernel, an
+    image, a socle or a preimage, which are closed by construction.
+    """
+
+    def __init__(self, parent, bases):
         self.parent = parent
         self.bases = tuple(bases)
-        if check:
-            self.validate()
 
     def dim_at(self, i):
         return self.bases[i - 1].ncols
 
     def dims(self):
         return tuple(b.ncols for b in self.bases)
-
-    @property
-    def total_dim(self):
-        return sum(self.dims())
-
-    def validate(self):
-        for i in self.parent.graph.vertices():
-            b = self.bases[i - 1]
-            if b.nrows != self.parent.dim_at(i):
-                raise ValueError(f"basis at vertex {i} has wrong ambient dimension")
-            if rank(b) != b.ncols:
-                raise ValueError(f"basis at vertex {i} is not full column rank")
-        for a in arrows_of(self.parent.graph):
-            img = self.parent.arrow_map(a) @ self.bases[a.src - 1]
-            if solve(self.bases[a.tgt - 1], img) is None:
-                raise ValueError(f"subspace is not closed under arrow {a}")
 
     def as_module(self):
         """The submodule as a PModule, with its inclusion morphism.
@@ -349,16 +323,14 @@ class Submodule:
             if restricted is None:
                 raise ValueError(f"subspace is not closed under arrow {a}")
             maps[(a.edge, a.dir)] = restricted
-        sub = PModule._derived(g, f, self.dims(), maps)
+        sub = PModule(g, f, self.dims(), maps, check=False)
         incl = ModuleMap(sub, self.parent, list(self.bases), check=False)
         return sub, incl
 
     @staticmethod
     def zero(parent):
         f = parent.field
-        return Submodule(
-            parent, [Mat.zero(f, d, 0) for d in parent.dims], check=False
-        )
+        return Submodule(parent, [Mat.zero(f, d, 0) for d in parent.dims])
 
 
 def zero_module(g, field=None):
@@ -408,13 +380,13 @@ def soc_i(m, i):
     bases = []
     for j in m.graph.vertices():
         bases.append(ker if j == i else Mat.zero(f, m.dim_at(j), 0))
-    return Submodule(m, bases, check=False)
+    return Submodule(m, bases)
 
 
 def top_i_dim(m, i):
     """Multiplicity of S_i in the top: corank of the incoming assembly."""
     m.graph.check_vertex(i)
-    return m.dim_at(i) - rank(m.in_map(i, signed=False))
+    return m.dim_at(i) - rank(m.in_map(i))
 
 
 def socle_dims(m):
@@ -440,7 +412,7 @@ def quotient(m, u):
     maps = {}
     for a in arrows_of(g):
         maps[(a.edge, a.dir)] = projs[a.tgt - 1] @ m.arrow_map(a) @ sections[a.src - 1]
-    q = PModule._derived(g, f, tuple(p.nrows for p in projs), maps)
+    q = PModule(g, f, tuple(p.nrows for p in projs), maps, check=False)
     return q, ModuleMap(m, q, projs, check=False)
 
 
@@ -452,7 +424,7 @@ def preimage_submodule(proj, u):
         # x is in the preimage iff proj(x) lies in span(u at i).
         _, comp_proj = cokernel(u.bases[i - 1])
         bases.append(nullspace(comp_proj @ proj.mat_at(i)))
-    return Submodule(m, bases, check=False)
+    return Submodule(m, bases)
 
 
 def soc_chain(m, seq):

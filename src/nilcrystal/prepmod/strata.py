@@ -83,7 +83,7 @@ def random_extension(sub, quot, rng):
         bot = [[f.zero] * sc + q for q in quot.arrow_map(a).rows]
         maps[(a.edge, a.dir)] = Mat(f, len(top) + len(bot), sc + qc, top + bot)
     dims = tuple(s + q for s, q in zip(sub.dims, quot.dims))
-    return PModule._derived(g, f, dims, maps)
+    return PModule(g, f, dims, maps, check=False)
 
 
 def extension_maps(sub, x, quot):

@@ -58,6 +58,8 @@ from .rootsys import (
 )
 
 RETRY_BUDGET = 8
+# Extension layers of each random corpus module (at most).
+_CORPUS_LAYERS = 3
 
 
 @dataclass
@@ -145,13 +147,13 @@ def cross_witness(g, fld):
     return PModule(g, f, dims, maps)
 
 
-def random_corpus(g, size, rng, fld, max_total_dim=12, layers=3):
+def random_corpus(g, size, rng, fld, max_total_dim=12):
     """Random nilpotent modules: iterated random extensions of simples."""
     out = []
     for _ in range(size):
         x = zero_module(g, fld)
         budget = rng.randrange(1, max_total_dim + 1)
-        for _ in range(rng.randrange(1, layers + 1)):
+        for _ in range(rng.randrange(1, _CORPUS_LAYERS + 1)):
             room = budget - x.total_dim
             if room <= 0:
                 break

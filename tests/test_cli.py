@@ -164,6 +164,19 @@ def test_verify_exit_codes(a2_graph, tmp_path):
         "reflection-contracts", "modules", "cross-model", "transitions"}
 
 
+def test_verify_summary_says_when_a_check_was_vacuous(capsys):
+    # A one-letter word has no braid moves, so the transitions check passes
+    # without checking anything, and the summary line says so.
+    code = run(["--graph", str(GRAPHS / "a3.json"), "--json", "--no-timestamp",
+                "verify", "transitions", "--word", "1"])
+    assert code == 0
+    out, err = capsys.readouterr()
+    (rep,) = json.loads(out)["reports"]
+    assert rep["outcome"] == "vacuous-pass"
+    assert err.startswith("transitions: VACUOUS (no braid moves for this word) (")
+    assert "PASS" not in err
+
+
 def test_verify_needs_word(a2_graph):
     assert run(["--graph", a2_graph, "verify", "cross-model"]) == 4
 

@@ -15,6 +15,9 @@ from nilcrystal.prepmod import families, hom
 from nilcrystal.prepmod import (
     ModuleMap,
     PModule,
+    Submodule,
+    arrows_of,
+    arrows_out_of,
     build_filtered,
     direct_power,
     direct_sum,
@@ -33,7 +36,9 @@ from nilcrystal.prepmod import (
     quotient,
     random_extension,
     random_hom,
+    restrict_to_unprimed,
     retry_budget,
+    reverse_arrow,
     semisimple,
     sigma,
     sigma_on_map,
@@ -97,7 +102,7 @@ def test_reflection_contracts_check_the_relations_of_functor_results(monkeypatch
     # failure.
     from nilcrystal.prepmod.module import arrows_into
 
-    assert PModule._derived(A2, F, [1, 1], _broken_a2_maps()).dims == (1, 1)
+    assert PModule(A2, F, [1, 1], _broken_a2_maps(), check=False).dims == (1, 1)
     real = veritas.sigma
 
     def flipped(i, m, twist=1):
@@ -105,7 +110,7 @@ def test_reflection_contracts_check_the_relations_of_functor_results(monkeypatch
         key = next((a.edge, a.dir) for a in arrows_into(m.graph, i))
         maps = dict(sm.maps)
         maps[key] = maps[key].neg()
-        return PModule._derived(sm.graph, sm.field, sm.dims, maps)
+        return PModule(sm.graph, sm.field, sm.dims, maps, check=False)
 
     monkeypatch.setattr(veritas, "sigma", flipped)
     r = veritas.check_reflection_contracts(A3, 3, random.Random(1))
@@ -429,6 +434,60 @@ def test_cokernel_route_leaves_no_memo_entry_on_the_base_graph(monkeypatch):
         m_module(A3, w, k, route="cokernel", field=F, rng=rng)
     assert graphs and set(graphs) == {families.hat_graph(A3)}
     assert memo.cache_info().currsize > 0
+
+
+def _n_module_by_quotient(g, w, lam, field):
+    """N as a quotient of the hatted module by the Submodule of its primed
+    part: the construction that `restrict_to_unprimed` reads off directly."""
+    nh = n_hat(g, w, lam, field=field)
+    primed = Submodule(nh, [Mat.identity(field, d) if j > g.n else Mat.zero(field, d, 0)
+                            for j, d in enumerate(nh.dims, start=1)])
+    q, _ = quotient(nh, primed)
+    assert q.dims[g.n:] == (0,) * g.n
+    return PModule(g, field, q.dims[: g.n],
+                   {(a.edge, a.dir): q.arrow_map(a) for a in arrows_of(g)})
+
+
+@pytest.mark.parametrize("f", [F, RationalField()], ids=["prime", "rat"])
+@pytest.mark.parametrize("g, maxlen", [(A3, 4), (d4(), 3), (affine_a1(), 6)],
+                         ids=["A3", "D4", "affA1"])
+def test_n_module_is_the_quotient_by_the_primed_part(g, maxlen, f):
+    words = [w for ws in all_reduced_words_upto(g, maxlen).values() for w in ws]
+    for w in words:
+        for i in g.vertices():
+            lam = Weight.fundamental(g.n, i)
+            assert _same_module(n_module(g, w, lam, field=f),
+                                _n_module_by_quotient(g, w, lam, f))
+
+
+def test_restrict_to_unprimed_checks_that_the_primed_part_is_closed():
+    # Over the hatted A2, vertex 3 is 1'. A map 1 -> 1' keeps the primed part
+    # a submodule; a map 1' -> 1 does not, so there is no quotient to read.
+    hat = families.hat_graph(A2)
+    (out_of,) = arrows_out_of(hat, 3)
+    into = reverse_arrow(out_of)
+    one = Mat(F, 1, 1, [[F.one]])
+    closed = PModule(hat, F, (1, 0, 1, 0), {(into.edge, into.dir): one})
+    assert restrict_to_unprimed(closed, A2).dims == (1, 0)
+    broken = PModule(hat, F, (1, 0, 1, 0), {(out_of.edge, out_of.dir): one})
+    with pytest.raises(InternalRelationFailure, match="primed part is not closed"):
+        restrict_to_unprimed(broken, A2)
+
+
+@pytest.mark.parametrize("f", [F, RationalField()], ids=["prime", "rat"])
+def test_is_iso_tells_apart_modules_with_equal_dims(f):
+    # S1 + S2 and the non-split extension with 1 -> 2 equal to 1 both have
+    # dims (1, 1), but their socles differ, so no morphism between them is an
+    # isomorphism. A rank-free is_isomorphism would accept the split pair.
+    split = direct_sum(simple(A2, 1, field=f), simple(A2, 2, field=f))
+    nonsplit = PModule(A2, f, [1, 1], {(0, 1): Mat(f, 1, 1, [[f.one]])})
+    assert socle_dims(split) != socle_dims(nonsplit)
+    rng = random.Random(11)
+    assert not is_iso(split, nonsplit, rng=rng)
+    assert find_iso(split, nonsplit, rng=rng) is None
+    assert find_iso(nonsplit, split, rng=rng) is None
+    for m in (split, nonsplit):
+        assert is_iso(m, m, rng=rng)
 
 
 def test_zero_module_is_iso_to_itself():
