@@ -296,7 +296,7 @@ class Submodule:
     """Per-vertex subspace bases (columns), closed under every arrow.
 
     Closure is not checked: every caller builds the bases of a kernel, an
-    image, a socle or a preimage, which are closed by construction.
+    image, a socle or a socle chain, which are closed by construction.
     """
 
     def __init__(self, parent, bases):
@@ -326,11 +326,6 @@ class Submodule:
         sub = PModule(g, f, self.dims(), maps, check=False)
         incl = ModuleMap(sub, self.parent, list(self.bases), check=False)
         return sub, incl
-
-    @staticmethod
-    def zero(parent):
-        f = parent.field
-        return Submodule(parent, [Mat.zero(f, d, 0) for d in parent.dims])
 
 
 def zero_module(g, field=None):
@@ -416,23 +411,24 @@ def quotient(m, u):
     return q, ModuleMap(m, q, projs, check=False)
 
 
-def preimage_submodule(proj, u):
-    """Preimage under a surjective morphism of a submodule of its target."""
-    m = proj.source
-    bases = []
-    for i in m.graph.vertices():
-        # x is in the preimage iff proj(x) lies in span(u at i).
-        _, comp_proj = cokernel(u.bases[i - 1])
-        bases.append(nullspace(comp_proj @ proj.mat_at(i)))
-    return Submodule(m, bases)
-
-
 def soc_chain(m, seq):
-    """Iterated socle along a vertex sequence; seq[0] is peeled first."""
-    u = Submodule.zero(m)
+    """Iterated socle along a vertex sequence; seq[0] is peeled first.
+
+    Peeling j replaces the chain U by the preimage of the S_j-socle of M/U.
+    That socle is zero away from j, so only U_j moves. It becomes the x in
+    M_j that every arrow a: j -> t sends into U_t, the kernel of the stacked
+    P_t @ M_a, where P_t is the cokernel projection of U_t: with the section
+    E_j, x - E_j P_j x lies in U_j, which M_a sends into U_t, so the
+    quotient's arrow P_t M_a E_j sends P_j x to P_t M_a x. A `nullspace`
+    basis depends only on its subspace, so the bases equal those of the
+    route through `quotient`, `soc_i` and a preimage at every vertex.
+    """
+    g, f = m.graph, m.field
+    bases = [Mat.zero(f, d, 0) for d in m.dims]
+    projs = [Mat.identity(f, d) for d in m.dims]
     for j in seq:
-        m.graph.check_vertex(j)
-        q, proj = quotient(m, u)
-        s = soc_i(q, j)
-        u = preimage_submodule(proj, s)
-    return u
+        g.check_vertex(j)
+        blocks = [projs[a.tgt - 1] @ m.arrow_map(a) for a in arrows_out_of(g, j)]
+        bases[j - 1] = nullspace(vstack_all(f, blocks, m.dim_at(j)))
+        projs[j - 1] = cokernel(bases[j - 1])[1]
+    return Submodule(m, bases)

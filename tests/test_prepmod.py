@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -10,7 +11,7 @@ from nilcrystal.errors import (
     NotInGenericStratum,
 )
 from nilcrystal.fields import PrimeField, RationalField, default_field
-from nilcrystal.linalg import Mat
+from nilcrystal.linalg import Mat, cokernel, nullspace
 from nilcrystal.prepmod import families, hom
 from nilcrystal.prepmod import (
     ModuleMap,
@@ -263,6 +264,31 @@ def test_injective_socle_chain_matches_v():
         sub = soc_chain(injs[w[k - 1]], seq)
         got, _ = sub.as_module()
         assert is_iso(got, v_module(A2, w, k, field=F), rng=rng)
+
+
+def _peel_by_quotient(m, u, j):
+    """One socle-chain step by a quotient, its S_j-socle and a preimage at
+    every vertex: the route that `soc_chain` replaces by one kernel at j."""
+    q, proj = quotient(m, u)
+    s = soc_i(q, j)
+    return Submodule(m, [nullspace(cokernel(b)[1] @ proj.mat_at(i))
+                         for i, b in enumerate(s.bases, start=1)])
+
+
+@pytest.mark.parametrize("f", [F, RationalField(), PrimeField(5)], ids=["prime", "rat", "F5"])
+@pytest.mark.parametrize("g", [A2, A3, d4(), affine_a1()], ids=["A2", "A3", "D4", "affA1"])
+def test_soc_chain_matches_the_quotient_route(g, f):
+    modules = veritas.random_corpus(g, 4, random.Random(12), f, max_total_dim=6)
+    if g != affine_a1():
+        modules += [injective_module(g, i, f) for i in g.vertices()]
+    # Every sequence up to length 4, repeats included, each after its prefix.
+    seqs = [s for n in range(1, 5) for s in itertools.product(g.vertices(), repeat=n)]
+    for m in modules:
+        want = {(): Submodule(m, [Mat.zero(f, d, 0) for d in m.dims])}
+        for seq in seqs:
+            want[seq] = _peel_by_quotient(m, want[seq[:-1]], seq[-1])
+            got = soc_chain(m, seq)
+            assert [b.rows for b in got.bases] == [b.rows for b in want[seq].bases], seq
 
 
 def test_injective_nonfinite_type_capped():
