@@ -14,6 +14,7 @@ fraction-free, and divides each pivot row by its pivot once, at the end.
 
 import functools
 from fractions import Fraction
+from itertools import compress
 from math import gcd, lcm
 from operator import mul
 
@@ -123,10 +124,9 @@ class PrimeField:
         p = self.p
         inv = pow(row[col], -1, p)
         tail = []
-        for j in range(col, len(row)):
-            if x := row[j]:
-                row[j] = x = inv * x % p
-                tail.append((j, x))
+        for j in compress(range(col, len(row)), row[col:]):
+            row[j] = x = inv * row[j] % p
+            tail.append((j, x))
         return tail
 
     def elim_reduce(self, row, col, tail):

@@ -5,11 +5,13 @@ Zero-row and zero-column matrices are first-class citizens: most of the
 module theory downstream lives at the boundary cases. The arithmetic loops
 belong to the field (`matmul`, `scale_vec` and the elimination steps); this
 module holds the one Gaussian elimination that every solve, rank and
-nullspace shares, and turns its RREF into kernel vectors (`nullspace`,
-`kernel_vector`) and, from one elimination of [b | I], into a cokernel
-(`cokernel`). `block_diag` is the one block-diagonal builder: direct sums
-and a morphism's action on an incoming assembly use it. Over the
-rationals, products and eliminations run on integers over common
+nullspace shares. Its forward pass clears the rows below each pivot, and
+the RREF also clears the rows above. `nullspace` reads a kernel basis off
+the RREF, and `cokernel` reads a cokernel off one RREF of [b | I].
+`kernel_vector` runs the forward pass alone and fixes the pivot unknowns
+by back substitution. `block_diag` is the one block-diagonal builder:
+direct sums and a morphism's action on an incoming assembly use it. Over
+the rationals, products and eliminations run on integers over common
 denominators, with one Fraction built per output entry. A `Mat` trusts
 its shape: `PModule.from_dict` counts the entries of rows from outside,
 and the stacks raise `ValueError` on a mismatch.
@@ -157,13 +159,15 @@ def block_diag(field, mats):
     return Mat(field, len(rows), width, rows)
 
 
-def rref(m):
-    """Reduced row echelon form. Returns (R, pivot_columns).
+def _eliminate(m, upward):
+    """One Gaussian elimination of m: (rows, pivot_columns).
 
     It runs on the field's working rows of ints, so a zero test is a truth
     test. The field owns the steps: `elim_pivot` prepares the pivot row,
     `elim_reduce` clears one entry of another row with it, and
-    `elim_result` turns the rows back into field elements.
+    `elim_result` turns the rows back into field elements, each pivot row
+    scaled to pivot 1. The forward pass clears the rows below each pivot;
+    with `upward` it clears the rows above too, which gives the RREF.
     """
     f = m.field
     rows = f.elim_rows(m.rows)
@@ -179,30 +183,32 @@ def rref(m):
         else:
             continue
         rows[prow], rows[sel] = rows[sel], rows[prow]
-        tail = pivot(rows[prow], col)
-        for i, r in enumerate(rows):
-            if r[col] and i != prow:
+        top = rows[prow]
+        tail = pivot(top, col)
+        for r in rows if upward else rows[prow + 1:]:
+            if r[col] and r is not top:
                 reduce(r, col, tail)
         pivots.append(col)
         prow += 1
-    return Mat(f, m.nrows, m.ncols, f.elim_result(rows, pivots)), pivots
+    return f.elim_result(rows, pivots), pivots
+
+
+def rref(m):
+    """Reduced row echelon form. Returns (R, pivot_columns)."""
+    rows, pivots = _eliminate(m, upward=True)
+    return Mat(m.field, m.nrows, m.ncols, rows), pivots
 
 
 def rank(m):
     return len(rref(m)[1])
 
 
-def _kernel_frame(m):
-    """The RREF rows of m by pivot column, and the free columns in order."""
-    R, pivots = rref(m)
-    pivot_rows = dict(zip(pivots, R.rows))
-    return pivot_rows, [j for j in range(m.ncols) if j not in pivot_rows]
-
-
 def nullspace(m):
     """Basis of the right kernel, as the columns of an (ncols x k) matrix."""
     f = m.field
-    pivot_rows, free = _kernel_frame(m)
+    R, pivots = rref(m)
+    pivot_rows = dict(zip(pivots, R.rows))
+    free = [j for j in range(m.ncols) if j not in pivot_rows]
     z, o, neg = f.zero, f.one, f.neg
     rows = [
         [neg(pivot_rows[i][fc]) for fc in free] if i in pivot_rows
@@ -213,16 +219,16 @@ def nullspace(m):
 
 
 def kernel_vector(m, draw):
-    """nullspace(m) @ c as a list, without the basis: c is one draw() per free
-    column, in ascending order, and pivot column j is -(RREF row of j)[free] . c."""
+    """nullspace(m) @ c as a list, without the basis or the RREF: c is one
+    draw() per free column, in ascending order. The forward pass alone gives
+    the echelon rows, and back substitution, last pivot first, fixes each
+    pivot unknown: x[p] = -(echelon row of p)[p+1:] . x[p+1:]."""
     f = m.field
-    pivot_rows, free = _kernel_frame(m)
-    x = [f.zero] * m.ncols
-    for j in free:
-        x[j] = draw()
-    on_free = [[r[j] for j in free] for r in pivot_rows.values()]
-    for j, (v,) in zip(pivot_rows, f.matmul(on_free, [[f.neg(x[j]) for j in free]])):
-        x[j] = v
+    rows, pivots = _eliminate(m, upward=False)
+    is_pivot = set(pivots)
+    x = [f.zero if j in is_pivot else draw() for j in range(m.ncols)]
+    for p, r in reversed(list(zip(pivots, rows))):
+        x[p] = f.neg(f.dot(r[p + 1:], x[p + 1:]))
     return x
 
 

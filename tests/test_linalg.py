@@ -2,6 +2,7 @@ import hashlib
 import json
 import random
 from fractions import Fraction
+from itertools import chain
 
 import pytest
 from hypothesis import given, settings
@@ -279,11 +280,31 @@ def test_rref_nullspace_solve_match_scalar_loops(f):
             assert (x is None and want is None) or x.rows == want
 
 
+def extension_system(f, nr, nc, rng, dependent):
+    """An nr x nc system shaped like random_extension's: wide, under 1% dense,
+    each row with a nonzero in a column of its own, so of full row rank
+    generically; the last `dependent` rows are replaced by sums of two
+    earlier rows, which drops the rank by that much."""
+    m = sparse_mat(f, nr, nc, 0.003, rng)
+    for r, c in zip(m.rows, rng.sample(range(nc), nr)):
+        r[c] = f.of_int(rng.choice((-2, -1, 1, 2)))
+    for i in range(nr - dependent, nr):
+        r1, r2 = rng.sample(m.rows[:nr - dependent], 2)
+        m.rows[i] = [f.add(x, y) for x, y in zip(r1, r2)]
+    return m
+
+
 @pytest.mark.parametrize("f", FIELDS)
 def test_kernel_vector_is_the_nullspace_combination(f):
     mats, rng = kernel_cases(f, 24)
     mats += [Mat.identity(f, 5), rand_mat(f, 3, 0, rng), Mat.zero(f, 4, 6),
              Mat.from_int_rows(f, [[2, 1, 0, 3], [0, 0, 1, 4]])]
+    # At bench size: full row rank, and rank-deficient by 12.
+    for dependent in (0, 12):
+        m = extension_system(f, 160, 260, rng, dependent)
+        assert sum(map(bool, chain.from_iterable(m.rows))) < 0.01 * 160 * 260
+        assert rank(m) == 160 - dependent
+        mats.append(m)
     if isinstance(f, RationalField):
         draw = lambda: Fraction(rng.randrange(-9, 10), rng.randrange(1, 8))
     else:

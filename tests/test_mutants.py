@@ -1,17 +1,21 @@
 """A catalogue of deliberate faults, each of which a check must catch.
 
-Each mutant is monkeypatched into the namespace of the check that must
-catch it, and the test asserts that the check fails with the witness that
-names the fault. The sign mutation, which the reflection contracts catch,
-is tested in test_veritas and test_acceptance.
+Each mutant is monkeypatched into the module namespace where the program
+looks the function up, and the test asserts that a check fails with the
+witness that names the fault. Where a check that could be expected to
+catch a mutant passes, the test pins that too, as a known gap. The sign
+mutation, which the reflection contracts catch, is tested in test_veritas
+and test_acceptance.
 """
+
+import random
 
 import pytest
 
 from nilcrystal import veritas
-from nilcrystal.linalg import Mat, cokernel, nullspace, vstack_all
-from nilcrystal.prepmod import Submodule, arrows_out_of
-from nilcrystal.rootsys import a_n
+from nilcrystal.linalg import Mat, cokernel, nullspace, rref, vstack_all
+from nilcrystal.prepmod import Submodule, arrows_out_of, strata
+from nilcrystal.rootsys import WeylWord, a_n
 
 
 def _soc_chain_mutant(project, update):
@@ -46,3 +50,53 @@ def test_socle_chain_mutants_fail_the_socle_chain_law(monkeypatch, mutant):
     r = veritas.check_modules(a_n(3), 2, socle_chain_oracle=True)
     assert r.outcome == "fail"
     assert r.witness == {"kind": "v-socle-chain", "word": [1, 2], "k": 2}
+
+
+# The A3 longest word, and the shortest A3 word whose transitions catch the
+# skipped back substitution.
+LONGEST = WeylWord((1, 2, 1, 3, 2, 1))
+SHORT = WeylWord((2, 1, 2, 3, 2))
+
+
+def _split_kernel_vector(m, draw):
+    """The zero solution: every random extension is the direct sum."""
+    return [m.field.zero] * m.ncols
+
+
+def _kernel_vector_without_back_substitution(m, draw):
+    """The free unknowns drawn as before, every pivot unknown left at zero:
+    the extension blocks do not solve the relations."""
+    pivots = set(rref(m)[1])
+    return [m.field.zero if j in pivots else draw() for j in range(m.ncols)]
+
+
+@pytest.mark.parametrize("word", [LONGEST, SHORT], ids=["longest", "short"])
+def test_the_transition_checks_pass_unmutated(word):
+    r = veritas.check_transitions(a_n(3), word, 1, random.Random(7))
+    assert r.outcome == "probabilistic-pass"
+
+
+def test_split_extensions_fail_the_transition_check(monkeypatch):
+    monkeypatch.setattr(strata, "kernel_vector", _split_kernel_vector)
+    r = veritas.check_transitions(a_n(3), LONGEST, 1, random.Random(7))
+    assert r.outcome == "fail"
+    assert r.witness["kind"] == "cross-model"
+    # The gap: a direct sum reads back the datum that built it, so the
+    # cross-model check passes on every one of its 1,280 samples.
+    r = veritas.check_cross_model(a_n(3), LONGEST, 1, 20, random.Random(7))
+    assert r.outcome == "probabilistic-pass"
+    assert r.details["samples"] == 1280 and r.details["sampling_misses"] == 0
+
+
+def test_skipped_back_substitution_fails_the_transition_check(monkeypatch):
+    # The smallest report-level check found to fail: check_transitions on a
+    # length-5 A3 word, at seeds 0-4 and 7 alike. Both sampled checks pass
+    # with this mutant on A2 (1,2,1) up to bound 4 and on every A3 word of
+    # length 3 or 4 at bound 1 (seeds 0-4), and at seed 7 so do both on the
+    # longest word (bound 1) and the reflection contracts on an A3 corpus
+    # of 4.
+    monkeypatch.setattr(strata, "kernel_vector", _kernel_vector_without_back_substitution)
+    r = veritas.check_transitions(a_n(3), SHORT, 1, random.Random(7))
+    assert r.outcome == "fail"
+    assert r.witness == {"kind": "cross-model", "a": [1, 0, 1, 0, 1], "pos": 2,
+                         "got": (1, 0, 1, 0, 1)}
