@@ -1,14 +1,15 @@
 """Exact computation fields: a large prime field and the rationals.
 
-Elements are plain Python objects (ints reduced mod p, or Fractions), so
-matrices are just nested lists and all arithmetic stays exact. Besides the
-scalar operations, each field supplies the whole-vector kernels `matmul`,
-`dot` and `scale_vec`, and the steps of the shared elimination in `linalg`
-(`elim_rows`, `elim_pivot`, `elim_reduce`, `elim_result`) on rows of ints.
-Over F_p a pivot row passes on only its nonzero entries, so a reduce step
-touches only their columns. Over the rationals, a product puts each row of
-A and each column of B over one common denominator and builds one Fraction
-per output entry; the elimination clears each row to integers, reduces
+Elements are plain Python objects, so matrices are nested lists and all
+arithmetic stays exact: ints reduced mod p, or rationals, each an int when
+integral and else a Fraction (Fraction(3) == 3, with equal hashes). Besides
+the scalar operations, each field supplies the whole-vector kernels
+`matmul`, `dot` and `scale_vec`, and the steps of the shared elimination in
+`linalg` (`elim_rows`, `elim_pivot`, `elim_reduce`, `elim_result`) on rows
+of ints. Over F_p a pivot row passes on only its nonzero entries, so a
+reduce step touches only their columns. Over the rationals, a product puts
+each row of A and each column of B over one common denominator and divides
+each sum by it; the elimination clears each row to integers, reduces
 fraction-free, and divides each pivot row by its pivot once, at the end.
 """
 
@@ -110,6 +111,8 @@ class PrimeField:
 
     def scale_vec(self, c, xs):
         p = self.p
+        if c == p - 1:  # Mat.neg: negate without a double-width product
+            return [p - x if x else 0 for x in xs]
         return [c * x % p for x in xs]
 
     # -- elimination steps, on rows of reduced residues -------------------
@@ -160,12 +163,8 @@ class PrimeField:
         return f"PrimeField({self.p})"
 
 
-# Fractions are immutable, so the constants are shared.
-_ZERO, _ONE = Fraction(0), Fraction(1)
-
-
 class RationalField:
-    """Exact rationals via fractions.Fraction."""
+    """Exact rationals: an `int` when integral, else a `Fraction`."""
 
     # Sampling range for "random" rationals; only genericity matters.
     RAND_BOUND = 2**31
@@ -177,14 +176,14 @@ class RationalField:
 
     @property
     def zero(self):
-        return _ZERO
+        return 0
 
     @property
     def one(self):
-        return _ONE
+        return 1
 
     def of_int(self, k):
-        return Fraction(k)
+        return k
 
     def add(self, a, b):
         return a + b
@@ -199,9 +198,7 @@ class RationalField:
         return -a
 
     def inv(self, a):
-        if a == 0:
-            raise ZeroDivisionError("inverse of zero")
-        return 1 / Fraction(a)
+        return _ratio(a.denominator, a.numerator)  # ZeroDivisionError at 0
 
     def is_zero(self, a):
         return a == 0
@@ -215,8 +212,8 @@ class RationalField:
         out = []
         for r in a_rows:
             nr, dr = _over_lcm(r)
-            out.append([Fraction(n, dr * dc) if (n := sum(map(mul, nr, nc))) else _ZERO
-                        for nc, dc in cols])
+            out.append([sum(map(mul, nr, nc)) if (d := dr * dc) == 1
+                        else _ratio(sum(map(mul, nr, nc)), d) for nc, dc in cols])
         return out
 
     def scale_vec(self, c, xs):
@@ -251,25 +248,21 @@ class RationalField:
 
     def elim_result(self, rows, pivots):
         """Divide each pivot row by its pivot; the rows below are zero."""
-        out = []
-        for r, col in zip(rows, pivots):
-            p = r[col]
-            out.append([Fraction(x, p) if x else _ZERO for x in r])
-        out += [[_ZERO] * len(r) for r in rows[len(pivots):]]
-        return out
+        out = [r if (p := r[col]) == 1 else [_ratio(x, p) for x in r]
+               for r, col in zip(rows, pivots)]
+        return out + rows[len(pivots):]
 
     def random(self, rng):
-        return Fraction(rng.randrange(self.RAND_BOUND))
+        return rng.randrange(self.RAND_BOUND)
 
     def to_str(self, a):
-        f = Fraction(a)
-        return f"{f.numerator}/{f.denominator}"
+        return f"{a.numerator}/{a.denominator}"
 
     def from_str(self, s):
         if "/" in s:
             num, den = s.split("/")
-            return Fraction(int(num), int(den))
-        return Fraction(int(s))
+            return _ratio(int(num), int(den))
+        return int(s)
 
     def __eq__(self, other):
         return isinstance(other, RationalField)
@@ -281,11 +274,16 @@ class RationalField:
         return "RationalField()"
 
 
+def _ratio(n, d):
+    """The rational n/d: an int when d divides n, else a Fraction."""
+    return Fraction(n, d) if n % d else n // d
+
+
 def _over_lcm(xs):
-    """Rationals xs as (integer numerators, d) over their common denominator d."""
+    """Rationals xs as (a new list of integer numerators, d) over their lcm d."""
+    if Fraction not in map(type, xs):  # all ints
+        return list(xs), 1
     d = lcm(*[x.denominator for x in xs])
-    if d == 1:
-        return [x.numerator for x in xs], 1
     return [x.numerator * (d // x.denominator) for x in xs], d
 
 

@@ -12,9 +12,9 @@ the RREF, and `cokernel` reads a cokernel off one RREF of [b | I].
 by back substitution. `block_diag` is the one block-diagonal builder:
 direct sums and a morphism's action on an incoming assembly use it. Over
 the rationals, products and eliminations run on integers over common
-denominators, with one Fraction built per output entry. A `Mat` trusts
-its shape: `PModule.from_dict` counts the entries of rows from outside,
-and the stacks raise `ValueError` on a mismatch.
+denominators, and an output entry is a Fraction only where it is not an
+integer. A `Mat` trusts its shape: `PModule.from_dict` counts the entries
+of rows from outside, and the stacks raise `ValueError` on a mismatch.
 """
 
 from itertools import chain
@@ -77,8 +77,7 @@ class Mat:
         return Mat(self.field, self.ncols, self.nrows, [list(c) for c in zip(*self.rows)])
 
     def neg(self):
-        f = self.field
-        return Mat(f, self.nrows, self.ncols, [[f.neg(x) for x in r] for r in self.rows])
+        return self.scale(self.field.neg(self.field.one))
 
     def scale(self, c):
         f = self.field

@@ -227,7 +227,10 @@ def check_reflection_contracts(g, corpus_size, rng, fld=None, twist=1):
     def body(details):
         if corpus_size <= 0:
             return "empty corpus"
-        corpus = random_corpus(g, corpus_size, rng, fld)
+        try:
+            corpus = random_corpus(g, corpus_size, rng, fld)
+        except InternalRelationFailure as exc:
+            _fail("corpus", error=str(exc))
         witness_mod = cross_witness(g, fld)
         if witness_mod is not None:
             corpus.insert(0, witness_mod)

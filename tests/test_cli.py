@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 from pathlib import Path
@@ -188,6 +189,27 @@ def test_byte_identical_reruns(a2_graph, tmp_path):
              "modules", "M", "1", "2", "1"])
     assert p1.read_bytes() == p2.read_bytes()
 
+
+# sha256 of the canonical JSON of `verify all` on A3 at seed 7, each
+# report's `wall_time` dropped. A change that keeps every outcome, witness,
+# count and draw keeps these digests.
+VERIFY_ALL_SHA256 = {
+    None: "ce9ee82a90474e9cb557de5b332b24eb43abaed66556e9372ba01ae64f270abf",
+    "rat": "8637764a884ae0a985b667bb4312ce561bf5ff794c98b02b54e4b63c0b2bc4bf",
+}
+
+
+@pytest.mark.parametrize("field", list(VERIFY_ALL_SHA256), ids=["prime", "rat"])
+def test_verify_all_reports_are_pinned(field, monkeypatch, capsys):
+    monkeypatch.chdir(GRAPHS.parent)  # the config records the graph path as given
+    args = ["--graph", "graphs/a3.json", "--seed", "7", "--json", "--no-timestamp"]
+    args += ["--field", field] if field else []
+    assert run(args + ["verify", "all", "--word", "1", "2", "1", "--bound", "2"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    for rep in payload["reports"]:
+        del rep["wall_time"]
+    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(canonical.encode()).hexdigest() == VERIFY_ALL_SHA256[field]
 
 @pytest.mark.parametrize("graph", [
     [], None, {"vertices": "2", "edges": [[1, 2]]}, {"vertices": 2.5, "edges": []},

@@ -347,11 +347,11 @@ def test_prime_kernels_reduce_unreduced_inputs():
         assert all(0 <= v < 997 for v in out)
 
 
-def test_rational_kernels_return_fractions():
+def test_rational_kernels_return_ints_where_integral():
     f = RationalField()
     xs, ys = [Fraction(1, 2), Fraction(-3)], [Fraction(2, 3), Fraction(5, 7)]
     assert f.dot(xs, ys) == Fraction(1, 3) - Fraction(15, 7)
-    assert f.dot([], []) == 0 and isinstance(f.dot([], []), Fraction)
+    assert f.dot([], []) == 0 and type(f.dot([], [])) is int
     assert f.matmul([xs], [ys]) == [[f.dot(xs, ys)]]
     # Rows enter the elimination as integer vectors with gcd 1 ...
     rows = f.elim_rows([xs, ys, [Fraction(0), Fraction(-4, 6)]])
@@ -359,22 +359,29 @@ def test_rational_kernels_return_fractions():
     # ... are reduced fraction-free: [14, 15] - 14 [1, -6] = [0, 99] ~ [0, 1] ...
     f.elim_reduce(rows[1], 0, f.elim_pivot(rows[0], 0))
     assert rows[1] == [0, 1]
-    # ... and leave as Fractions, each pivot row divided by its pivot.
+    # ... and leave divided by their pivots: ints where exact, else Fractions.
     out = f.elim_result([[0, -4, 6], [0, 0, 0]], [1])
     assert out == [[0, 1, Fraction(-3, 2)], [0, 0, 0]]
-    # Every kernel output entry is a Fraction, also over mixed denominators.
-    entries = [x for r in out for x in r]
+    # Every kernel output entry is an int or a non-integral Fraction, and
+    # over mixed denominators every kernel gives some non-integral entries.
+    entries = {"elim": [x for r in out for x in r]}
     mats, rng = kernel_cases(f, 23)
     for m in mats:
         b = mixed_denominator_mat(f, m.ncols, 3, rng)
-        for res in (m @ b, rref(m)[0], nullspace(m), solve(m, m @ b)):
-            entries += [x for r in res.rows for x in r]
+        e, p = cokernel(m)
+        for name, res in (("matmul", m @ b), ("rref", rref(m)[0]), ("nullspace", nullspace(m)),
+                          ("solve", solve(m, m @ b)), ("cokernel", e.hstack(p.transpose()))):
+            entries.setdefault(name, []).extend(x for r in res.rows for x in r)
+        entries.setdefault("kernel_vector", []).extend(
+            kernel_vector(m, lambda: rng.randrange(-9, 10)))
         col = b.transpose().rows[0]
         dots = [f.dot(r, col) for r in m.rows]
         assert dots == [sum((x * y for x, y in zip(r, col)), Fraction(0)) for r in m.rows]
-        entries += dots
-    assert any(x.denominator > 1 for x in entries)
-    assert all(type(x) is Fraction for x in entries)
+        entries.setdefault("dot", []).extend(dots)
+    for name, xs in entries.items():
+        assert any(x.denominator > 1 for x in xs), name
+        assert all(type(x) is int or type(x) is Fraction and x.denominator > 1
+                   for x in xs), name
 
 
 def test_stacks_match_pairwise_stacking():

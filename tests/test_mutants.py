@@ -12,7 +12,8 @@ import random
 
 import pytest
 
-from nilcrystal import veritas
+from nilcrystal import fields, veritas
+from nilcrystal.fields import RationalField
 from nilcrystal.linalg import Mat, cokernel, nullspace, rref, vstack_all
 from nilcrystal.prepmod import Submodule, arrows_out_of, strata
 from nilcrystal.rootsys import WeylWord, a_n
@@ -100,3 +101,35 @@ def test_skipped_back_substitution_fails_the_transition_check(monkeypatch):
     assert r.outcome == "fail"
     assert r.witness == {"kind": "cross-model", "a": [1, 0, 1, 0, 1], "pos": 2,
                          "got": (1, 0, 1, 0, 1)}
+
+
+def test_skipped_back_substitution_fails_the_corpus_of_the_contracts(monkeypatch):
+    # The corpus validates each module it draws; the relation failure is
+    # reported as the check's failure, not raised out of it.
+    monkeypatch.setattr(strata, "kernel_vector", _kernel_vector_without_back_substitution)
+    r = veritas.check_reflection_contracts(a_n(3), 4, random.Random(2))
+    assert r.outcome == "fail"
+    assert r.witness == {"kind": "corpus", "error": "relation fails at vertex 3"}
+
+
+def test_the_rational_contracts_pass_unmutated():
+    r = veritas.check_reflection_contracts(a_n(3), 20, random.Random(0), fld=RationalField())
+    assert r.outcome == "probabilistic-pass"
+
+
+def test_truncating_rational_division_fails_the_contracts(monkeypatch):
+    # Every inexact quotient of the kernels rounds down to an int, so a
+    # morphism's reflection no longer maps kernel into kernel.
+    monkeypatch.setattr(fields, "_ratio", lambda n, d: n // d)
+    r = veritas.check_reflection_contracts(a_n(3), 20, random.Random(0), fld=RationalField())
+    assert r.outcome == "fail"
+    assert r.witness["kind"] == "functor-on-map"
+    assert r.witness["extra"] == "morphism does not restrict to kernels"
+
+
+def test_top_dimension_zero_fails_the_forward_dimension_law(monkeypatch):
+    monkeypatch.setattr(veritas, "top_i_dim", lambda m, i: 0)
+    r = veritas.check_reflection_contracts(a_n(3), 4, random.Random(7))
+    assert r.outcome == "fail"
+    assert r.witness["kind"] == "dims-forward"
+    assert r.witness["extra"] == {"vertex": 2, "got": (1, 1, 1)}
