@@ -111,8 +111,6 @@ class PrimeField:
 
     def scale_vec(self, c, xs):
         p = self.p
-        if c == p - 1:  # Mat.neg: negate without a double-width product
-            return [p - x if x else 0 for x in xs]
         return [c * x % p for x in xs]
 
     # -- elimination steps, on rows of reduced residues -------------------

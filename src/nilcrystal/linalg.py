@@ -77,7 +77,8 @@ class Mat:
         return Mat(self.field, self.ncols, self.nrows, [list(c) for c in zip(*self.rows)])
 
     def neg(self):
-        return self.scale(self.field.neg(self.field.one))
+        f = self.field
+        return Mat(f, self.nrows, self.ncols, [[f.neg(x) for x in r] for r in self.rows])
 
     def scale(self, c):
         f = self.field

@@ -211,6 +211,7 @@ def test_verify_all_reports_are_pinned(field, monkeypatch, capsys):
     canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     assert hashlib.sha256(canonical.encode()).hexdigest() == VERIFY_ALL_SHA256[field]
 
+
 @pytest.mark.parametrize("graph", [
     [], None, {"vertices": "2", "edges": [[1, 2]]}, {"vertices": 2.5, "edges": []},
     {"vertices": 2, "edges": 5}, {"vertices": 2, "edges": [None]},

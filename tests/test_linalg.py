@@ -328,6 +328,9 @@ def test_prime_kernels_reduce_unreduced_inputs():
     assert f.dot(xs, ys) == dot
     assert f.matmul([xs, ys], [ys]) == [[dot], [f.dot(ys, ys)]]
     assert f.scale_vec(c, xs) == [c * x % 997 for x in xs]
+    # Mat.neg scales by p - 1; the result is reduced like any other scalar's.
+    negated = f.scale_vec(996, xs)
+    assert negated == [-x % 997 for x in xs] and negated[:3] == [1, 0, 494]
     rows = f.elim_rows([xs, ys])
     assert rows == [[x % 997 for x in xs], [y % 997 for y in ys]]
     # The pivot row is scaled in place; its tail is the nonzero entries from
@@ -343,7 +346,7 @@ def test_prime_kernels_reduce_unreduced_inputs():
     row = [5, 0, 3, 0, 7]
     assert f.elim_pivot(row, 2) == [(2, 1), (4, 7 * pow(3, -1, 997) % 997)]
     assert row[:2] == [5, 0] and row[3] == 0
-    for out in (f.scale_vec(c, xs), *rows, f.matmul([xs], [ys])[0]):
+    for out in (f.scale_vec(c, xs), negated, *rows, f.matmul([xs], [ys])[0]):
         assert all(0 <= v < 997 for v in out)
 
 
