@@ -8,13 +8,16 @@ module holds the one Gaussian elimination that every solve, rank and
 nullspace shares. Its forward pass clears the rows below each pivot, and
 the RREF also clears the rows above. `nullspace` reads a kernel basis off
 the RREF, and `cokernel` reads a cokernel off one RREF of [b | I].
-`kernel_vector` runs the forward pass alone and fixes the pivot unknowns
-by back substitution. `block_diag` is the one block-diagonal builder:
-direct sums and a morphism's action on an incoming assembly use it. Over
-the rationals, products and eliminations run on integers over common
-denominators, and an output entry is a Fraction only where it is not an
-integer. A `Mat` trusts its shape: `PModule.from_dict` counts the entries
-of rows from outside, and the stacks raise `ValueError` on a mismatch.
+`kernel_vectors` runs the forward pass alone, once, and then fixes the
+pivot unknowns of each kernel vector its caller supplies free values for
+by back substitution: a random extension by k copies of a module solves
+one copy's system and substitutes back k times. `block_diag` is the one
+block-diagonal builder: direct sums and a morphism's action on an
+incoming assembly use it. Over the rationals, products and eliminations
+run on integers over common denominators, and an output entry is a
+Fraction only where it is not an integer. A `Mat` trusts its shape:
+`PModule.from_dict` counts the entries of rows from outside, and the
+stacks raise `ValueError` on a mismatch.
 """
 
 from itertools import chain
@@ -218,18 +221,31 @@ def nullspace(m):
     return Mat(f, m.ncols, len(free), rows)
 
 
-def kernel_vector(m, draw):
-    """nullspace(m) @ c as a list, without the basis or the RREF: c is one
-    draw() per free column, in ascending order. The forward pass alone gives
-    the echelon rows, and back substitution, last pivot first, fixes each
-    pivot unknown: x[p] = -(echelon row of p)[p+1:] . x[p+1:]."""
+def kernel_vectors(m, fill):
+    """Vectors of the right kernel of m from one forward elimination.
+
+    fill(free) gets the free (non-pivot) columns in ascending order and
+    returns the free values, one list per wanted vector, each aligned with
+    free. Each vector is nullspace(m) @ c for its values c, built without
+    the basis or the RREF: back substitution, last pivot first, fixes each
+    pivot unknown, x[p] = -(echelon row of p)[p+1:] . x[p+1:]. A system of
+    k copies of m on disjoint unknowns has m's pivots in every copy, so one
+    call with k lists solves it; fill draws the values in the order that
+    system would, so the draws do not depend on how it is solved.
+    """
     f = m.field
     rows, pivots = _eliminate(m, upward=False)
     is_pivot = set(pivots)
-    x = [f.zero if j in is_pivot else draw() for j in range(m.ncols)]
-    for p, r in reversed(list(zip(pivots, rows))):
-        x[p] = f.neg(f.dot(r[p + 1:], x[p + 1:]))
-    return x
+    free = [j for j in range(m.ncols) if j not in is_pivot]
+    last_first = list(zip(pivots, rows))[::-1]
+    out = []
+    for values in fill(free):
+        given = iter(values)
+        x = [f.zero if j in is_pivot else next(given) for j in range(m.ncols)]
+        for p, r in last_first:
+            x[p] = f.neg(f.dot(r[p + 1:], x[p + 1:]))
+        out.append(x)
+    return out
 
 
 def solve(a, b):

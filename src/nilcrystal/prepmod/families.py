@@ -21,6 +21,7 @@ from ..rootsys import (
     is_reduced,
 )
 from .hom import find_injective_hom
+from .module import _GRAPH_CACHE_SIZE
 from .module import PModule, arrows_of, arrows_out_of, quotient, semisimple, zero_module
 from .functors import sigma
 
@@ -31,8 +32,12 @@ from .functors import sigma
 _REFLECTION_MEMO_SIZE = 2048
 
 
+@functools.lru_cache(maxsize=_GRAPH_CACHE_SIZE)
 def hat_graph(g):
-    """Extend g by one primed vertex per original vertex."""
+    """Extend g by one primed vertex per original vertex.
+
+    Built and validated once per graph: `n_hat` hashes it into every key
+    of the reflection memo."""
     extra = tuple((i, g.n + i) for i in g.vertices())
     return CartanGraph(2 * g.n, g.edges + extra)
 

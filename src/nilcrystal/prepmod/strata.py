@@ -5,9 +5,11 @@ extensions layer by layer; extraction reads the sample back by backward
 reflections, each of which also gives the socle multiplicity it removes.
 """
 
+from itertools import groupby
+
 from ..errors import LengthMismatch, NonReducedWord, NotInGenericStratum
 from ..fields import default_field
-from ..linalg import Mat, kernel_vector
+from ..linalg import Mat, kernel_vectors
 from ..rootsys import is_reduced
 from .functors import sigma_star
 from .module import (
@@ -23,15 +25,21 @@ from .module import (
 from .families import m_module
 
 
-def random_extension(sub, quot, rng):
-    """A random module extension X of `quot` by `sub`.
+def random_extension(sub, quot, rng, copies=1):
+    """A random module extension X of the direct power quot^copies by `sub`.
 
-    `sub` embeds as the first block of each space and X/sub is the given
-    quotient (`extension_maps` gives the two maps). The unknown
+    `sub` embeds as the first block of each space and X/sub is the direct
+    power (`extension_maps` gives the two maps). The unknown
     off-diagonal blocks form the solution space of an exact linear system;
     a uniformly random solution is drawn (zero gives the direct sum). The
     blocks solve the relations, and an extension of nilpotent modules is
     nilpotent, so X is checked for shapes only.
+
+    No relation meets the unknowns of two copies, so one copy's system is
+    eliminated once and solved per copy. The module and the draws are those
+    of the direct power's system, whose unknowns ascend by (arrow, row,
+    copy, column), and where a column of a copy is a pivot exactly when it
+    is one in one copy's system: the free values are drawn in that order.
     """
     if sub.graph != quot.graph or sub.field != quot.field:
         raise ValueError("extension pieces need matching graph and field")
@@ -72,17 +80,38 @@ def random_extension(sub, quot, rng):
                     # (B_h Q_hbar)[r][c] = sum_k B_h[r][k] * Q_hbar[k][c]
                     row[off_a + r * qa : off_a + (r + 1) * qa] = q_cols[c]
                 rows.append(row)
-    sol = kernel_vector(Mat(f, len(rows), total, rows), lambda: f.random(rng))
 
-    # Each map is [[S_h, B_h], [0, Q_h]].
+    def fill(free):
+        # Row by row of each B_h, every copy's free values of the row in
+        # turn; with one copy, that is the order of free.
+        if copies == 1:
+            return [[f.random(rng) for _ in free]]
+        row_of = []  # the first column of each unknown's row of its B_h
+        for a in arr:
+            qc = quot.dim_at(a.src)
+            for r in range(sub.dim_at(a.tgt)):
+                row_of += [offsets[(a.edge, a.dir)] + r * qc] * qc
+        values = [[] for _ in range(copies)]
+        for _, cols in groupby(free, key=row_of.__getitem__):
+            n = len(list(cols))
+            for vals in values:
+                vals.extend(f.random(rng) for _ in range(n))
+        return values
+
+    sols = kernel_vectors(Mat(f, len(rows), total, rows), fill)
+
+    # Each map is [[S_h, B_h], [0, Q_h]], with copy j's B_h and Q_h in the
+    # j-th block of columns.
+    power = quot if copies == 1 else direct_power(quot, copies)
     maps = {}
     for a in arr:
         qc, sc, off = quot.dim_at(a.src), sub.dim_at(a.src), offsets[(a.edge, a.dir)]
-        top = [s + sol[off + r * qc : off + (r + 1) * qc]
+        top = [s + [x for sol in sols for x in sol[off + r * qc : off + (r + 1) * qc]]
                for r, s in enumerate(sub.arrow_map(a).rows)]
-        bot = [[f.zero] * sc + q for q in quot.arrow_map(a).rows]
-        maps[(a.edge, a.dir)] = Mat(f, len(top) + len(bot), sc + qc, top + bot)
-    dims = tuple(s + q for s, q in zip(sub.dims, quot.dims))
+        bot = [[f.zero] * sc + q for q in power.arrow_map(a).rows]
+        maps[(a.edge, a.dir)] = Mat(f, len(top) + len(bot), sc + power.dim_at(a.src),
+                                    top + bot)
+    dims = tuple(s + q for s, q in zip(sub.dims, power.dims))
     return PModule(g, f, dims, maps, check=False)
 
 
@@ -96,16 +125,28 @@ def extension_maps(sub, x, quot):
 
 
 def build_filtered(g, w, a, rng, field=None):
-    """A random sample of the stratum attached to (word, a)."""
+    """A random sample of the stratum attached to (word, a).
+
+    Layer k is M_k^{a_k}, stacked on the layers below it by one random
+    extension solved once per copy of M_k. A layer with a_k = 0 is skipped,
+    and the first nonzero layer is the direct power itself: an extension
+    with no unknowns draws nothing, so the draws and the sample are those
+    of one extension by the whole direct power per layer.
+    """
     if not is_reduced(g, w):
         raise NonReducedWord(f"word {w.letters} is not reduced")
     if len(a) != len(w):
         raise LengthMismatch(f"|a|={len(a)} but word length is {len(w)}")
     field = field or default_field()
     x = zero_module(g, field)
-    for k in range(1, len(w) + 1):
-        layer = direct_power(m_module(g, w, k, route="reflection", field=field), a[k - 1])
-        x = random_extension(x, layer, rng)
+    for k, mult in enumerate(a, 1):
+        if mult == 0:
+            continue
+        layer = m_module(g, w, k, route="reflection", field=field)
+        if x.total_dim == 0:
+            x = direct_power(layer, mult)
+        else:
+            x = random_extension(x, layer, rng, mult)
     return x
 
 

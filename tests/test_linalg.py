@@ -14,7 +14,7 @@ from nilcrystal.linalg import (
     block_diag,
     cokernel,
     hstack_all,
-    kernel_vector,
+    kernel_vectors,
     nullspace,
     rank,
     rref,
@@ -311,12 +311,18 @@ def test_kernel_vector_is_the_nullspace_combination(f):
         draw = lambda: f.random(rng)
     for m in mats:
         ns = nullspace(m)
-        coeffs = [draw() for _ in range(ns.ncols)]
-        given = iter(coeffs)
-        x = kernel_vector(m, given.__next__)
-        assert list(given) == []  # one draw per free column
-        assert x == [r[0] for r in (ns @ Mat.col_vector(f, coeffs)).rows]
-        assert all(v == f.zero for r in (m @ Mat.col_vector(f, x)).rows for v in r)
+        free = [j for j in range(m.ncols) if j not in rref(m)[1]]
+        assert len(free) == ns.ncols
+        # One vector, and several from the one elimination.
+        for count in (1, 3):
+            coeffs = [[draw() for _ in free] for _ in range(count)]
+            seen = []
+            xs = kernel_vectors(m, lambda cols: seen.append(cols) or coeffs)
+            assert seen == [free]  # the free columns, ascending, asked for once
+            assert len(xs) == count
+            for x, c in zip(xs, coeffs):
+                assert x == [r[0] for r in (ns @ Mat.col_vector(f, c)).rows]
+                assert all(v == f.zero for r in (m @ Mat.col_vector(f, x)).rows for v in r)
 
 
 def test_prime_kernels_reduce_unreduced_inputs():
@@ -375,8 +381,8 @@ def test_rational_kernels_return_ints_where_integral():
         for name, res in (("matmul", m @ b), ("rref", rref(m)[0]), ("nullspace", nullspace(m)),
                           ("solve", solve(m, m @ b)), ("cokernel", e.hstack(p.transpose()))):
             entries.setdefault(name, []).extend(x for r in res.rows for x in r)
-        entries.setdefault("kernel_vector", []).extend(
-            kernel_vector(m, lambda: rng.randrange(-9, 10)))
+        entries.setdefault("kernel_vectors", []).extend(
+            kernel_vectors(m, lambda free: [[rng.randrange(-9, 10) for _ in free]])[0])
         col = b.transpose().rows[0]
         dots = [f.dot(r, col) for r in m.rows]
         assert dots == [sum((x * y for x, y in zip(r, col)), Fraction(0)) for r in m.rows]

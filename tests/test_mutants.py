@@ -12,7 +12,7 @@ import random
 
 import pytest
 
-from nilcrystal import fields, veritas
+from nilcrystal import fields, linalg, veritas
 from nilcrystal.fields import RationalField
 from nilcrystal.linalg import Mat, cokernel, nullspace, rref, vstack_all
 from nilcrystal.prepmod import Submodule, arrows_out_of, strata
@@ -59,16 +59,34 @@ LONGEST = WeylWord((1, 2, 1, 3, 2, 1))
 SHORT = WeylWord((2, 1, 2, 3, 2))
 
 
-def _split_kernel_vector(m, draw):
-    """The zero solution: every random extension is the direct sum."""
-    return [m.field.zero] * m.ncols
+def _split_kernel_vectors(m, fill):
+    """The zero solutions, with nothing drawn: every random extension is the
+    direct sum. fill([]) gives one empty list per copy."""
+    return [[m.field.zero] * m.ncols for _ in fill([])]
 
 
-def _kernel_vector_without_back_substitution(m, draw):
+def _kernel_vectors_without_back_substitution(m, fill):
     """The free unknowns drawn as before, every pivot unknown left at zero:
     the extension blocks do not solve the relations."""
     pivots = set(rref(m)[1])
-    return [m.field.zero if j in pivots else draw() for j in range(m.ncols)]
+    free = [j for j in range(m.ncols) if j not in pivots]
+    out = []
+    for values in fill(free):
+        x = [m.field.zero] * m.ncols
+        for j, v in zip(free, values):
+            x[j] = v
+        out.append(x)
+    return out
+
+
+def _kernel_vectors_reusing_the_first_copy(m, fill):
+    """Every copy's free values drawn as before, then every copy after the
+    first solved with copy 0's: the copies of a layer extend alike."""
+    def first_copy(free):
+        values = fill(free)
+        return [values[0]] * len(values)
+
+    return linalg.kernel_vectors(m, first_copy)
 
 
 @pytest.mark.parametrize("word", [LONGEST, SHORT], ids=["longest", "short"])
@@ -78,7 +96,7 @@ def test_the_transition_checks_pass_unmutated(word):
 
 
 def test_split_extensions_fail_the_transition_check(monkeypatch):
-    monkeypatch.setattr(strata, "kernel_vector", _split_kernel_vector)
+    monkeypatch.setattr(strata, "kernel_vectors", _split_kernel_vectors)
     r = veritas.check_transitions(a_n(3), LONGEST, 1, random.Random(7))
     assert r.outcome == "fail"
     assert r.witness["kind"] == "cross-model"
@@ -96,7 +114,7 @@ def test_skipped_back_substitution_fails_the_transition_check(monkeypatch):
     # length 3 or 4 at bound 1 (seeds 0-4), and at seed 7 so do both on the
     # longest word (bound 1) and the reflection contracts on an A3 corpus
     # of 4.
-    monkeypatch.setattr(strata, "kernel_vector", _kernel_vector_without_back_substitution)
+    monkeypatch.setattr(strata, "kernel_vectors", _kernel_vectors_without_back_substitution)
     r = veritas.check_transitions(a_n(3), SHORT, 1, random.Random(7))
     assert r.outcome == "fail"
     assert r.witness == {"kind": "cross-model", "a": [1, 0, 1, 0, 1], "pos": 2,
@@ -106,10 +124,39 @@ def test_skipped_back_substitution_fails_the_transition_check(monkeypatch):
 def test_skipped_back_substitution_fails_the_corpus_of_the_contracts(monkeypatch):
     # The corpus validates each module it draws; the relation failure is
     # reported as the check's failure, not raised out of it.
-    monkeypatch.setattr(strata, "kernel_vector", _kernel_vector_without_back_substitution)
+    monkeypatch.setattr(strata, "kernel_vectors", _kernel_vectors_without_back_substitution)
     r = veritas.check_reflection_contracts(a_n(3), 4, random.Random(2))
     assert r.outcome == "fail"
     assert r.witness == {"kind": "corpus", "error": "relation fails at vertex 3"}
+
+
+def test_copies_sharing_draws_fail_the_transition_check(monkeypatch):
+    monkeypatch.setattr(strata, "kernel_vectors", _kernel_vectors_reusing_the_first_copy)
+    r = veritas.check_transitions(a_n(3), LONGEST, 2, random.Random(7))
+    assert r.outcome == "fail"
+    assert r.witness["kind"] == "cross-model"
+    assert r.witness["a"] == [2, 0, 2, 0, 0, 0]
+    # The gap: the sample still reads back the datum that built it, on every
+    # one of the 3,645 samples at bound 2.
+    r = veritas.check_cross_model(a_n(3), LONGEST, 2, 5, random.Random(7))
+    assert r.outcome == "probabilistic-pass"
+    assert r.details["samples"] == 3645 and r.details["sampling_misses"] == 0
+
+
+def _last_entry_off_by_one(g, w, x, trace=None):
+    a = strata.extract_datum(g, w, x, trace=trace)
+    return a[:-1] + (a[-1] + 1,)
+
+
+def test_last_entry_off_by_one_fails_the_cross_model_and_transition_checks(monkeypatch):
+    monkeypatch.setattr(veritas, "extract_datum", _last_entry_off_by_one)
+    r = veritas.check_cross_model(a_n(3), LONGEST, 1, 5, random.Random(7))
+    assert r.outcome == "fail"
+    assert r.witness == {"kind": "chain-mismatch", "a": [0, 0, 0, 0, 0, 0],
+                         "got": (0, 0, 0, 0, 0, 1)}
+    r = veritas.check_transitions(a_n(3), LONGEST, 1, random.Random(7))
+    assert r.outcome == "fail"
+    assert r.witness["kind"] == "cross-model"
 
 
 def test_the_rational_contracts_pass_unmutated():

@@ -341,6 +341,50 @@ def test_build_and_extract_roundtrip_a2():
         assert eps_star_mod(1, x) == a[0]
 
 
+def _one_extension_per_layer(g, w, a, rng, f):
+    """A stratum sample as one extension by each whole layer M_k^{a_k}."""
+    x = zero_module(g, f)
+    for k, mult in enumerate(a, 1):
+        x = random_extension(x, direct_power(m_module(g, w, k, field=f), mult), rng)
+    return x
+
+
+@pytest.mark.parametrize("f", [PrimeField(2**61 - 1), PrimeField(3), RationalField()],
+                         ids=["p61", "p3", "rat"])
+@pytest.mark.parametrize("g, letters", [(A3, (1, 2, 1, 3, 2, 1)), (A3, (2, 1, 2, 3, 2)),
+                                        (d4(), (1, 2, 3, 2)), (d4(), (2, 1, 3, 4, 2))],
+                         ids=["A3-longest", "A3-short", "D4-4", "D4-5"])
+def test_build_filtered_solves_each_copy_like_the_whole_layer(f, g, letters):
+    # Solving one copy's system per copy must give the module and leave the
+    # rng exactly as one extension by the direct power does: the same draws,
+    # in the same order. Every a_k takes each value 0..3, next to others.
+    w = WeylWord(letters)
+    data = [tuple((s + j * t) % 4 for j in range(len(w))) for t in (1, 3) for s in range(4)]
+    for seed, a in enumerate(data + [(3,) * len(w)]):
+        rng = random.Random(seed)
+        ref_rng = random.Random()
+        ref_rng.setstate(rng.getstate())
+        x = build_filtered(g, w, a, rng, field=f)
+        want = _one_extension_per_layer(g, w, a, ref_rng, f)
+        assert x.dims == want.dims
+        assert {k: m.rows for k, m in x.maps.items()} == {k: m.rows for k, m in want.maps.items()}
+        assert rng.getstate() == ref_rng.getstate()
+
+
+@pytest.mark.parametrize("f", [F, RationalField()], ids=["prime", "rat"])
+def test_random_extension_by_copies_is_the_extension_by_the_direct_power(f):
+    rng = random.Random(4)
+    for sub in veritas.random_corpus(d4(), 6, rng, f, max_total_dim=8):
+        quot = semisimple(d4(), [rng.randrange(2) for _ in range(4)], field=f)
+        for copies in range(4):
+            ref_rng = random.Random()
+            ref_rng.setstate(rng.getstate())
+            x = random_extension(sub, quot, rng, copies)
+            want = random_extension(sub, direct_power(quot, copies), ref_rng)
+            assert x.dims == want.dims and x.maps == want.maps
+            assert rng.getstate() == ref_rng.getstate()
+
+
 def test_extract_rejects_off_stratum():
     # S_1 has no filtration for the word starting with letter 2 only.
     w = WeylWord((2,))
