@@ -82,10 +82,7 @@ def random_extension(sub, quot, rng, copies=1):
                 rows.append(row)
 
     def fill(free):
-        # Row by row of each B_h, every copy's free values of the row in
-        # turn; with one copy, that is the order of free.
-        if copies == 1:
-            return [[f.random(rng) for _ in free]]
+        # Row by row of each B_h, every copy's free values of the row in turn.
         row_of = []  # the first column of each unknown's row of its B_h
         for a in arr:
             qc = quot.dim_at(a.src)
