@@ -131,6 +131,8 @@ def test_skipped_back_substitution_fails_the_corpus_of_the_contracts(monkeypatch
 
 
 def test_copies_sharing_draws_fail_the_transition_check(monkeypatch):
+    r = veritas.check_transitions(a_n(3), LONGEST, 2, random.Random(7))
+    assert r.outcome == "probabilistic-pass"  # the control, unmutated
     monkeypatch.setattr(strata, "kernel_vectors", _kernel_vectors_reusing_the_first_copy)
     r = veritas.check_transitions(a_n(3), LONGEST, 2, random.Random(7))
     assert r.outcome == "fail"
