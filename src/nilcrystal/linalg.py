@@ -7,7 +7,10 @@ belong to the field (`matmul`, `scale_vec` and the elimination steps); this
 module holds the one Gaussian elimination that every solve, rank and
 nullspace shares. Its forward pass clears the rows below each pivot, and
 the RREF also clears the rows above. `nullspace` reads a kernel basis off
-the RREF, and `cokernel` reads a cokernel off one RREF of [b | I].
+the RREF, and `cokernel` reads a cokernel off one RREF of [b | I]; each also
+returns where its frame is the identity (the basis's free rows, the
+projection's unit columns), so a map into a kernel or out of a cokernel is
+read off those rows or columns (`rows_at`, `cols`), not solved for.
 `kernel_vectors` runs the forward pass alone, once, and then fixes the
 pivot unknowns of each kernel vector its caller supplies free values for
 by back substitution: a random extension by k copies of a module solves
@@ -126,11 +129,8 @@ class Mat:
             [[r[j] for j in indices] for r in self.rows],
         )
 
-    def row_slice(self, lo, hi):
-        return Mat(self.field, hi - lo, self.ncols, [list(r) for r in self.rows[lo:hi]])
-
-    def col_slice(self, lo, hi):
-        return Mat(self.field, self.nrows, hi - lo, [r[lo:hi] for r in self.rows])
+    def rows_at(self, indices):
+        return Mat(self.field, len(indices), self.ncols, [list(self.rows[i]) for i in indices])
 
 
 def hstack_all(field, mats, nrows):
@@ -207,7 +207,8 @@ def rank(m):
 
 
 def nullspace(m):
-    """Basis of the right kernel, as the columns of an (ncols x k) matrix."""
+    """(K, free): K's columns are a basis of the right kernel of m, and its
+    rows at free, m's non-pivot columns in ascending order, are the identity."""
     f = m.field
     R, pivots = rref(m)
     pivot_rows = dict(zip(pivots, R.rows))
@@ -218,7 +219,7 @@ def nullspace(m):
         else [o if fc == i else z for fc in free]
         for i in range(m.ncols)
     ]
-    return Mat(f, m.ncols, len(free), rows)
+    return Mat(f, m.ncols, len(free), rows), free
 
 
 def kernel_vectors(m, fill):
@@ -275,18 +276,16 @@ def col_basis(m):
 def cokernel(b):
     """One elimination of [b | I] gives the cokernel of an (n x k) matrix b.
 
-    Returns (E, P): E holds the unit columns of F^n at the pivots that fall
-    in the I-block, so [col_basis(b) | E] is a basis of F^n, and P, the rows
-    of the I-block below the r pivots in b's columns, is the projection
-    F^n -> F^n / image(b) in the coordinates E: P @ b = 0 and P @ E = I.
+    Returns (units, P): the unit vectors of F^n at units, the pivots that
+    fall in the I-block, complete col_basis(b) to a basis, and P, the rows of
+    the I-block below the r pivots in b's columns, is the projection
+    F^n -> F^n / image(b) in their coordinates: P @ b = 0, P.cols(units) = I.
     """
     f, n, k = b.field, b.nrows, b.ncols
     R, pivots = rref(b.hstack(Mat.identity(f, n)))
     r = sum(p < k for p in pivots)
-    z, o = f.zero, f.one
     units = [p - k for p in pivots[r:]]
-    e = Mat(f, n, n - r, [[o if i == u else z for u in units] for i in range(n)])
-    return e, Mat(f, n - r, n, [row[k:] for row in R.rows[r:]])
+    return units, Mat(f, n - r, n, [row[k:] for row in R.rows[r:]])
 
 
 def is_invertible(m):

@@ -3,12 +3,13 @@
 At vertex i, write `in` for the signed incoming assembly and `out` for the
 unsigned outgoing assembly; the defining relation says in . out = 0. The
 forward functor replaces the space at i by ker(in), the backward one by
-coker(out), each with a twisted structure map built from -(out . in). The
-cokernel is one elimination (`linalg.cokernel`): it gives the projection
-onto coker(out) and the unit columns that it maps to the identity.
-`_forward` and `_backward` return the reflected module together with that
-kernel inclusion or cokernel data, so the functors on morphisms reflect
-each end once and reuse what its reflection computed.
+coker(out), each with a twisted structure map built from -(out . in), read
+off without a solve: out . in maps into ker(in), whose basis is the identity
+at its free rows, and kills image(out), so it factors through the cokernel
+projection as its columns at the projection's unit columns. `_forward` and
+`_backward` return the reflected module together with those kernel or
+cokernel data, so the functors on morphisms reflect each end once and reuse
+what its reflection computed.
 The twist sign is a parameter only so the harness can demonstrate that the
 flipped convention breaks the contracts; production code never passes it.
 The real functors (twist 1) preserve nilpotent modules (Baumann-Kamnitzer,
@@ -18,7 +19,7 @@ a twisted result gets the full check, nilpotency included.
 """
 
 from ..errors import InternalRelationFailure
-from ..linalg import block_diag, cokernel, nullspace, solve
+from ..linalg import block_diag, cokernel, nullspace
 from .module import ModuleMap, PModule, arrows_into
 
 
@@ -33,9 +34,9 @@ def _replace_at(i, m, new_in, new_out, twist, which):
     for a in arrows_into(g, i):
         lo, hi = slices[(a.edge, a.dir)]
         # New incoming component carries the sign back out of the assembly.
-        blk_in = new_in.col_slice(lo, hi)
+        blk_in = new_in.cols(range(lo, hi))
         maps[(a.edge, a.dir)] = blk_in if a.sign > 0 else blk_in.neg()
-        maps[(a.edge, -a.dir)] = new_out.row_slice(lo, hi)
+        maps[(a.edge, -a.dir)] = new_out.rows_at(range(lo, hi))
     try:
         return PModule(g, m.field, dims, maps, check=twist != 1)
     except InternalRelationFailure as exc:
@@ -43,23 +44,22 @@ def _replace_at(i, m, new_in, new_out, twist, which):
 
 
 def _forward(i, m, twist):
-    """The forward reflection and the inclusion k of its new space ker(in)."""
+    """The forward reflection, with the inclusion k of its new space ker(in)
+    and the free rows of k, where k is the identity."""
     in_i, out_i = m.in_map(i), m.out_map(i)
-    k = nullspace(in_i)  # total-in x newdim, columns span ker(in)
-    # incl . c = twist * out . in, well-defined since in . out = 0.
-    c = solve(k, (out_i @ in_i).scale(m.field.of_int(twist)))
-    if c is None:
-        raise InternalRelationFailure("twisted map does not land in the kernel")
-    return _replace_at(i, m, c, k, twist, "forward"), k
+    k, free = nullspace(in_i)  # total-in x newdim, columns span ker(in)
+    # k . c = twist * out . in, whose columns lie in ker(in) since in . out = 0.
+    c = (out_i.rows_at(free) @ in_i).scale(m.field.of_int(twist))
+    return _replace_at(i, m, c, k, twist, "forward"), k, free
 
 
 def _backward(i, m, twist):
-    """The backward reflection, with the cokernel (e, projection) of out."""
+    """The backward reflection, with the cokernel (units, projection) of out."""
     in_i, out_i = m.in_map(i), m.out_map(i)
-    e, proj = cokernel(out_i)
+    units, proj = cokernel(out_i)
     # Induced map coker -> total-in from twist * out . in (kills image(out)).
-    induced = (out_i @ in_i).scale(m.field.of_int(twist)) @ e
-    return _replace_at(i, m, proj, induced, twist, "backward"), e, proj
+    induced = (out_i @ in_i.cols(units)).scale(m.field.of_int(twist))
+    return _replace_at(i, m, proj, induced, twist, "backward"), units, proj
 
 
 def sigma(i, m, twist=1):
@@ -87,18 +87,17 @@ def _on_assembly(i, f_map):
 
 def sigma_on_map(i, f_map, twist=1):
     """The forward functor applied to a morphism."""
-    sm, km = _forward(i, f_map.source, twist)
-    sn, kn = _forward(i, f_map.target, twist)
-    # Block-diagonal action on the incoming assemblies restricts to kernels.
-    restricted = solve(kn, _on_assembly(i, f_map) @ km)
-    if restricted is None:
-        raise InternalRelationFailure("morphism does not restrict to kernels")
+    sm, km, _ = _forward(i, f_map.source, twist)
+    sn, _, free_n = _forward(i, f_map.target, twist)
+    # The action on the incoming assemblies maps kernel into kernel, so its
+    # restriction is read at the free rows of the target's kernel basis.
+    restricted = _on_assembly(i, f_map).rows_at(free_n) @ km
     return ModuleMap(sm, sn, f_map.mats[:i - 1] + (restricted,) + f_map.mats[i:])
 
 
 def sigma_star_on_map(i, f_map, twist=1):
     """The backward functor applied to a morphism."""
-    sm, em, _ = _backward(i, f_map.source, twist)
+    sm, units_m, _ = _backward(i, f_map.source, twist)
     sn, _, proj_n = _backward(i, f_map.target, twist)
-    induced = proj_n @ _on_assembly(i, f_map) @ em
+    induced = proj_n @ _on_assembly(i, f_map).cols(units_m)
     return ModuleMap(sm, sn, f_map.mats[:i - 1] + (induced,) + f_map.mats[i:])

@@ -53,7 +53,7 @@ def hom_space(m, n):
                 row[lo:lo + mt] = ma_col
                 row[offsets[a.src - 1] + b:src_end:ms] = neg_na_row
                 rows.append(row)
-    basis = nullspace(Mat(f, len(rows), total, rows)).transpose().rows
+    basis = nullspace(Mat(f, len(rows), total, rows))[0].transpose().rows
     out = []
     for vec in basis:
         mats = []

@@ -289,7 +289,7 @@ class ModuleMap:
         return Submodule(self.target, [col_basis(m) for m in self.mats])
 
     def kernel(self):
-        return Submodule(self.source, [nullspace(m) for m in self.mats])
+        return Submodule(self.source, [nullspace(m)[0] for m in self.mats])
 
 
 class Submodule:
@@ -371,7 +371,7 @@ def soc_i(m, i):
     """The S_i-isotypic socle component, as a submodule at vertex i."""
     m.graph.check_vertex(i)
     f = m.field
-    ker = nullspace(m.out_map(i))
+    ker = nullspace(m.out_map(i))[0]
     bases = []
     for j in m.graph.vertices():
         bases.append(ker if j == i else Mat.zero(f, m.dim_at(j), 0))
@@ -392,21 +392,17 @@ def socle_dims(m):
 def quotient(m, u):
     """Quotient by a submodule, with the projection morphism.
 
-    At each vertex one elimination (`cokernel`) gives the projection and a
-    section made of unit columns. The maps are projection . arrow . section,
-    so neither their relations nor the projection's commuting with the
-    arrows is checked again.
+    At each vertex one elimination (`cokernel`) gives the projection and the
+    unit columns where it is the identity, which span a complement of the
+    submodule. An arrow's map is the projection at its target times the
+    arrow's columns at the source's units, so neither the relations nor the
+    projection's commuting with the arrows is checked again.
     """
     g, f = m.graph, m.field
-    sections = []
-    projs = []
-    for i in g.vertices():
-        e, p = cokernel(u.bases[i - 1])
-        sections.append(e)
-        projs.append(p)
+    units, projs = zip(*map(cokernel, u.bases))
     maps = {}
     for a in arrows_of(g):
-        maps[(a.edge, a.dir)] = projs[a.tgt - 1] @ m.arrow_map(a) @ sections[a.src - 1]
+        maps[(a.edge, a.dir)] = projs[a.tgt - 1] @ m.arrow_map(a).cols(units[a.src - 1])
     q = PModule(g, f, tuple(p.nrows for p in projs), maps, check=False)
     return q, ModuleMap(m, q, projs, check=False)
 
@@ -417,11 +413,11 @@ def soc_chain(m, seq):
     Peeling j replaces the chain U by the preimage of the S_j-socle of M/U.
     That socle is zero away from j, so only U_j moves. It becomes the x in
     M_j that every arrow a: j -> t sends into U_t, the kernel of the stacked
-    P_t @ M_a, where P_t is the cokernel projection of U_t: with the section
-    E_j, x - E_j P_j x lies in U_j, which M_a sends into U_t, so the
-    quotient's arrow P_t M_a E_j sends P_j x to P_t M_a x. A `nullspace`
-    basis depends only on its subspace, so the bases equal those of the
-    route through `quotient`, `soc_i` and a preimage at every vertex.
+    P_t @ M_a, where P_t is the cokernel projection of U_t: with E_j the
+    unit columns where P_j is the identity, x - E_j P_j x lies in U_j, which
+    M_a sends into U_t, so the quotient's arrow sends P_j x to P_t M_a x. A
+    `nullspace` basis depends only on its subspace, so the bases equal those
+    of the route through `quotient`, `soc_i` and a preimage at every vertex.
     """
     g, f = m.graph, m.field
     bases = [Mat.zero(f, d, 0) for d in m.dims]
@@ -429,6 +425,6 @@ def soc_chain(m, seq):
     for j in seq:
         g.check_vertex(j)
         blocks = [projs[a.tgt - 1] @ m.arrow_map(a) for a in arrows_out_of(g, j)]
-        bases[j - 1] = nullspace(vstack_all(f, blocks, m.dim_at(j)))
+        bases[j - 1] = nullspace(vstack_all(f, blocks, m.dim_at(j)))[0]
         projs[j - 1] = cokernel(bases[j - 1])[1]
     return Submodule(m, bases)

@@ -15,7 +15,7 @@ import pytest
 from nilcrystal import fields, linalg, veritas
 from nilcrystal.fields import RationalField
 from nilcrystal.linalg import Mat, cokernel, nullspace, rref, vstack_all
-from nilcrystal.prepmod import Submodule, arrows_out_of, strata
+from nilcrystal.prepmod import Submodule, arrows_out_of, functors, strata
 from nilcrystal.rootsys import WeylWord, a_n
 
 
@@ -31,7 +31,7 @@ def _soc_chain_mutant(project, update):
         for j in seq:
             blocks = [projs[a.tgt - 1] @ m.arrow_map(a) if project else m.arrow_map(a)
                       for a in arrows_out_of(g, j)]
-            bases[j - 1] = nullspace(vstack_all(f, blocks, m.dim_at(j)))
+            bases[j - 1] = nullspace(vstack_all(f, blocks, m.dim_at(j)))[0]
             if update:
                 projs[j - 1] = cokernel(bases[j - 1])[1]
         return Submodule(m, bases)
@@ -168,12 +168,39 @@ def test_the_rational_contracts_pass_unmutated():
 
 def test_truncating_rational_division_fails_the_contracts(monkeypatch):
     # Every inexact quotient of the kernels rounds down to an int, so a
-    # morphism's reflection no longer maps kernel into kernel.
+    # morphism's reflection, read off the wrong kernels, no longer commutes.
     monkeypatch.setattr(fields, "_ratio", lambda n, d: n // d)
     r = veritas.check_reflection_contracts(a_n(3), 20, random.Random(0), fld=RationalField())
     assert r.outcome == "fail"
     assert r.witness["kind"] == "functor-on-map"
-    assert r.witness["extra"] == "morphism does not restrict to kernels"
+    assert r.witness["extra"] == ("morphism fails to commute with arrow "
+                                  "Arrow(edge=0, dir=-1, src=2, tgt=1, sign=-1)")
+
+
+def _nullspace_with_reversed_free_rows(m):
+    k, free = linalg.nullspace(m)
+    return k, free[::-1]
+
+
+def _cokernel_with_reversed_units(b):
+    units, p = linalg.cokernel(b)
+    return units[::-1], p
+
+
+# The reflections read their maps off the rows of the kernel basis and the
+# columns of the cokernel projection where each is the identity; read at
+# the right indices in the wrong order, a reflected morphism fails to commute.
+@pytest.mark.parametrize("name, mutant, arrow", [
+    ("nullspace", _nullspace_with_reversed_free_rows,
+     "Arrow(edge=1, dir=-1, src=3, tgt=2, sign=-1)"),
+    ("cokernel", _cokernel_with_reversed_units, "Arrow(edge=1, dir=1, src=2, tgt=3, sign=1)"),
+], ids=["forward-free-rows", "backward-units"])
+def test_permuted_identity_indices_fail_the_contracts(monkeypatch, name, mutant, arrow):
+    monkeypatch.setattr(functors, name, mutant)
+    r = veritas.check_reflection_contracts(a_n(3), 4, random.Random(7))
+    assert r.outcome == "fail"
+    assert r.witness["kind"] == "functor-on-map"
+    assert r.witness["extra"] == f"morphism fails to commute with arrow {arrow}"
 
 
 def test_top_dimension_zero_fails_the_forward_dimension_law(monkeypatch):

@@ -271,7 +271,7 @@ def _peel_by_quotient(m, u, j):
     every vertex: the route that `soc_chain` replaces by one kernel at j."""
     q, proj = quotient(m, u)
     s = soc_i(q, j)
-    return Submodule(m, [nullspace(cokernel(b)[1] @ proj.mat_at(i))
+    return Submodule(m, [nullspace(cokernel(b)[1] @ proj.mat_at(i))[0]
                          for i, b in enumerate(s.bases, start=1)])
 
 
