@@ -145,9 +145,8 @@ def cmd_roots(args, g):
     return EXIT_OK
 
 
-def cmd_modules(args, g):
+def cmd_modules(args, g, fld):
     w = _word(args)
-    fld = _field(args)
     rng = random.Random(args.seed)
     dumps = []
     for k in range(1, len(w) + 1):
@@ -208,8 +207,7 @@ def cmd_extract(args, g):
     return EXIT_OK
 
 
-def cmd_verify(args, g):
-    fld = _field(args)
+def cmd_verify(args, g, fld):
     reports = []
     suites = ([args.suite] if args.suite != "all"
               else ["reflection-contracts", "modules", "cross-model", "transitions"])
@@ -249,7 +247,9 @@ def cmd_verify(args, g):
         veritas.write_reports(reports, csv_path=args.csv)
     ok = True
     for r in reports:
-        if r.check_id == "reflection-contracts-mutated":
+        if r.outcome == "vacuous-pass":  # passed, with the reason it checked nothing
+            marker = f"VACUOUS ({r.details['warning']})"
+        elif r.check_id == "reflection-contracts-mutated":
             # The flipped sign convention must break on any graph with a
             # vertex of in-degree two; on smaller graphs both signs agree.
             if not r.passed:
@@ -259,8 +259,6 @@ def cmd_verify(args, g):
             else:
                 marker = "FAIL (mutation not detected)"
                 ok = False
-        elif r.outcome == "vacuous-pass":  # passed, with the reason it checked nothing
-            marker = f"VACUOUS ({r.details['warning']})"
         else:
             marker = "PASS" if r.passed else "FAIL"
             ok = ok and r.passed
@@ -278,14 +276,15 @@ def main(argv=None):
     if g is None:
         return EXIT_INFRA
     try:
+        fld = _field(args)  # a bad spec exits 2 whichever command it came with
         if args.command == "roots":
             return cmd_roots(args, g)
         if args.command == "modules":
-            return cmd_modules(args, g)
+            return cmd_modules(args, g, fld)
         if args.command == "extract":
             return cmd_extract(args, g)
         if args.command == "verify":
-            return cmd_verify(args, g)
+            return cmd_verify(args, g, fld)
     except (NonReducedWord, ValueError) as exc:
         return _die(EXIT_BAD_INPUT, str(exc))
     except NilcrystalError as exc:

@@ -107,6 +107,14 @@ def test_composite_modulus_rejected():
                 "verify", "modules"]) == 2
 
 
+@pytest.mark.parametrize("spec", ["prime:abc", "prime:7", "float"])
+def test_bad_field_exits_2_for_every_command(a2_graph, tmp_path, spec):
+    mpath = tmp_path / "s.json"
+    simple(a_n(2), 2, field=default_field()).dump(str(mpath))
+    for command in (["roots", "1"], ["extract", str(mpath), "2"]):
+        assert run(["--graph", a2_graph, "--field", spec] + command) == 2
+
+
 def _module_file(tmp_path, graph, dims, arrows):
     gpath, mpath = tmp_path / "g.json", tmp_path / "m.json"
     gpath.write_text(json.dumps(graph.to_dict()))
@@ -176,6 +184,37 @@ def test_verify_summary_says_when_a_check_was_vacuous(capsys):
     assert rep["outcome"] == "vacuous-pass"
     assert err.startswith("transitions: VACUOUS (no braid moves for this word) (")
     assert "PASS" not in err
+
+
+def test_verify_summary_calls_an_empty_mutated_corpus_vacuous(capsys):
+    # With no corpus the mutated contracts check nothing: that is not a
+    # missed mutation.
+    code = run(["--graph", str(GRAPHS / "a3.json"), "--no-timestamp",
+                "verify", "reflection-contracts", "--corpus", "0"])
+    assert code == 0
+    err = capsys.readouterr().err.splitlines()
+    assert [line.rsplit(" (", 1)[0] for line in err] == [
+        "reflection-contracts: VACUOUS (empty corpus)",
+        "reflection-contracts-mutated: VACUOUS (empty corpus)",
+    ]
+
+
+def test_verify_summary_fails_a_mutated_run_that_passes(monkeypatch, capsys):
+    # A mutated run that checks contracts and passes them missed the mutation.
+    real = veritas.check_reflection_contracts
+
+    def unmutated(g, size, rng, fld=None, twist=1):
+        r = real(g, size, rng, fld=fld)
+        if twist != 1:
+            r.check_id = "reflection-contracts-mutated"
+        return r
+
+    monkeypatch.setattr(veritas, "check_reflection_contracts", unmutated)
+    code = run(["--graph", str(GRAPHS / "a3.json"), "--no-timestamp",
+                "verify", "reflection-contracts", "--corpus", "2"])
+    assert code == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err[1].startswith("reflection-contracts-mutated: FAIL (mutation not detected) (")
 
 
 def test_verify_needs_word(a2_graph):
