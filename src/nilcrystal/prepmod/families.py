@@ -123,6 +123,11 @@ def v_dim_weight(g, w, k):
     return lam - apply_word_to_weight(g, rev_prefix, lam)
 
 
+def cartan_invertible(g):
+    """Whether the Cartan matrix is invertible over the rationals: finite type."""
+    return is_invertible(Mat.from_int_rows(RationalField(), g.cartan(), ncols=g.n))
+
+
 def weight_to_root(g, lam):
     """Convert a weight-basis vector that lies in the root lattice.
 
@@ -130,10 +135,10 @@ def weight_to_root(g, lam):
     raises ValueError when A is singular (affine graphs) or x is not
     integral.
     """
+    if not cartan_invertible(g):
+        raise ValueError("Cartan matrix is singular; cannot convert basis")
     fld = RationalField()
     at = Mat.from_int_rows(fld, g.cartan(), ncols=g.n).transpose()
-    if not is_invertible(at):
-        raise ValueError("Cartan matrix is singular; cannot convert basis")
     x = solve(at, Mat.col_vector(fld, [fld.of_int(c) for c in lam.coeffs]))
     sol = [r[0] for r in x.rows]
     if any(s.denominator != 1 for s in sol):

@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 
 from .crystal import datum, extraction_chain, transition, weight
 from .errors import InternalRelationFailure, NotInGenericStratum
-from .fields import RationalField, default_field, field_size
-from .linalg import Mat, is_invertible
+from .fields import default_field, field_size
+from .linalg import Mat
 from .prepmod import (
     PModule,
     arrows_into,
@@ -44,7 +44,7 @@ from .prepmod import (
     v_module,
     zero_module,
 )
-from .prepmod.families import _reflected
+from .prepmod.families import _reflected, cartan_invertible
 from .rootsys import (
     Weight,
     WeylWord,
@@ -334,7 +334,7 @@ def check_modules(g, maxlen, rng=None, fld=None, socle_chain_oracle=False):
         injectives = {}
         if socle_chain_oracle:
             injectives = {i: injective_module(g, i, fld) for i in g.vertices()}
-        finite_type = _cartan_invertible(g)
+        finite_type = cartan_invertible(g)
         cartan = g.cartan()
         by_len = all_reduced_words_upto(g, maxlen)
         for l in range(1, maxlen + 1):
@@ -387,10 +387,6 @@ def check_modules(g, maxlen, rng=None, fld=None, socle_chain_oracle=False):
 
     return _run("modules", "module family laws: socles, dims, route agreement, trivial tops",
                 params, fld, "words_checked", body)
-
-
-def _cartan_invertible(g):
-    return is_invertible(Mat.from_int_rows(RationalField(), g.cartan(), ncols=g.n))
 
 
 def check_cross_model(g, word, bound, samples, rng, fld=None):

@@ -85,9 +85,9 @@ def test_write_reports(tmp_path):
 
 
 def test_cartan_invertible():
-    assert not veritas._cartan_invertible(affine_a1())
-    assert veritas._cartan_invertible(a_n(3))
-    assert veritas._cartan_invertible(d4())
+    assert not veritas.cartan_invertible(affine_a1())
+    assert veritas.cartan_invertible(a_n(3))
+    assert veritas.cartan_invertible(d4())
 
 
 def _always_missing(*args, **kwargs):
@@ -270,7 +270,7 @@ def test_every_check_that_did_no_work_is_a_vacuous_pass_that_says_why():
 
 def test_modules_checks_the_cartan_matrix_once(monkeypatch):
     calls = []
-    real = veritas._cartan_invertible
-    monkeypatch.setattr(veritas, "_cartan_invertible", lambda g: calls.append(g) or real(g))
+    real = veritas.cartan_invertible
+    monkeypatch.setattr(veritas, "cartan_invertible", lambda g: calls.append(g) or real(g))
     assert veritas.check_modules(a_n(3), 3, rng=random.Random(2)).passed
     assert calls == [a_n(3)]
