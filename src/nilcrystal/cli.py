@@ -34,6 +34,14 @@ EXIT_INFRA = 4
 MIN_PRIME = 1 << 31
 
 
+def _count(text):
+    """A non-negative integer flag value; argparse exits on anything else."""
+    n = int(text)
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {n}")
+    return n
+
+
 def build_parser():
     p = argparse.ArgumentParser(
         prog="nilcrystal",
@@ -67,11 +75,11 @@ def build_parser():
                      choices=["all", "reflection-contracts", "modules", "cross-model", "transitions"])
     ver.add_argument("--word", type=int, nargs="+",
                      help="word for cross-model/transitions suites")
-    ver.add_argument("--bound", type=int, default=1, help="datum grid bound")
-    ver.add_argument("--samples", type=int, default=2, help="samples per grid point")
-    ver.add_argument("--maxlen", type=int, default=3,
+    ver.add_argument("--bound", type=_count, default=1, help="datum grid bound")
+    ver.add_argument("--samples", type=_count, default=2, help="samples per grid point")
+    ver.add_argument("--maxlen", type=_count, default=3,
                      help="word length bound for the modules suite")
-    ver.add_argument("--corpus", type=int, default=100,
+    ver.add_argument("--corpus", type=_count, default=100,
                      help="corpus size for the reflection-contracts suite")
     ver.add_argument("--csv", help="also write a CSV summary to this path")
     return p

@@ -94,20 +94,21 @@ def retry_budget(field, total_dim):
     return max(1, math.ceil(DEFAULT_CONFIDENCE_BITS / per_sample_bits))
 
 
-def _zero_map(m, n):
-    f = m.field
-    mats = [Mat.zero(f, n.dim_at(i), m.dim_at(i)) for i in m.graph.vertices()]
-    return ModuleMap(m, n, mats, check=False)
-
-
-def _search(m, n, basis, rng, predicate, tries):
+def _search(m, n, rng, predicate, degree):
+    """A morphism m -> n that satisfies predicate, or None: random elements
+    of Hom(m, n), as many as retry_budget gives for misses of this degree."""
+    rng = rng or random.Random(0)
+    basis = hom_space(m, n)
+    tries = retry_budget(m.field, degree)
     if not basis:
         # Hom(m,n) = 0; the zero map may still qualify (e.g. m = n = 0).
-        cand = _zero_map(m, n)
+        f = m.field
+        cand = ModuleMap(m, n, [Mat.zero(f, n.dim_at(i), m.dim_at(i))
+                                for i in m.graph.vertices()], check=False)
         return cand if predicate(cand) else None
     for _ in range(tries):
         cand = random_hom(basis, rng)
-        if cand is not None and predicate(cand):
+        if predicate(cand):
             return cand
     return None
 
@@ -118,10 +119,7 @@ def find_iso(m, n, rng=None):
         raise ValueError("isomorphism testing needs a common graph")
     if m.dims != n.dims:
         return None
-    rng = rng or random.Random(0)
-    basis = hom_space(m, n)
-    tries = retry_budget(m.field, m.total_dim)
-    return _search(m, n, basis, rng, lambda h: h.is_isomorphism(), tries)
+    return _search(m, n, rng, ModuleMap.is_isomorphism, m.total_dim)
 
 
 def is_iso(m, n, rng=None):
@@ -131,15 +129,9 @@ def is_iso(m, n, rng=None):
 
 def find_injective_hom(m, n, rng=None):
     """A generic injective morphism m -> n, or None; misses have degree <= dim m."""
-    rng = rng or random.Random(0)
-    basis = hom_space(m, n)
-    tries = retry_budget(m.field, m.total_dim)
-    return _search(m, n, basis, rng, lambda h: h.is_injective(), tries)
+    return _search(m, n, rng, ModuleMap.is_injective, m.total_dim)
 
 
 def find_surjective_hom(m, n, rng=None):
     """A generic surjective morphism m -> n, or None; misses have degree <= dim n."""
-    rng = rng or random.Random(0)
-    basis = hom_space(m, n)
-    tries = retry_budget(n.field, n.total_dim)
-    return _search(m, n, basis, rng, lambda h: h.is_surjective(), tries)
+    return _search(m, n, rng, ModuleMap.is_surjective, n.total_dim)

@@ -332,8 +332,11 @@ def check_modules(g, maxlen, rng=None, fld=None, socle_chain_oracle=False):
     def body(details):
         details["words_checked"] = 0
         injectives = {}
-        if socle_chain_oracle:
-            injectives = {i: injective_module(g, i, fld) for i in g.vertices()}
+        for i in g.vertices() if socle_chain_oracle else ():
+            try:
+                injectives[i] = injective_module(g, i, fld)
+            except InternalRelationFailure as exc:
+                _fail("injectives", vertex=i, error=str(exc))
         finite_type = cartan_invertible(g)
         cartan = g.cartan()
         by_len = all_reduced_words_upto(g, maxlen)

@@ -217,6 +217,12 @@ def test_verify_summary_fails_a_mutated_run_that_passes(monkeypatch, capsys):
     assert err[1].startswith("reflection-contracts-mutated: FAIL (mutation not detected) (")
 
 
+@pytest.mark.parametrize("flag", ["--bound", "--samples", "--maxlen", "--corpus"])
+def test_verify_negative_counts_exit_4(a2_graph, flag):
+    assert run(["--graph", a2_graph, "verify", "cross-model", "--word", "1", "2",
+                flag, "-1"]) == 4
+
+
 def test_verify_needs_word(a2_graph):
     assert run(["--graph", a2_graph, "verify", "cross-model"]) == 4
 

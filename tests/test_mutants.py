@@ -15,7 +15,7 @@ import pytest
 from nilcrystal import fields, linalg, veritas
 from nilcrystal.fields import RationalField
 from nilcrystal.linalg import Mat, cokernel, nullspace, rref, vstack_all
-from nilcrystal.prepmod import Submodule, arrows_out_of, functors, strata
+from nilcrystal.prepmod import Submodule, arrows_out_of, functors, injectives, strata
 from nilcrystal.rootsys import WeylWord, a_n
 
 
@@ -51,6 +51,17 @@ def test_socle_chain_mutants_fail_the_socle_chain_law(monkeypatch, mutant):
     r = veritas.check_modules(a_n(3), 2, socle_chain_oracle=True)
     assert r.outcome == "fail"
     assert r.witness == {"kind": "v-socle-chain", "word": [1, 2], "k": 2}
+
+
+def test_unsigned_relations_fail_the_injectives(monkeypatch):
+    # Every arrow into a vertex taken with sign +1: e_i Lambda is built
+    # modulo the wrong relations, so I_i fails the module check.
+    real = injectives.arrows_into
+    monkeypatch.setattr(injectives, "arrows_into",
+                        lambda g, v: tuple(a._replace(sign=+1) for a in real(g, v)))
+    r = veritas.check_modules(a_n(3), 2, socle_chain_oracle=True)
+    assert r.outcome == "fail"
+    assert r.witness["kind"] == "injectives"
 
 
 # The A3 longest word, and the shortest A3 word whose transitions catch the

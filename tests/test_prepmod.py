@@ -55,6 +55,7 @@ from nilcrystal.prepmod import (
     zero_module,
 )
 from nilcrystal.rootsys import (
+    CartanGraph,
     Weight,
     WeylWord,
     a_n,
@@ -296,6 +297,31 @@ def test_injective_nonfinite_type_capped():
 
     with pytest.raises(CapExceeded):
         injective_module(affine_a1(), 1, F)
+    # A star with five arms: the spanning paths outgrow the cap at once.
+    with pytest.raises(CapExceeded):
+        injective_module(CartanGraph(6, tuple((k, 6) for k in range(1, 6))), 1, F)
+
+
+D5 = CartanGraph(5, ((1, 2), (2, 3), (3, 4), (3, 5)))
+E6 = CartanGraph(6, ((1, 2), (2, 3), (3, 4), (4, 5), (3, 6)))
+
+
+@pytest.mark.parametrize("g, dim_algebra", [(a_n(7), 84), (D5, 60), (E6, 156)],
+                         ids=["A7", "D5", "E6"])
+def test_injectives_of_larger_dynkin_graphs(g, dim_algebra):
+    # Each I_i has socle S_i and a simple top, and together they are as
+    # large as the preprojective algebra.
+    injs = {i: injective_module(g, i, F) for i in g.vertices()}
+    for i, inj in injs.items():
+        inj.validate()
+        assert socle_dims(inj) == tuple(int(j == i) for j in g.vertices())
+        assert sum(top_i_dim(inj, j) for j in g.vertices()) == 1
+    assert sum(inj.total_dim for inj in injs.values()) == dim_algebra
+
+
+def test_the_socle_chain_law_holds_on_d5():
+    r = veritas.check_modules(D5, 2, socle_chain_oracle=True)
+    assert r.outcome == "probabilistic-pass", r.witness
 
 
 def test_hom_space_endomorphisms_of_simple():
