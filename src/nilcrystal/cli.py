@@ -219,6 +219,8 @@ def cmd_verify(args, g, fld):
     reports = []
     suites = ([args.suite] if args.suite != "all"
               else ["reflection-contracts", "modules", "cross-model", "transitions"])
+    if not args.word and {"cross-model", "transitions"} & set(suites):
+        return _die(EXIT_INFRA, f"suite {args.suite} needs --word")
     for suite in suites:
         rng = random.Random(veritas.derive_seed(args.seed, suite))
         if suite == "reflection-contracts":
@@ -229,8 +231,6 @@ def cmd_verify(args, g, fld):
         elif suite == "modules":
             reports.append(veritas.check_modules(g, args.maxlen, rng=rng, fld=fld))
         elif suite in ("cross-model", "transitions"):
-            if not args.word:
-                return _die(EXIT_INFRA, f"suite {suite} needs --word")
             w = _word(args, args.word)
             if suite == "cross-model":
                 reports.append(

@@ -227,6 +227,13 @@ def test_verify_needs_word(a2_graph):
     assert run(["--graph", a2_graph, "verify", "cross-model"]) == 4
 
 
+def test_verify_all_needs_word_before_any_suite_runs(a2_graph, monkeypatch):
+    calls = []
+    monkeypatch.setattr(veritas, "check_reflection_contracts", lambda *a, **k: calls.append(a))
+    assert run(["--graph", a2_graph, "verify", "all"]) == 4
+    assert calls == []
+
+
 def test_byte_identical_reruns(a2_graph, tmp_path):
     p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
     for p in (p1, p2):

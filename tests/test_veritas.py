@@ -1,9 +1,12 @@
 import json
 import random
 
+import pytest
+
 from nilcrystal import veritas
 from nilcrystal.errors import NotInGenericStratum
 from nilcrystal.fields import default_field
+from nilcrystal.prepmod import functors
 from nilcrystal.rootsys import WeylWord, a_n, affine_a1, d4
 
 
@@ -113,48 +116,46 @@ def test_transitions_with_every_sample_missing_is_vacuous(monkeypatch):
     assert "generic stratum" in r.details["warning"]
 
 
-def test_cross_model_steps_through_the_module_it_read(monkeypatch):
-    built, stepped = [], []
-    real_build, real_extract, real_star = (
-        veritas.build_filtered, veritas.extract_datum, veritas.sigma_star)
-
-    def build(*args, **kwargs):
-        built.append(real_build(*args, **kwargs))
-        return built[-1]
-
-    def extract(g, w, x, trace=None):
-        if x is built[0]:
-            raise NotInGenericStratum("forced miss")
-        return real_extract(g, w, x)
-
-    def star(i, x):
-        stepped.append(x)
-        return real_star(i, x)
-
-    monkeypatch.setattr(veritas, "build_filtered", build)
-    monkeypatch.setattr(veritas, "extract_datum", extract)
-    monkeypatch.setattr(veritas, "sigma_star", star)
-    r = veritas.check_cross_model(a_n(2), WeylWord((1, 2, 1)), 0, 1,
-                                  random.Random(3))
-    assert r.outcome == "pass" and r.details["sampling_misses"] == 0
-    assert len(built) == 2 and stepped[0] is built[1]
+def test_cross_model_of_the_empty_word_passes():
+    r = veritas.check_cross_model(a_n(2), WeylWord(()), 1, 3, random.Random(3))
+    assert r.passed and not r.witness
+    assert r.details["grid_points"] == 1 and r.details["samples"] == 3
 
 
-def test_cross_model_counts_stepwise_misses(monkeypatch):
-    word = WeylWord((1, 2, 1))
-    real = veritas.extract_datum
-
-    def tails_miss(g, w, x, trace=None):
-        if len(w) < len(word):
-            raise NotInGenericStratum("forced miss")
-        return real(g, w, x)
-
-    r = veritas.check_cross_model(a_n(2), word, 1, 1, random.Random(3))
-    assert "stepwise_misses" not in r.details
-    monkeypatch.setattr(veritas, "extract_datum", tails_miss)
-    r = veritas.check_cross_model(a_n(2), word, 1, 1, random.Random(3))
+def test_cross_model_reflects_each_sample_once_per_letter(monkeypatch):
+    # Each read walks the word once, with one backward reflection per
+    # letter: 8 grid points, one sample each, and the word has 3 letters.
+    calls = []
+    real = functors._backward
+    monkeypatch.setattr(functors, "_backward", lambda *a: calls.append(a) or real(*a))
+    r = veritas.check_cross_model(a_n(2), WeylWord((1, 2, 1)), 1, 1, random.Random(3))
     assert r.passed and r.details["sampling_misses"] == 0
-    assert r.details["stepwise_misses"] == 8 * len(word)
+    assert len(calls) == 24
+
+
+@pytest.mark.parametrize("g, maxlen, words", [(a_n(3), 3, 19), (d4(), 4, 112)],
+                         ids=["A3", "D4"])
+def test_modules_builds_one_cokernel_layer_per_word(monkeypatch, g, maxlen, words):
+    # Layer k of a word is the last layer of its length-k prefix, which is
+    # checked as a word of its own, so only each word's last layer is built.
+    routes = []
+    real = veritas.m_module
+    monkeypatch.setattr(veritas, "m_module",
+                        lambda *a, **k: routes.append(k["route"]) or real(*a, **k))
+    r = veritas.check_modules(g, maxlen, rng=random.Random(2))
+    assert r.passed and r.details["words_checked"] == words
+    assert routes.count("cokernel") == words
+
+
+def test_modules_reports_an_injective_past_its_cap():
+    r = veritas.check_modules(affine_a1(), 2, socle_chain_oracle=True)
+    assert r.outcome == "fail"
+    assert r.witness == {
+        "kind": "injectives",
+        "vertex": 1,
+        "error": "graded algebra did not terminate; graph is not of finite type",
+    }
+    assert r.details == {"words_checked": 0}
 
 
 # Failure reports, pinned: each test forces one failure through a veritas
@@ -194,9 +195,8 @@ def test_modules_report_a_nontrivial_top(monkeypatch):
     assert r.confidence is not None
 
 
-def _miss_at(monkeypatch, full, tails):
-    """Make extract_datum miss every read of the full word while the grid
-    is at `full`, and every read of a shorter word while it is at `tails`."""
+def _miss_at(monkeypatch, full):
+    """Make extract_datum miss every read while the grid is at `full`."""
     at = []
     real_datum, real_extract = veritas.datum, veritas.extract_datum
 
@@ -205,7 +205,7 @@ def _miss_at(monkeypatch, full, tails):
         return real_datum(g, w, a)
 
     def extract(g, w, x, trace=None):
-        if at[-1] == (full if len(w) == 3 else tails):
+        if at[-1] == full:
             raise NotInGenericStratum("forced miss")
         return real_extract(g, w, x)
 
@@ -214,7 +214,7 @@ def _miss_at(monkeypatch, full, tails):
 
 
 def test_cross_model_report_a_chain_mismatch(monkeypatch):
-    _miss_at(monkeypatch, (0, 1, 0), (0, 0, 1))
+    _miss_at(monkeypatch, (0, 1, 0))
     real_chain = veritas.extraction_chain
 
     class Wrong:
@@ -226,12 +226,12 @@ def test_cross_model_report_a_chain_mismatch(monkeypatch):
     assert r.outcome == "fail"
     assert r.witness == {"kind": "chain-mismatch", "a": [1, 0, 1], "got": (1, 0, 1)}
     assert r.details == {"grid_points": 6, "samples": 11, "sampling_misses": 2,
-                         "miss_rate": 2 / 11, "stepwise_misses": 6}
+                         "miss_rate": 2 / 11}
     assert r.confidence is not None
 
 
 def test_transitions_report_a_cross_model_mismatch(monkeypatch):
-    _miss_at(monkeypatch, (0, 0, 1), None)
+    _miss_at(monkeypatch, (0, 0, 1))
     calls = []
     real = veritas.extract_datum
 
