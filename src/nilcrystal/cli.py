@@ -2,7 +2,7 @@
 
 Exit codes: 0 success, 1 mathematical failure, 2 bad mathematical input,
 3 invalid module file, 4 infrastructure problems (bad flags, unknown suite,
-unreadable paths).
+unreadable or unwritable paths).
 
 Words are given in application order; --paper-order accepts the reversed
 display order used in the literature and flips it on input.
@@ -119,13 +119,16 @@ def _die(code, message):
 
 
 def _emit(args, text):
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-            if not text.endswith("\n"):
-                fh.write("\n")
-    else:
+    """Print text, or write it to --out; returns the exit code."""
+    if not args.out:
         print(text)
+        return EXIT_OK
+    try:
+        with open(args.out, "w") as fh:
+            fh.write(text if text.endswith("\n") else text + "\n")
+    except OSError as exc:
+        return _die(EXIT_INFRA, f"cannot write {args.out}: {exc.strerror}")
+    return EXIT_OK
 
 
 def _field(args):
@@ -144,13 +147,11 @@ def cmd_roots(args, g):
             "word": list(w.letters),
             "betas": [list(b.coeffs) for b in betas],
         }
-        _emit(args, json.dumps(payload, indent=1, sort_keys=True))
-    else:
-        lines = [f"{'k':>3} {'i_k':>4}  beta (alpha coefficients)"]
-        for k, (i, b) in enumerate(zip(w.letters, betas), start=1):
-            lines.append(f"{k:>3} {i:>4}  {list(b.coeffs)}")
-        _emit(args, "\n".join(lines))
-    return EXIT_OK
+        return _emit(args, json.dumps(payload, indent=1, sort_keys=True))
+    lines = [f"{'k':>3} {'i_k':>4}  beta (alpha coefficients)"]
+    for k, (i, b) in enumerate(zip(w.letters, betas), start=1):
+        lines.append(f"{k:>3} {i:>4}  {list(b.coeffs)}")
+    return _emit(args, "\n".join(lines))
 
 
 def cmd_modules(args, g, fld):
@@ -176,13 +177,11 @@ def cmd_modules(args, g, fld):
         "dims_summary": [d["dims"] for d in dumps],
     }
     if args.json:
-        _emit(args, json.dumps(payload, indent=1, sort_keys=True))
-    else:
-        lines = [f"{args.which} family along word {list(w.letters)}"]
-        for d in dumps:
-            lines.append(f"  k={d['k']} (letter {d['letter']}): dims {tuple(d['dims'])}")
-        _emit(args, "\n".join(lines))
-    return EXIT_OK
+        return _emit(args, json.dumps(payload, indent=1, sort_keys=True))
+    lines = [f"{args.which} family along word {list(w.letters)}"]
+    for d in dumps:
+        lines.append(f"  k={d['k']} (letter {d['letter']}): dims {tuple(d['dims'])}")
+    return _emit(args, "\n".join(lines))
 
 
 def cmd_extract(args, g):
@@ -209,10 +208,8 @@ def cmd_extract(args, g):
         "a": list(a),
     }
     if args.json:
-        _emit(args, json.dumps(payload, indent=1, sort_keys=True))
-    else:
-        _emit(args, f"a = {list(a)}")
-    return EXIT_OK
+        return _emit(args, json.dumps(payload, indent=1, sort_keys=True))
+    return _emit(args, f"a = {list(a)}")
 
 
 def cmd_verify(args, g, fld):
@@ -250,9 +247,13 @@ def cmd_verify(args, g, fld):
         "reports": [r.to_dict() for r in reports],
     }
     text = json.dumps(payload, indent=1, sort_keys=True)
-    _emit(args, text)
+    if _emit(args, text) != EXIT_OK:
+        return EXIT_INFRA
     if args.csv:
-        veritas.write_reports(reports, csv_path=args.csv)
+        try:
+            veritas.write_reports(reports, csv_path=args.csv)
+        except OSError as exc:
+            return _die(EXIT_INFRA, f"cannot write {args.csv}: {exc.strerror}")
     ok = True
     for r in reports:
         if r.outcome == "vacuous-pass":  # passed, with the reason it checked nothing

@@ -7,10 +7,11 @@ belong to the field (`matmul`, `scale_vec` and the elimination steps); this
 module holds the one Gaussian elimination that every solve, rank and
 nullspace shares. Its forward pass clears the rows below each pivot, and
 the RREF also clears the rows above. `nullspace` reads a kernel basis off
-the RREF, and `cokernel` reads a cokernel off one RREF of [b | I]; each also
-returns where its frame is the identity (the basis's free rows, the
-projection's unit columns), so a map into a kernel or out of a cokernel is
-read off those rows or columns (`rows_at`, `cols`), not solved for.
+the RREF, and `cokernel` reads a cokernel off the nullspace of b^T (a
+k x n matrix, where [b | I] would be n x (n + k)); each also returns
+where its frame is the identity (the basis's free rows, the projection's
+unit columns), so a map into a kernel or out of a cokernel is read off
+those rows or columns (`rows_at`, `cols`), not solved for.
 `kernel_vectors` runs the forward pass alone, once, and then fixes the
 pivot unknowns of each kernel vector its caller supplies free values for
 by back substitution: a random extension by k copies of a module solves
@@ -255,10 +256,8 @@ def solve(a, b):
         raise ValueError("shape mismatch in solve")
     f = a.field
     R, pivots = rref(a.hstack(b))
-    # Any pivot in the b-block means inconsistency.
-    for p in pivots:
-        if p >= a.ncols:
-            return None
+    if any(p >= a.ncols for p in pivots):  # a pivot in the b-block: inconsistent
+        return None
     by_pivot = dict(zip(pivots, R.rows))
     rows = [
         by_pivot[j][a.ncols:] if j in by_pivot else [f.zero] * b.ncols
@@ -274,18 +273,27 @@ def col_basis(m):
 
 
 def cokernel(b):
-    """One elimination of [b | I] gives the cokernel of an (n x k) matrix b.
+    """The cokernel of an (n x k) matrix b from one elimination of b^T.
 
-    Returns (units, P): the unit vectors of F^n at units, the pivots that
-    fall in the I-block, complete col_basis(b) to a basis, and P, the rows of
-    the I-block below the r pivots in b's columns, is the projection
+    Returns (units, P): the unit vectors of F^n at units complete image(b)
+    to a basis, taken greedily from the first index, and P is the projection
     F^n -> F^n / image(b) in their coordinates: P @ b = 0, P.cols(units) = I.
+    Both are read off t, b^T with its columns reversed (k x n, rank r <= k),
+    not off [b | I] (n x (n + k), rank n):
+      j is a unit <=> e_j is not in image(b) + span(e_0 .. e_{j-1})
+      <=> some y with y @ b = 0 has y_0 .. y_{j-1} = 0 and y_j != 0
+      <=> row j of b lies in the span of rows j+1 .. n-1
+      <=> column n-1-j of t is a free column of its RREF.
+    Given the units, P is unique: its rows lie in the left kernel of b and
+    are the identity at the units, and a functional that kills image(b) and
+    every unit vector is 0. So P is the nullspace basis of t, transposed,
+    with its rows and columns read back in reverse.
     """
-    f, n, k = b.field, b.nrows, b.ncols
-    R, pivots = rref(b.hstack(Mat.identity(f, n)))
-    r = sum(p < k for p in pivots)
-    units = [p - k for p in pivots[r:]]
-    return units, Mat(f, n - r, n, [row[k:] for row in R.rows[r:]])
+    f, n = b.field, b.nrows
+    t = Mat(f, n, b.ncols, b.rows[::-1]).transpose()
+    basis, free = nullspace(t)
+    units = [n - 1 - c for c in reversed(free)]
+    return units, Mat(f, len(units), n, [r[::-1] for r in reversed(basis.transpose().rows)])
 
 
 def is_invertible(m):

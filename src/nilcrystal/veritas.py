@@ -10,7 +10,7 @@ import itertools
 import json
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .crystal import datum, extraction_chain, transition, weight
 from .errors import CapExceeded, InternalRelationFailure, NotInGenericStratum
@@ -73,16 +73,7 @@ class CheckReport:
     details: dict = field(default_factory=dict)
 
     def to_dict(self):
-        return {
-            "check_id": self.check_id,
-            "claim": self.claim,
-            "params": self.params,
-            "outcome": self.outcome,
-            "confidence": self.confidence,
-            "witness": self.witness,
-            "wall_time": self.wall_time,
-            "details": self.details,
-        }
+        return asdict(self)
 
     @property
     def passed(self):

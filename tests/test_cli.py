@@ -234,6 +234,21 @@ def test_verify_all_needs_word_before_any_suite_runs(a2_graph, monkeypatch):
     assert calls == []
 
 
+@pytest.mark.parametrize("args", [
+    ["--out", "{missing}", "roots", "1", "2"],
+    ["--out", "{missing}", "verify", "reflection-contracts", "--corpus", "0"],
+    ["--no-timestamp", "--out", "{report}", "verify", "reflection-contracts", "--corpus", "0",
+     "--csv", "{missing}"],
+], ids=["out", "verify-out", "csv"])
+def test_unwritable_output_path_exits_4(tmp_path, capsys, args):
+    paths = {"missing": str(tmp_path / "no-such-dir" / "x"), "report": str(tmp_path / "r.json")}
+    code = run(["--graph", str(GRAPHS / "a3.json")] + [a.format(**paths) for a in args])
+    assert code == 4
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {paths['missing']}: ")
+    assert "Traceback" not in err
+
+
 def test_byte_identical_reruns(a2_graph, tmp_path):
     p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
     for p in (p1, p2):

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nilcrystal import linalg
 from nilcrystal.fields import PrimeField, RationalField, field_from_spec, field_size
 from nilcrystal.linalg import (
     Mat,
@@ -93,6 +94,47 @@ def test_cokernel_projects_onto_a_unit_complement(f):
         assert p.cols(units) == Mat.identity(f, n - r)
         # The unit vectors at units complete the column basis of b.
         assert rank(col_basis(b).hstack(Mat.identity(f, n).cols(units))) == n
+
+
+def cokernel_of_b_with_identity(b):
+    """The cokernel read off the RREF of [b | I]: its pivots in the I-block
+    are the units, and the I-block of the rows below b's r pivots is P."""
+    f, n, k = b.field, b.nrows, b.ncols
+    R, pivots = rref(b.hstack(Mat.identity(f, n)))
+    r = sum(p < k for p in pivots)
+    return [p - k for p in pivots[r:]], Mat(f, n - r, n, [row[k:] for row in R.rows[r:]])
+
+
+@pytest.mark.parametrize("f", FIELDS + [PrimeField(3)])
+def test_cokernel_units_are_the_greedy_completion_from_the_first_index(f):
+    # Any complement of image(b) gives a valid projection, but the reflected
+    # modules depend on this one: each unit, first index first, is taken
+    # when it is independent of image(b) and the units before it.
+    rng = random.Random(5)
+    cases = [rand_mat(f, rng.randrange(7), rng.randrange(7), rng) for _ in range(12)]
+    cases += [rand_mat(f, nr, nc, rng) for nr, nc in ((5, 2), (2, 6), (4, 4))]
+    cases += [low_rank_mat(f, nr, nc, rk, rng)
+              for nr, nc, rk in ((6, 4, 2), (4, 7, 2), (7, 7, 1), (5, 5, 0))]
+    cases += [Mat.zero(f, 4, 3), Mat.zero(f, 0, 3), Mat.zero(f, 4, 0), Mat.zero(f, 0, 0)]
+    for b in cases:
+        units, p = cokernel(b)
+        e = Mat.identity(f, b.nrows)
+        for j in range(b.nrows):
+            before = b.hstack(e.cols([u for u in units if u < j]))
+            assert (j in units) == (rank(before.hstack(e.cols([j]))) > rank(before))
+        assert (units, p) == cokernel_of_b_with_identity(b)
+
+
+def test_cokernel_eliminates_one_k_by_n_matrix(monkeypatch):
+    # The cokernel of an n x k matrix costs one elimination of b^T, not of
+    # the n x (n + k) matrix [b | I].
+    f, rng, real, shapes = PrimeField(997), random.Random(6), linalg.rref, []
+    monkeypatch.setattr(linalg, "rref", lambda m: shapes.append((m.nrows, m.ncols)) or real(m))
+    for n, k in ((7, 3), (3, 7), (6, 6)):  # tall, wide, square
+        for b in (rand_mat(f, n, k, rng), low_rank_mat(f, n, k, 2, rng)):
+            shapes.clear()
+            cokernel(b)
+            assert shapes == [(k, n)]
 
 
 def test_zero_dim_matrices():
