@@ -22,8 +22,8 @@ from .errors import (
     NotInGenericStratum,
 )
 from .fields import field_from_spec
-from .prepmod import PModule, extract_datum, m_module, n_module, v_module
-from .rootsys import CartanGraph, Weight, WeylWord, beta_sequence
+from .prepmod import PModule, extract_datum, m_module, v_module
+from .rootsys import CartanGraph, WeylWord, beta_sequence
 
 EXIT_OK = 0
 EXIT_MATH_FAIL = 1
@@ -161,12 +161,8 @@ def cmd_modules(args, g, fld):
     for k in range(1, len(w) + 1):
         if args.which == "M":
             m = m_module(g, w, k, field=fld, rng=rng)
-        elif args.which == "V":
+        else:  # V_k is N of the fundamental weight along the reversed prefix
             m = v_module(g, w, k, field=fld)
-        else:
-            lam = Weight.fundamental(g.n, w[k - 1])
-            rev = WeylWord(tuple(reversed(w.letters[:k])))
-            m = n_module(g, rev, lam, fld)
         dumps.append({"k": k, "letter": w[k - 1], "dims": list(m.dims),
                       "module": m.to_dict()})
     payload = {
@@ -251,7 +247,7 @@ def cmd_verify(args, g, fld):
         return EXIT_INFRA
     if args.csv:
         try:
-            veritas.write_reports(reports, csv_path=args.csv)
+            veritas.write_reports(reports, args.csv)
         except OSError as exc:
             return _die(EXIT_INFRA, f"cannot write {args.csv}: {exc.strerror}")
     ok = True

@@ -17,11 +17,14 @@ pivot unknowns of each kernel vector its caller supplies free values for
 by back substitution: a random extension by k copies of a module solves
 one copy's system and substitutes back k times. `block_diag` is the one
 block-diagonal builder: direct sums and a morphism's action on an
-incoming assembly use it. Over the rationals, products and eliminations
-run on integers over common denominators, and an output entry is a
-Fraction only where it is not an integer. A `Mat` trusts its shape:
-`PModule.from_dict` counts the entries of rows from outside, and the
-stacks raise `ValueError` on a mismatch.
+incoming assembly use it. `block_system` is the one writer of a linear
+system on block unknowns, sum L @ X_k + sum X_k @ R = 0: the morphism
+spaces and the random extensions list their terms, and `read_blocks`
+reads a solution back into blocks. Over the rationals, products and
+eliminations run on integers over common denominators, and an output
+entry is a Fraction only where it is not an integer. A `Mat` trusts its
+shape: `PModule.from_dict` counts the entries of rows from outside, and
+the stacks raise `ValueError` on a mismatch.
 """
 
 from itertools import chain
@@ -161,6 +164,50 @@ def block_diag(field, mats):
             rows.append(row)
         left = right
     return Mat(field, len(rows), width, rows)
+
+
+def block_system(field, shapes, equations):
+    """The linear system sum L @ X_k + sum X_k @ R = 0 on block unknowns.
+
+    The unknowns are the entries of the blocks X_k, of shapes[k] = (rows,
+    columns), block after block, each block row-major. An equation is
+    ((nr, nc), lefts, rights): a left term (L, k) stands for L @ X_k and a
+    right term (k, R) for X_k @ R, each nr x nc. A block appears at most
+    once in an equation, as a later term overwrites it. Each entry of an
+    equation, row-major, is one row of the system. Entry (r, c) of L @ X_k
+    puts row r of L down column c of X_k, with stride nc, the width of X_k;
+    entry (r, c) of X_k @ R puts column c of R along row r of X_k. Returns
+    (system, offsets), where offsets[k] is the unknown of X_k[0][0];
+    `read_blocks` reads a solution vector back into blocks.
+    """
+    offsets, total = [], 0
+    for kr, kc in shapes:
+        offsets.append(total)
+        total += kr * kc
+    z = field.zero
+    rows = []
+    for (nr, nc), lefts, rights in equations:
+        ls = [(offsets[k], offsets[k] + L.ncols * nc, L.rows) for L, k in lefts]
+        rs = [(offsets[k], R.nrows, R.transpose().rows) for k, R in rights]
+        for r in range(nr):
+            for c in range(nc):
+                row = [z] * total
+                for off, end, l_rows in ls:
+                    row[off + c:end:nc] = l_rows[r]
+                for off, kc, r_cols in rs:
+                    row[off + r * kc:off + (r + 1) * kc] = r_cols[c]
+                rows.append(row)
+    return Mat(field, len(rows), total, rows), offsets
+
+
+def read_blocks(field, vec, shapes):
+    """The blocks of the given shapes that vec holds one after another, each
+    row-major: the unknowns of `block_system`, read back."""
+    out, off = [], 0
+    for nr, nc in shapes:
+        out.append(Mat(field, nr, nc, [vec[off + r * nc:off + (r + 1) * nc] for r in range(nr)]))
+        off += nr * nc
+    return out
 
 
 def _eliminate(m, upward):

@@ -1,8 +1,9 @@
 """Morphism spaces by exact linear solve, and randomized iso testing.
 
-The system of a morphism space is written row by row in slices, and a
-random morphism is one product per vertex: the row of coefficients times
-the flattened basis matrices.
+The system of a morphism space is one `block_system`, with a block per
+vertex and an equation per arrow, and a random morphism is one product of
+the row of coefficients with the flattened basis maps, read back into
+blocks by `read_blocks`.
 Isomorphism testing samples random elements of the morphism space and
 checks invertibility vertex by vertex. Invertible morphisms form the
 nonvanishing locus of a determinant polynomial of degree at most the
@@ -14,70 +15,43 @@ negative with probability at most d/q.
 import math
 import random
 
-from ..linalg import Mat, nullspace
+from ..linalg import Mat, block_system, nullspace, read_blocks
 from .module import ModuleMap, arrows_of
 
 DEFAULT_CONFIDENCE_BITS = 40
 
 
-def _reshape(f, flat, nr, nc):
-    """The nr x nc matrix whose rows, read in order, make up flat."""
-    return Mat(f, nr, nc, [flat[r * nc:(r + 1) * nc] for r in range(nr)])
-
-
 def hom_space(m, n):
     """A basis of the space of morphisms m -> n, as ModuleMaps.
 
-    The unknowns are the entries of every f_i, row by row. Each equation
-    (f_tgt . M_a)[r][b] = (N_a . f_src)[r][b] is written as two slices: a
-    column of M_a into row r of f_tgt, and -(row r of N_a) into column b of
-    f_src. There are no loops, so the two blocks never overlap.
+    The unknowns are the blocks f_i, one per vertex, and each arrow a gives
+    the equation f_tgt . M_a - N_a . f_src = 0, written by `block_system`
+    with the left term (-N_a, src) and the right term (tgt, M_a). There are
+    no loops, so the two blocks differ. An equation with no entries, which
+    writes no rows, is left out.
     """
     if m.graph != n.graph:
         raise ValueError("morphism spaces need a common graph")
-    f = m.field
-    offsets = []
-    total = 0
-    for i in m.graph.vertices():
-        offsets.append(total)
-        total += n.dim_at(i) * m.dim_at(i)
-    rows = []
-    for a in arrows_of(m.graph):
-        mt, ms, ns = m.dim_at(a.tgt), m.dim_at(a.src), n.dim_at(a.src)
-        src_end = offsets[a.src - 1] + ns * ms
-        ma_cols = m.arrow_map(a).transpose().rows
-        for r, neg_na_row in enumerate(n.arrow_map(a).neg().rows):
-            lo = offsets[a.tgt - 1] + r * mt
-            for b, ma_col in enumerate(ma_cols):
-                row = [f.zero] * total
-                row[lo:lo + mt] = ma_col
-                row[offsets[a.src - 1] + b:src_end:ms] = neg_na_row
-                rows.append(row)
-    basis = nullspace(Mat(f, len(rows), total, rows))[0].transpose().rows
-    out = []
-    for vec in basis:
-        mats = []
-        for i in m.graph.vertices():
-            nr, nc, off = n.dim_at(i), m.dim_at(i), offsets[i - 1]
-            mats.append(_reshape(f, vec[off:off + nr * nc], nr, nc))
-        out.append(ModuleMap(m, n, mats, check=False))
-    return out
+    f, shapes = m.field, list(zip(n.dims, m.dims))  # f_i is n_i x m_i
+    system, _ = block_system(f, shapes, [
+        ((n.dim_at(a.tgt), m.dim_at(a.src)), [(n.arrow_map(a).neg(), a.src - 1)],
+         [(a.tgt - 1, m.arrow_map(a))])
+        for a in arrows_of(m.graph) if n.dim_at(a.tgt) * m.dim_at(a.src)])
+    basis = nullspace(system)[0].transpose().rows
+    return [ModuleMap(m, n, read_blocks(f, vec, shapes), check=False) for vec in basis]
 
 
 def random_hom(basis, rng):
-    """A random field combination of a morphism basis: at each vertex, one
-    product of the coefficient row with the flattened basis matrices."""
+    """A random field combination of a morphism basis: one product of the
+    coefficient row with the flattened basis maps, read back into blocks."""
     if not basis:
         return None
-    f = basis[0].source.field
+    m, n = basis[0].source, basis[0].target
+    f = m.field
     coeffs = [f.random(rng) for _ in basis]
-    mats = []
-    for i in basis[0].source.graph.vertices():
-        nr, nc = basis[0].target.dim_at(i), basis[0].source.dim_at(i)
-        flat_t = zip(*([x for r in b.mat_at(i).rows for x in r] for b in basis))
-        (flat,) = f.matmul([coeffs], list(flat_t))
-        mats.append(_reshape(f, flat, nr, nc))
-    return ModuleMap(basis[0].source, basis[0].target, mats, check=False)
+    flat_t = zip(*([x for mat in b.mats for r in mat.rows for x in r] for b in basis))
+    (flat,) = f.matmul([coeffs], list(flat_t))
+    return ModuleMap(m, n, read_blocks(f, flat, list(zip(n.dims, m.dims))), check=False)
 
 
 def retry_budget(field, total_dim):

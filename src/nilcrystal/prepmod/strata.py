@@ -9,7 +9,7 @@ from itertools import groupby
 
 from ..errors import LengthMismatch, NonReducedWord, NotInGenericStratum
 from ..fields import default_field
-from ..linalg import Mat, kernel_vectors
+from ..linalg import Mat, block_system, kernel_vectors
 from ..rootsys import is_reduced
 from .functors import sigma_star
 from .module import (
@@ -30,8 +30,9 @@ def random_extension(sub, quot, rng, copies=1):
 
     `sub` embeds as the first block of each space and X/sub is the direct
     power (`extension_maps` gives the two maps). The unknown
-    off-diagonal blocks form the solution space of an exact linear system;
-    a uniformly random solution is drawn (zero gives the direct sum). The
+    off-diagonal blocks B_h, one per arrow h, form the solution space of
+    one `block_system` with an equation per vertex; a uniformly random
+    solution is drawn (zero gives the direct sum). The
     blocks solve the relations, and an extension of nilpotent modules is
     nilpotent, so X is checked for shapes only.
 
@@ -45,49 +46,30 @@ def random_extension(sub, quot, rng, copies=1):
         raise ValueError("extension pieces need matching graph and field")
     g, f = sub.graph, sub.field
     arr = arrows_of(g)
-    # B_h is the sub.dim(tgt) x quot.dim(src) block of arrow h, row-major.
-    offsets = {}
-    total = 0
-    for a in arr:
-        offsets[(a.edge, a.dir)] = total
-        total += sub.dim_at(a.tgt) * quot.dim_at(a.src)
-
+    block = {(a.edge, a.dir): k for k, a in enumerate(arr)}
+    shapes = [(sub.dim_at(a.tgt), quot.dim_at(a.src)) for a in arr]
     # Relation at vertex v, top-right block:
     #   sum over arrows h into v of sign(h) (S_h B_hbar + B_h Q_hbar) = 0.
     # The blocks B_hbar (out of v) and B_h (into v) are distinct for every
-    # h, since the graph has no loops, so each entry of a row is set once.
-    rows = []
+    # h, since the graph has no loops.
+    equations = []
     for v in g.vertices():
-        qv = quot.dim_at(v)
-        terms = []
+        if not sub.dim_at(v) * quot.dim_at(v):
+            continue  # a relation with no entries writes no rows
+        lefts, rights = [], []
         for a in arrows_into(g, v):
-            s_rows = sub.arrow_map(a).rows
-            q_cols = quot.arrow_map(reverse_arrow(a)).transpose().rows
+            s, q = sub.arrow_map(a), quot.arrow_map(reverse_arrow(a))
             if a.sign < 0:
-                s_rows = [[f.neg(x) for x in r] for r in s_rows]
-                q_cols = [[f.neg(x) for x in c] for c in q_cols]
-            qa = quot.dim_at(a.src)
-            terms.append(
-                (offsets[(a.edge, -a.dir)], sub.dim_at(a.src), s_rows,
-                 offsets[(a.edge, a.dir)], qa, q_cols)
-            )
-        for r in range(sub.dim_at(v)):
-            for c in range(qv):
-                row = [f.zero] * total
-                for off_rb, sa, s_rows, off_a, qa, q_cols in terms:
-                    # (S_h B_hbar)[r][c] = sum_k S_h[r][k] * B_hbar[k][c]
-                    row[off_rb + c : off_rb + c + sa * qv : qv] = s_rows[r]
-                    # (B_h Q_hbar)[r][c] = sum_k B_h[r][k] * Q_hbar[k][c]
-                    row[off_a + r * qa : off_a + (r + 1) * qa] = q_cols[c]
-                rows.append(row)
+                s, q = s.neg(), q.neg()
+            lefts.append((s, block[(a.edge, -a.dir)]))
+            rights.append((block[(a.edge, a.dir)], q))
+        equations.append(((sub.dim_at(v), quot.dim_at(v)), lefts, rights))
+    system, offsets = block_system(f, shapes, equations)
 
     def fill(free):
         # Row by row of each B_h, every copy's free values of the row in turn.
-        row_of = []  # the first column of each unknown's row of its B_h
-        for a in arr:
-            qc = quot.dim_at(a.src)
-            for r in range(sub.dim_at(a.tgt)):
-                row_of += [offsets[(a.edge, a.dir)] + r * qc] * qc
+        row_of = [off + r * qc for (sr, qc), off in zip(shapes, offsets)
+                  for r in range(sr) for _ in range(qc)]  # the row's first unknown
         values = [[] for _ in range(copies)]
         for _, cols in groupby(free, key=row_of.__getitem__):
             n = len(list(cols))
@@ -95,14 +77,14 @@ def random_extension(sub, quot, rng, copies=1):
                 vals.extend(f.random(rng) for _ in range(n))
         return values
 
-    sols = kernel_vectors(Mat(f, len(rows), total, rows), fill)
+    sols = kernel_vectors(system, fill)
 
     # Each map is [[S_h, B_h], [0, Q_h]], with copy j's B_h and Q_h in the
     # j-th block of columns.
     power = quot if copies == 1 else direct_power(quot, copies)
     maps = {}
-    for a in arr:
-        qc, sc, off = quot.dim_at(a.src), sub.dim_at(a.src), offsets[(a.edge, a.dir)]
+    for a, (_, qc), off in zip(arr, shapes, offsets):
+        sc = sub.dim_at(a.src)
         top = [s + [x for sol in sols for x in sol[off + r * qc : off + (r + 1) * qc]]
                for r, s in enumerate(sub.arrow_map(a).rows)]
         bot = [[f.zero] * sc + q for q in power.arrow_map(a).rows]

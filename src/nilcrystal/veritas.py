@@ -7,7 +7,6 @@ Mathematical failures are recorded outcomes, never exceptions.
 
 import csv
 import itertools
-import json
 import random
 import time
 from dataclasses import asdict, dataclass, field
@@ -489,19 +488,10 @@ def check_transitions(g, word, bound, rng, fld=None, samples=1):
                 params, fld, "pairs_checked", body)
 
 
-def write_reports(reports, json_path=None, csv_path=None):
-    data = [r.to_dict() for r in reports]
-    if json_path:
-        with open(json_path, "w") as fh:
-            json.dump(data, fh, indent=1, sort_keys=True)
-    if csv_path:
-        with open(csv_path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["check_id", "outcome", "wall_time"])
-            for r in reports:
-                writer.writerow([r.check_id, r.outcome, f"{r.wall_time:.3f}"])
-    return data
-
-
-def all_pass(reports):
-    return all(r.passed for r in reports)
+def write_reports(reports, csv_path):
+    """One CSV line per report: its check id, outcome and wall time."""
+    with open(csv_path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["check_id", "outcome", "wall_time"])
+        for r in reports:
+            writer.writerow([r.check_id, r.outcome, f"{r.wall_time:.3f}"])

@@ -475,6 +475,66 @@ def test_block_diag_matches_pairwise_stacking():
     assert block_diag(f, [rand_mat(f, 0, 2, rng), rand_mat(f, 3, 0, rng)]) == Mat.zero(f, 3, 2)
 
 
+def ref_block_system(f, shapes, equations):
+    """The rows of a block system, one scalar entry at a time: coefficient
+    L[r][j] on X_k[j][c] for a left term, R[j][c] on X_k[r][j] for a right."""
+    offsets = [sum(kr * kc for kr, kc in shapes[:k]) for k in range(len(shapes))]
+    total = sum(kr * kc for kr, kc in shapes)
+    rows = []
+    for (nr, nc), lefts, rights in equations:
+        for r in range(nr):
+            for c in range(nc):
+                row = [f.zero] * total
+                for L, k in lefts:
+                    for j in range(shapes[k][0]):
+                        at = offsets[k] + j * shapes[k][1] + c
+                        row[at] = f.add(row[at], L.rows[r][j])
+                for k, R in rights:
+                    for j in range(shapes[k][1]):
+                        at = offsets[k] + r * shapes[k][1] + j
+                        row[at] = f.add(row[at], R.rows[j][c])
+                rows.append(row)
+    return rows, offsets
+
+
+@pytest.mark.parametrize("f", FIELDS)
+def test_block_system_matches_scalar_loops(f):
+    rng = random.Random(31)
+    draw = mixed_denominator_mat if isinstance(f, RationalField) else rand_mat
+    shapes = [(2, 3), (0, 3), (3, 2), (2, 0), (3, 3), (0, 0)]
+    # X_0 is a right term of the first equation and a left term of the
+    # second; X_1 and X_3 have no rows or no columns, and two equations are
+    # empty.
+    equations = [
+        ((2, 3), [(draw(f, 2, 3, rng), 4), (draw(f, 2, 0, rng), 1)],
+         [(0, draw(f, 3, 3, rng)), (3, draw(f, 0, 3, rng))]),
+        ((3, 3), [(draw(f, 3, 2, rng), 0)], [(2, draw(f, 2, 3, rng))]),
+        ((0, 2), [(draw(f, 0, 3, rng), 2)], []),
+        ((3, 0), [], [(4, draw(f, 3, 0, rng))]),
+        ((2, 2), [(draw(f, 2, 3, rng), 2)], [(3, draw(f, 0, 2, rng))]),
+    ]
+    system, offsets = linalg.block_system(f, shapes, equations)
+    rows, ref_offsets = ref_block_system(f, shapes, equations)
+    assert offsets == ref_offsets == [0, 6, 6, 12, 12, 21]
+    assert (system.nrows, system.ncols) == (len(rows), 21) == (19, 21)
+    assert system.rows == rows
+    # The reader returns the blocks that were written, and the system sends
+    # them to the entries of the equations.
+    blocks = [draw(f, kr, kc, rng) for kr, kc in shapes]
+    vec = [x for b in blocks for r in b.rows for x in r]
+    assert linalg.read_blocks(f, vec, shapes) == blocks
+    sums = []
+    for (nr, nc), lefts, rights in equations:
+        terms = [L @ blocks[k] for L, k in lefts] + [blocks[k] @ R for k, R in rights]
+        for r in range(nr):
+            for c in range(nc):
+                x = f.zero
+                for t in terms:
+                    x = f.add(x, t.rows[r][c])
+                sums.append(x)
+    assert (system @ Mat.col_vector(f, vec)).rows == [[x] for x in sums]
+
+
 # sha256 of the JSON of one stratum sample over each field; the values were
 # computed with one field call per entry, so any change to the draws or the
 # arithmetic shows here.

@@ -15,8 +15,8 @@ import pytest
 from nilcrystal import fields, linalg, veritas
 from nilcrystal.fields import RationalField
 from nilcrystal.linalg import Mat, cokernel, nullspace, rref, vstack_all
-from nilcrystal.prepmod import Submodule, arrows_out_of, functors, injectives, strata
-from nilcrystal.rootsys import WeylWord, a_n
+from nilcrystal.prepmod import Submodule, arrows_out_of, functors, hom, injectives, strata
+from nilcrystal.rootsys import WeylWord, a_n, d4
 
 
 def _soc_chain_mutant(project, update):
@@ -154,6 +154,55 @@ def test_copies_sharing_draws_fail_the_transition_check(monkeypatch):
     r = veritas.check_cross_model(a_n(3), LONGEST, 2, 5, random.Random(7))
     assert r.outcome == "probabilistic-pass"
     assert r.details["samples"] == 3645 and r.details["sampling_misses"] == 0
+
+
+def _block_system_with_contiguous_left_terms(field, shapes, equations):
+    """The block-system writer with each left term L @ X_k written as one
+    contiguous run from off + c * kr, instead of down column c of X_k with
+    stride nc from off + c. The two agree where X_k has one row or column."""
+    offsets, total = [], 0
+    for kr, kc in shapes:
+        offsets.append(total)
+        total += kr * kc
+    rows = []
+    for (nr, nc), lefts, rights in equations:
+        for r in range(nr):
+            for c in range(nc):
+                row = [field.zero] * total
+                for L, k in lefts:
+                    row[offsets[k] + c * L.ncols:offsets[k] + (c + 1) * L.ncols] = L.rows[r]
+                for k, R in rights:
+                    row[offsets[k] + r * R.nrows:offsets[k] + (r + 1) * R.nrows] = \
+                        R.transpose().rows[c]
+                rows.append(row)
+    return Mat(field, len(rows), total, rows), offsets
+
+
+def test_contiguous_left_terms_fail_the_surjection_contract(monkeypatch):
+    # The morphism spaces and the extensions share the writer.
+    for module in (hom, strata):
+        monkeypatch.setattr(module, "block_system", _block_system_with_contiguous_left_terms)
+    r = veritas.check_reflection_contracts(a_n(3), 10, random.Random(2026))
+    assert r.outcome == "fail"
+    assert r.witness["kind"] == "no-surjection"
+
+
+def test_contiguous_left_terms_in_the_extensions_fail_the_d4_corpus(monkeypatch):
+    monkeypatch.setattr(strata, "block_system", _block_system_with_contiguous_left_terms)
+    rng = random.Random(veritas.derive_seed(2026, "reflection-contracts:D4"))
+    r = veritas.check_reflection_contracts(d4(), 100, rng)
+    assert r.outcome == "fail"
+    assert r.witness == {"kind": "corpus", "error": "relation fails at vertex 1"}
+    # The gap: on A3 the corpus and both sampled checks pass. A layer M_k of
+    # the sampled checks has an A3 root as its dimension vector, at most 1
+    # at each vertex, so each copy's blocks have one column and the two
+    # writes agree.
+    r = veritas.check_reflection_contracts(a_n(3), 10, random.Random(2026))
+    assert r.outcome == "probabilistic-pass"
+    r = veritas.check_cross_model(a_n(3), LONGEST, 1, 20, random.Random(7))
+    assert r.outcome == "probabilistic-pass"
+    r = veritas.check_transitions(a_n(3), LONGEST, 1, random.Random(7))
+    assert r.outcome == "probabilistic-pass"
 
 
 def _last_entry_off_by_one(g, w, x, trace=None):
