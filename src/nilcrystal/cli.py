@@ -2,7 +2,7 @@
 
 Exit codes: 0 success, 1 mathematical failure, 2 bad mathematical input,
 3 invalid module file, 4 infrastructure problems (bad flags, unknown suite,
-unreadable or unwritable paths).
+unreadable or unwritable paths, a closed output pipe).
 
 Words are given in application order; --paper-order accepts the reversed
 display order used in the literature and flips it on input.
@@ -10,6 +10,7 @@ display order used in the literature and flips it on input.
 
 import argparse
 import json
+import os
 import random
 import sys
 import time
@@ -121,7 +122,7 @@ def _die(code, message):
 def _emit(args, text):
     """Print text, or write it to --out; returns the exit code."""
     if not args.out:
-        print(text)
+        print(text, flush=True)  # a closed pipe raises here, inside main
         return EXIT_OK
     try:
         with open(args.out, "w") as fh:
@@ -294,6 +295,8 @@ def main(argv=None):
         return _die(EXIT_BAD_INPUT, str(exc))
     except NilcrystalError as exc:
         return _die(EXIT_MATH_FAIL, str(exc))
+    except BrokenPipeError:  # stdout to nowhere, so that the flush at exit passes
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return EXIT_INFRA
 
 

@@ -12,10 +12,10 @@ k x n matrix, where [b | I] would be n x (n + k)); each also returns
 where its frame is the identity (the basis's free rows, the projection's
 unit columns), so a map into a kernel or out of a cokernel is read off
 those rows or columns (`rows_at`, `cols`), not solved for.
-`kernel_vectors` runs the forward pass alone, once, and then fixes the
-pivot unknowns of each kernel vector its caller supplies free values for
-by back substitution: a random extension by k copies of a module solves
-one copy's system and substitutes back k times. `block_diag` is the one
+`kernel_vectors` runs the forward pass alone, once, and then lazily fixes
+the pivot unknowns of each kernel vector its caller supplies free values
+for by back substitution: both random draws, of an extension and of a
+morphism in a search, go through it. `block_diag` is the one
 block-diagonal builder: direct sums and a morphism's action on an
 incoming assembly use it. `block_system` is the one writer of a linear
 system on block unknowns, sum L @ X_k + sum X_k @ R = 0: the morphism
@@ -274,10 +274,11 @@ def kernel_vectors(m, fill):
     """Vectors of the right kernel of m from one forward elimination.
 
     fill(free) gets the free (non-pivot) columns in ascending order and
-    returns the free values, one list per wanted vector, each aligned with
-    free. Each vector is nullspace(m) @ c for its values c, built without
-    the basis or the RREF: back substitution, last pivot first, fixes each
-    pivot unknown, x[p] = -(echelon row of p)[p+1:] . x[p+1:]. A system of
+    gives the free values, one list per wanted vector, each aligned with
+    free. A vector is yielded as its list comes, so a consumer that stops
+    early stops the draws. Each is nullspace(m) @ c for its values c,
+    built without the basis or the RREF: back substitution, last pivot
+    first, sets x[p] = -(echelon row of p)[p+1:] . x[p+1:]. A system of
     k copies of m on disjoint unknowns has m's pivots in every copy, so one
     call with k lists solves it; fill draws the values in the order that
     system would, so the draws do not depend on how it is solved.
@@ -287,14 +288,12 @@ def kernel_vectors(m, fill):
     is_pivot = set(pivots)
     free = [j for j in range(m.ncols) if j not in is_pivot]
     last_first = list(zip(pivots, rows))[::-1]
-    out = []
     for values in fill(free):
         given = iter(values)
         x = [f.zero if j in is_pivot else next(given) for j in range(m.ncols)]
         for p, r in last_first:
             x[p] = f.neg(f.dot(r[p + 1:], x[p + 1:]))
-        out.append(x)
-    return out
+        yield x
 
 
 def solve(a, b):

@@ -77,7 +77,7 @@ def random_extension(sub, quot, rng, copies=1):
                 vals.extend(f.random(rng) for _ in range(n))
         return values
 
-    sols = kernel_vectors(system, fill)
+    sols = list(kernel_vectors(system, fill))
 
     # Each map is [[S_h, B_h], [0, Q_h]], with copy j's B_h and Q_h in the
     # j-th block of columns.

@@ -1,6 +1,9 @@
 import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -95,6 +98,25 @@ def test_extract_off_stratum_exits_1(a2_graph, tmp_path):
 
 def test_missing_graph_exits_4(tmp_path):
     assert run(["--graph", str(tmp_path / "nope.json"), "roots", "1"]) == 4
+
+
+def test_closed_output_pipe_exits_4_without_traceback():
+    # The read end is closed before the command starts, so its first write
+    # meets a broken pipe however short the output is.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(GRAPHS.parent / "src"), env.get("PYTHONPATH")) if p)
+    try:
+        for words in (["modules", "V", "1", "2", "1", "3", "2", "1"], ["roots", "1"]):
+            done = subprocess.run(
+                [sys.executable, "-m", "nilcrystal.cli", "--graph", str(GRAPHS / "a3.json"),
+                 "--json", *words], stdout=write_end, stderr=subprocess.PIPE, env=env,
+                text=True, timeout=120)
+            assert (done.returncode, done.stderr) == (4, "")
+    finally:
+        os.close(write_end)
 
 
 def test_small_prime_rejected(a2_graph):

@@ -360,12 +360,31 @@ def test_kernel_vector_is_the_nullspace_combination(f):
         for count in (1, 3):
             coeffs = [[draw() for _ in free] for _ in range(count)]
             seen = []
-            xs = kernel_vectors(m, lambda cols: seen.append(cols) or coeffs)
+            xs = list(kernel_vectors(m, lambda cols: seen.append(cols) or coeffs))
             assert seen == [free]  # the free columns, ascending, asked for once
             assert len(xs) == count
             for x, c in zip(xs, coeffs):
                 assert x == [r[0] for r in (ns @ Mat.col_vector(f, c)).rows]
                 assert all(v == f.zero for r in (m @ Mat.col_vector(f, x)).rows for v in r)
+
+
+@pytest.mark.parametrize("f", FIELDS)
+def test_kernel_vectors_pull_one_list_of_free_values_per_vector(f):
+    m = Mat.from_int_rows(f, [[2, 1, 0, 3], [0, 0, 1, 4]])
+    pulled = []
+
+    def fill(free):
+        while True:
+            pulled.append(1)
+            yield [f.of_int(len(pulled))] * len(free)
+
+    xs = kernel_vectors(m, fill)
+    assert pulled == []  # nothing is eliminated or drawn before it is asked for
+    first = next(xs)
+    assert len(pulled) == 1
+    assert first == [r[0] for r in (nullspace(m)[0] @ Mat.col_vector(f, [1, 1])).rows]
+    next(xs)
+    assert len(pulled) == 2
 
 
 def test_prime_kernels_reduce_unreduced_inputs():
@@ -425,7 +444,7 @@ def test_rational_kernels_return_ints_where_integral():
                           ("solve", solve(m, m @ b)), ("cokernel", p)):
             entries.setdefault(name, []).extend(x for r in res.rows for x in r)
         entries.setdefault("kernel_vectors", []).extend(
-            kernel_vectors(m, lambda free: [[rng.randrange(-9, 10) for _ in free]])[0])
+            next(kernel_vectors(m, lambda free: [[rng.randrange(-9, 10) for _ in free]])))
         col = b.transpose().rows[0]
         dots = [f.dot(r, col) for r in m.rows]
         assert dots == [sum((x * y for x, y in zip(r, col)), Fraction(0)) for r in m.rows]

@@ -227,14 +227,16 @@ def test_the_rational_contracts_pass_unmutated():
 
 
 def test_truncating_rational_division_fails_the_contracts(monkeypatch):
-    # Every inexact quotient of the kernels rounds down to an int, so a
-    # morphism's reflection, read off the wrong kernels, no longer commutes.
+    # Every inexact quotient of the eliminations rounds down to an int, so
+    # the reflections and the morphism searches read off the wrong kernels.
+    # The first check to fail is the braid isomorphism on the edge (2, 3):
+    # no morphism drawn between the two sides is an isomorphism.
     monkeypatch.setattr(fields, "_ratio", lambda n, d: n // d)
     r = veritas.check_reflection_contracts(a_n(3), 20, random.Random(0), fld=RationalField())
     assert r.outcome == "fail"
-    assert r.witness["kind"] == "functor-on-map"
-    assert r.witness["extra"] == ("morphism fails to commute with arrow "
-                                  "Arrow(edge=0, dir=-1, src=2, tgt=1, sign=-1)")
+    assert r.witness["kind"] == "braid-iso"
+    assert r.witness["extra"] == {"pair": [2, 3]}
+    assert r.witness["module"]["dims"] == [7, 2, 2]
 
 
 def _nullspace_with_reversed_free_rows(m):

@@ -12,7 +12,7 @@ from nilcrystal.errors import (
 )
 from nilcrystal.fields import PrimeField, RationalField, default_field
 from nilcrystal.linalg import Mat, cokernel, nullspace
-from nilcrystal.prepmod import families, hom
+from nilcrystal.prepmod import families
 from nilcrystal.prepmod import (
     ModuleMap,
     PModule,
@@ -636,18 +636,12 @@ def test_direct_power_matches_iterated_direct_sum(f):
 def test_hom_searches_stop_at_the_retry_budget(monkeypatch):
     # Over F_101 the budget grows with d, so each search must size it by the
     # right module: the source for injections, the target for surjections.
+    # Every draw is one call of the search's predicate.
     f = PrimeField(101)
     assert retry_budget(f, 1) < retry_budget(f, 2) < retry_budget(f, 4)
     calls = []
-    real = hom.random_hom
-
-    def counting(basis, rng):
-        calls.append(1)
-        return real(basis, rng)
-
-    monkeypatch.setattr(hom, "random_hom", counting)
     for name in ("is_injective", "is_surjective", "is_isomorphism"):
-        monkeypatch.setattr(ModuleMap, name, lambda self: False)
+        monkeypatch.setattr(ModuleMap, name, lambda self: calls.append(1) and False)
     s1 = simple(A3, 1, field=f)
     s1_4 = direct_power(s1, 4)
     s1_2 = direct_power(s1, 2)
@@ -665,6 +659,12 @@ def test_hom_searches_stop_at_the_retry_budget(monkeypatch):
     with pytest.raises(NoEmbeddingFound):
         m_module(A2, w, 3, route="cokernel", field=f)
     assert len(calls) == retry_budget(f, v_module(A2, w, 1, field=f).total_dim)
+    # Hom(S1, S2) = 0: the one try is the zero map, and nothing is drawn.
+    calls.clear()
+    rng = random.Random(4)
+    state = rng.getstate()
+    assert find_injective_hom(s1, simple(A3, 2, field=f), rng=rng) is None
+    assert len(calls) == 1 and rng.getstate() == state
 
 
 @pytest.mark.parametrize("f", [F, RationalField()], ids=["prime", "rat"])
@@ -724,6 +724,11 @@ def test_twisted_reflection_checks_nilpotency(monkeypatch):
             reflect(1, m, twist=-1)
 
 
+def _first_hom(m, n, rng):
+    """The first random morphism m -> n that a search draws."""
+    return random_hom(m, n, rng, lambda h: True, m.total_dim)
+
+
 def _compose(h, g):
     """h after g, vertex by vertex."""
     return ModuleMap(g.source, h.target, [x @ y for x, y in zip(h.mats, g.mats)], check=False)
@@ -735,9 +740,8 @@ def test_functors_on_maps_keep_identities_and_composition(g, f):
     rng = random.Random(8)
     checked = 0
     for m in veritas.random_corpus(g, 4, rng, f, max_total_dim=6):
-        basis = hom_space(m, m)
         one = ModuleMap(m, m, [Mat.identity(f, d) for d in m.dims])
-        gm, hm = random_hom(basis, rng), random_hom(basis, rng)
+        gm, hm = _first_hom(m, m, rng), _first_hom(m, m, rng)
         for i in g.vertices():
             for functor in (sigma_on_map, sigma_star_on_map):
                 f_one = functor(i, one)
@@ -769,16 +773,24 @@ def test_hom_space_bases_commute_and_add_up_over_direct_sums(g, f):
 
 @pytest.mark.parametrize("f", [F, RationalField()], ids=["prime", "rat"])
 def test_random_hom_is_the_combination_of_its_draws(f):
+    # A search's first candidate is the combination of the hom_space basis
+    # with the coefficients it draws: the basis is the identity at the free
+    # unknowns, and the search draws their values, one per basis map.
     rng = random.Random(10)
     corpus = veritas.random_corpus(d4(), 4, rng, f, max_total_dim=6)
+    zero_pairs = 0
     for m in corpus:
         for n in corpus:
             basis = hom_space(m, n)
-            if not basis:
-                assert random_hom(basis, rng) is None
-                continue
             state = rng.getstate()
-            got = random_hom(basis, rng)
+            seen = []
+            got = random_hom(m, n, rng, lambda h: seen.append(h) or True, m.total_dim)
+            assert seen == [got]
+            if not basis:
+                zero_pairs += 1
+                assert rng.getstate() == state  # nothing drawn
+                assert all(x.is_zero() for x in got.mats)
+                continue
             rng.setstate(state)
             coeffs = [f.random(rng) for _ in basis]
             for i in d4().vertices():
@@ -787,3 +799,4 @@ def test_random_hom_is_the_combination_of_its_draws(f):
                     want = [[f.add(x, f.mul(c, y)) for x, y in zip(r, br)]
                             for r, br in zip(want, b.mat_at(i).rows)]
                 assert got.mat_at(i).rows == want
+    assert 0 < zero_pairs < len(corpus) ** 2
