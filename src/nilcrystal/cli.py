@@ -17,6 +17,7 @@ import time
 
 from . import crystal, veritas
 from .errors import (
+    GraphTooLarge,
     InvalidModuleFile,
     NilcrystalError,
     NonReducedWord,
@@ -100,11 +101,13 @@ def _config_dict(args):
 
 
 def _load_graph(path):
+    """The graph in a file, or the exit code that says why there is none."""
     try:
         return CartanGraph.from_file(path)
+    except GraphTooLarge as exc:
+        return _die(EXIT_BAD_INPUT, str(exc))
     except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
-        print(f"error: cannot read graph file: {exc}", file=sys.stderr)
-        return None
+        return _die(EXIT_INFRA, f"cannot read graph file: {exc}")
 
 
 def _word(args, letters=None):
@@ -279,8 +282,8 @@ def main(argv=None):
     except SystemExit as exc:
         return EXIT_INFRA if exc.code not in (0,) else 0
     g = _load_graph(args.graph)
-    if g is None:
-        return EXIT_INFRA
+    if isinstance(g, int):
+        return g
     try:
         fld = _field(args)  # a bad spec exits 2 whichever command it came with
         if args.command == "roots":

@@ -17,6 +17,10 @@ class LengthMismatch(NilcrystalError, ValueError):
     """A tuple's length does not match the word length."""
 
 
+class GraphTooLarge(NilcrystalError, ValueError):
+    """A graph read from outside has more vertices than its cap."""
+
+
 class CapExceeded(NilcrystalError, RuntimeError):
     """A bounded enumeration grew past its cap."""
 

@@ -141,16 +141,21 @@ class PModule:
 
     # -- assembled boundary maps at a vertex ---------------------------
 
-    def in_map(self, i):
+    def in_map(self, i, cols=None):
         """Signed block row (sum of incoming spaces) -> M_i.
 
         Block order follows arrows_into; the relation says this composed
-        with out_map is zero.
+        with out_map is zero. Given `cols`, ascending indices into the sum,
+        only those columns are built and signed.
         """
-        blocks = []
+        blocks, lo = [], 0
         for a in arrows_into(self.graph, i):
             m = self.arrow_map(a)
+            hi = lo + m.ncols
+            if cols is not None:
+                m = m.cols([j - lo for j in cols if lo <= j < hi])
             blocks.append(m if a.sign > 0 else m.neg())
+            lo = hi
         return hstack_all(self.field, blocks, self.dims[i - 1])
 
     def out_map(self, i):
@@ -363,8 +368,9 @@ def direct_sum(m, n):
 
 
 def direct_power(m, k):
-    """The direct sum of k copies of m, built in one pass."""
-    return _block_sum(m.graph, m.field, [m] * k)
+    """The direct sum of k copies of m, built in one pass; m itself for
+    k = 1, since modules are immutable."""
+    return m if k == 1 else _block_sum(m.graph, m.field, [m] * k)
 
 
 def soc_i(m, i):

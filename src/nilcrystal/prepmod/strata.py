@@ -34,7 +34,9 @@ def random_extension(sub, quot, rng, copies=1):
     one `block_system` with an equation per vertex; a uniformly random
     solution is drawn (zero gives the direct sum). The
     blocks solve the relations, and an extension of nilpotent modules is
-    nilpotent, so X is checked for shapes only.
+    nilpotent, so X is checked for shapes only. The copies of each Q_h are
+    written straight into the bottom rows [0 | Q_h + ... + Q_h]; the direct
+    power itself is never built.
 
     No relation meets the unknowns of two copies, so one copy's system is
     eliminated once and solved per copy. The module and the draws are those
@@ -79,18 +81,17 @@ def random_extension(sub, quot, rng, copies=1):
 
     sols = list(kernel_vectors(system, fill))
 
-    # Each map is [[S_h, B_h], [0, Q_h]], with copy j's B_h and Q_h in the
-    # j-th block of columns.
-    power = quot if copies == 1 else direct_power(quot, copies)
+    # Each map is [[S_h, B_h], [0, Q_h ⊕ ... ⊕ Q_h]], with copy j's B_h in
+    # the j-th block of columns and its Q_h in the j-th diagonal block.
     maps = {}
     for a, (_, qc), off in zip(arr, shapes, offsets):
-        sc = sub.dim_at(a.src)
+        sc, z = sub.dim_at(a.src), f.zero
         top = [s + [x for sol in sols for x in sol[off + r * qc : off + (r + 1) * qc]]
                for r, s in enumerate(sub.arrow_map(a).rows)]
-        bot = [[f.zero] * sc + q for q in power.arrow_map(a).rows]
-        maps[(a.edge, a.dir)] = Mat(f, len(top) + len(bot), sc + power.dim_at(a.src),
-                                    top + bot)
-    dims = tuple(s + q for s, q in zip(sub.dims, power.dims))
+        bot = [[z] * (sc + j * qc) + q + [z] * ((copies - 1 - j) * qc)
+               for j in range(copies) for q in quot.arrow_map(a).rows]
+        maps[(a.edge, a.dir)] = Mat(f, len(top) + len(bot), sc + copies * qc, top + bot)
+    dims = tuple(s + copies * q for s, q in zip(sub.dims, quot.dims))
     return PModule(g, f, dims, maps, check=False)
 
 
@@ -110,7 +111,8 @@ def build_filtered(g, w, a, rng, field=None):
     extension solved once per copy of M_k. A layer with a_k = 0 is skipped,
     and the first nonzero layer is the direct power itself: an extension
     with no unknowns draws nothing, so the draws and the sample are those
-    of one extension by the whole direct power per layer.
+    of one extension by the whole direct power per layer. With a_k = 1 that
+    first layer is the memoized M_k itself.
     """
     if not is_reduced(g, w):
         raise NonReducedWord(f"word {w.letters} is not reduced")
@@ -139,17 +141,24 @@ def extract_datum(g, w, x, trace=None):
 
     Appends (a_k, residual_dims_after_step) records to `trace` when given.
     Raises NotInGenericStratum when the residual after the last step is
-    nonzero.
+    nonzero. A residual that lives at the letter read, the zero module
+    included, is not reflected: a_k is its whole dimension there, and the
+    reflection is the zero module.
     """
     if not is_reduced(g, w):
         raise NonReducedWord(f"word {w.letters} is not reduced")
     out = []
     for i in w:
-        # a_k = dim ker(out_i), for out_i from the space at i to the incoming
-        # sum; sigma_star puts coker(out_i) at i, so no second elimination.
-        a_k = x.dim_at(i) - sum(x.dim_at(a.src) for a in arrows_into(g, i))
-        x = sigma_star(i, x)
-        a_k += x.dim_at(i)
+        if x.total_dim == x.dim_at(i):  # out_i has no rows: x_i is all socle
+            a_k = x.dim_at(i)
+            if a_k:
+                x = zero_module(g, x.field)
+        else:
+            # a_k = dim ker(out_i), for out_i from x_i to the incoming sum;
+            # sigma_star puts coker(out_i) at i, so no second elimination.
+            a_k = x.dim_at(i) - sum(x.dim_at(a.src) for a in arrows_into(g, i))
+            x = sigma_star(i, x)
+            a_k += x.dim_at(i)
         out.append(a_k)
         if trace is not None:
             trace.append((a_k, x.dims))

@@ -9,7 +9,12 @@ import functools
 import json
 from dataclasses import dataclass
 
-from .errors import CapExceeded, InvalidVertex, LengthMismatch, NonReducedWord
+from .errors import CapExceeded, GraphTooLarge, InvalidVertex, LengthMismatch, NonReducedWord
+
+# The most vertices a graph read from a file may have. The Cartan matrix
+# alone is n x n, so a larger file is refused before anything is built;
+# graphs made in code, such as a_n(30), are not capped.
+FILE_VERTEX_CAP = 64
 
 
 @dataclass(frozen=True)
@@ -59,6 +64,8 @@ class CartanGraph:
         n = data.get("vertices")
         if type(n) is not int or n < 0:
             raise ValueError(f"vertices must be a nonnegative integer, got {n!r}")
+        if n > FILE_VERTEX_CAP:
+            raise GraphTooLarge(f"a graph may have at most {FILE_VERTEX_CAP} vertices, got {n}")
         edges = _vertex_pairs(data.get("edges", []), "edges")
         orient = data.get("orientation")
         if orient is not None:

@@ -96,6 +96,21 @@ def test_extract_off_stratum_exits_1(a2_graph, tmp_path):
     assert run(["--graph", a2_graph, "extract", str(mpath), "2"]) == 1
 
 
+@pytest.mark.parametrize("n", [65, 10**6], ids=["65", "1e6"])
+def test_graph_files_over_the_vertex_cap_exit_2_and_3(tmp_path, capsys, n):
+    # A graph file past the cap exits 2, and a module file whose graph is
+    # past it exits 3, both before anything is built.
+    big = {"vertices": n, "edges": []}
+    gpath, mpath = tmp_path / "g.json", tmp_path / "m.json"
+    gpath.write_text(json.dumps(big))
+    mpath.write_text(json.dumps({"graph": big, "field": {"kind": "rational"}, "dims": [],
+                                 "arrows": []}))
+    assert run(["--graph", str(gpath), "roots", "1"]) == 2
+    assert f"at most 64 vertices, got {n}" in capsys.readouterr().err
+    assert run(["--graph", str(GRAPHS / "a2.json"), "extract", str(mpath), "1"]) == 3
+    assert f"at most 64 vertices, got {n}" in capsys.readouterr().err
+
+
 def test_missing_graph_exits_4(tmp_path):
     assert run(["--graph", str(tmp_path / "nope.json"), "roots", "1"]) == 4
 

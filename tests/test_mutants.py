@@ -15,7 +15,8 @@ import pytest
 from nilcrystal import fields, linalg, veritas
 from nilcrystal.fields import RationalField
 from nilcrystal.linalg import Mat, cokernel, nullspace, rref, vstack_all
-from nilcrystal.prepmod import Submodule, arrows_out_of, functors, hom, injectives, strata
+from nilcrystal.prepmod import (Submodule, arrows_out_of, functors, hom, injectives, semisimple,
+                               strata)
 from nilcrystal.rootsys import WeylWord, a_n, d4
 
 
@@ -237,6 +238,38 @@ def test_truncating_rational_division_fails_the_contracts(monkeypatch):
     assert r.witness["kind"] == "braid-iso"
     assert r.witness["extra"] == {"pair": [2, 3]}
     assert r.witness["module"]["dims"] == [7, 2, 2]
+
+
+def _extension_triples(g, corpus_size, rng):
+    """The extension triples of the contracts' functor-on-map family, drawn
+    as the contracts draw them: for each corpus module and vertex i, the
+    inclusion and projection of one extension by a random semisimple."""
+    fld, triples = RationalField(), []
+    for m in veritas.random_corpus(g, corpus_size, rng, fld):
+        for i in g.vertices():
+            mults = [rng.randrange(2) for _ in range(g.n)]
+            if sum(mults) == 0:
+                mults[rng.randrange(g.n)] = 1
+            quot = semisimple(g, mults, field=fld)
+            x = strata.random_extension(m, quot, rng)
+            triples.append((i, *strata.extension_maps(m, x, quot)))
+    return triples
+
+
+def test_truncating_rational_division_passes_the_functor_on_map_family(monkeypatch):
+    # The gap: on sound extension triples, 60 over A3 and 80 over D4, both
+    # functors on the maps still commute with every arrow under the mutant,
+    # though 259 of their quotients are inexact and truncated. The
+    # functor-on-map family alone catches nothing; braid-iso does (above).
+    triples = [t for g in (a_n(3), d4()) for t in _extension_triples(g, 20, random.Random(0))]
+    assert len(triples) == 60 + 80
+    inexact = []
+    monkeypatch.setattr(fields, "_ratio", lambda n, d: inexact.append(n % d != 0) or n // d)
+    for i, incl, proj in triples:
+        functors.sigma_on_map(i, incl)
+        functors.sigma_on_map(i, proj)
+        functors.sigma_star_on_map(i, proj)
+    assert sum(inexact) == 259
 
 
 def _nullspace_with_reversed_free_rows(m):

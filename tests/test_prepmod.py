@@ -411,6 +411,53 @@ def test_random_extension_by_copies_is_the_extension_by_the_direct_power(f):
             assert rng.getstate() == ref_rng.getstate()
 
 
+def _read_reflecting_every_letter(g, w, x):
+    """The datum read with one socle read and one backward reflection per
+    letter: the tuple, the trace records and the residual's dims."""
+    out, trace = [], []
+    for i in w:
+        out.append(soc_i(x, i).dim_at(i))
+        x = sigma_star(i, x)
+        trace.append((out[-1], x.dims))
+    return tuple(out), trace, x.dims
+
+
+def _stratum_samples_over_f3():
+    # A3 longest word, bound 1, over F_3, each sample read under the word
+    # and under its suffix (3, 2, 1), where many reads miss.
+    w, f = WeylWord((1, 2, 1, 3, 2, 1)), PrimeField(3)
+    rng = random.Random(5)
+    samples = [build_filtered(A3, w, a, rng, field=f)
+               for a in itertools.product(range(2), repeat=len(w))]
+    return [(A3, v, x) for x in samples for v in (w, WeylWord((3, 2, 1)))]
+
+
+def test_extraction_skips_only_reflections_that_are_zero():
+    # A residual living at the letter read is not reflected; the read must
+    # still agree with one reflection per letter: the tuple, the trace and
+    # the residual's dims, on samples that miss too.
+    cases = _stratum_samples_over_f3() + [
+        (A3, WeylWord((1, 2, 1, 3, 2, 1)), semisimple(A3, [0, 0, 2], field=F)),
+        (A2, WeylWord((1, 2, 1)), simple(A2, 2, field=F)),
+        (A3, WeylWord((1, 2, 1, 3, 2, 1)), zero_module(A3, F)),
+        (A3, WeylWord(()), zero_module(A3, F)),
+        (A3, WeylWord(()), simple(A3, 2, field=F)),
+    ]
+    misses = 0
+    for g, w, x in cases:
+        want, want_trace, residual = _read_reflecting_every_letter(g, w, x)
+        trace = []
+        try:
+            got = extract_datum(g, w, x, trace=trace)
+        except NotInGenericStratum as exc:
+            misses += 1
+            assert any(residual) and exc.residual_dims == residual
+        else:
+            assert not any(residual) and got == want
+        assert trace == want_trace
+    assert 0 < misses < len(cases)
+
+
 def test_extract_rejects_off_stratum():
     # S_1 has no filtration for the word starting with letter 2 only.
     w = WeylWord((2,))
