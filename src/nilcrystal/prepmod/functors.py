@@ -6,10 +6,14 @@ forward functor replaces the space at i by ker(in), the backward one by
 coker(out), each with a twisted structure map built from -(out . in), read
 off without a solve: out . in maps into ker(in), whose basis is the identity
 at its free rows, and kills image(out), so it factors through the cokernel
-projection as its columns at the projection's unit columns. `_forward` and
-`_backward` return the reflected module together with those kernel or
-cokernel data, so the functors on morphisms reflect each end once and reuse
-what its reflection computed.
+projection as its columns at the projection's unit columns. `_forward`
+returns the reflected module with the free rows of its kernel basis k, and
+`_backward` with the cokernel's units and projection, so the functors on
+morphisms reflect each end once and reuse what its reflection computed.
+The forward reflection's new outgoing maps are the row blocks of k, in
+assembly order, so sigma(i, m).out_map(i) is k: the functor on a morphism
+reads the source's k off its reflection, and takes a source that a caller
+has reflected already.
 The twist sign is a parameter only so the harness can demonstrate that the
 flipped convention breaks the contracts; production code never passes it.
 The real functors (twist 1) preserve nilpotent modules (Baumann-Kamnitzer,
@@ -44,13 +48,13 @@ def _replace_at(i, m, new_in, new_out, twist, which):
 
 
 def _forward(i, m, twist):
-    """The forward reflection, with the inclusion k of its new space ker(in)
-    and the free rows of k, where k is the identity."""
+    """The forward reflection, and the free rows of the inclusion k of its
+    new space ker(in), where k is the identity. k is its out_map(i)."""
     in_i, out_i = m.in_map(i), m.out_map(i)
     k, free = nullspace(in_i)  # total-in x newdim, columns span ker(in)
     # k . c = twist * out . in, whose columns lie in ker(in) since in . out = 0.
     c = (out_i.rows_at(free) @ in_i).scale(m.field.of_int(twist))
-    return _replace_at(i, m, c, k, twist, "forward"), k, free
+    return _replace_at(i, m, c, k, twist, "forward"), free
 
 
 def _backward(i, m, twist):
@@ -86,13 +90,14 @@ def _on_assembly(i, f_map):
     return block_diag(m.field, [f_map.mat_at(a.src) for a in arrows_into(m.graph, i)])
 
 
-def sigma_on_map(i, f_map, twist=1):
-    """The forward functor applied to a morphism."""
-    sm, km, _ = _forward(i, f_map.source, twist)
-    sn, _, free_n = _forward(i, f_map.target, twist)
+def sigma_on_map(i, f_map, twist=1, source=None):
+    """The forward functor applied to a morphism. `source` may pass
+    sigma(i, f_map.source, twist) already made; the result is the same."""
+    sm = _forward(i, f_map.source, twist)[0] if source is None else source
+    sn, free_n = _forward(i, f_map.target, twist)
     # The action on the incoming assemblies maps kernel into kernel, so its
     # restriction is read at the free rows of the target's kernel basis.
-    restricted = _on_assembly(i, f_map).rows_at(free_n) @ km
+    restricted = _on_assembly(i, f_map).rows_at(free_n) @ sm.out_map(i)
     return ModuleMap(sm, sn, f_map.mats[:i - 1] + (restricted,) + f_map.mats[i:])
 
 

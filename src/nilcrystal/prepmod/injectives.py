@@ -13,6 +13,11 @@ basis path x two degrees down, written on the spanning paths through the
 classes of x . reverse(a). One RREF of them gives the basis, the non-pivot
 paths, and the class of every spanning path: a pivot path is minus its row
 on the basis. In finite ADE type the degrees vanish eventually.
+
+The module is checked for the relations only. It is nilpotent by its
+grading: each arrow map sends the dual of a basis path of degree d to
+duals of paths of degree d - 1 (and the degree-0 path to zero), so every
+path longer than the top degree acts as zero.
 """
 
 from ..errors import CapExceeded
@@ -74,4 +79,6 @@ def injective_module(g, i, field):
             for q, c in classes[p + ((a.edge, -a.dir),)].items():
                 row[loc[q]] = c
         maps[(a.edge, a.dir)] = Mat(f, len(rows), len(at[a.src]), rows)
-    return PModule(g, f, tuple(len(at[v]) for v in g.vertices()), maps)
+    inj = PModule(g, f, tuple(len(at[v]) for v in g.vertices()), maps, check=False)
+    inj.validate(_nilpotency=False)
+    return inj

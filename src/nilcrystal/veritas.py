@@ -205,6 +205,13 @@ def check_reflection_contracts(g, corpus_size, rng, fld=None, twist=1):
     short exact sequences, the single-edge braid isomorphism, and the
     dimension-vector reflection law. With twist=-1 the flipped sign
     convention must fail its self-checks (mutation mode).
+
+    Each module is reflected forward once per vertex: sigma(i, m) of the
+    module under test is kept for the functor on the inclusion and for the
+    braid check, and the inclusion's reflected target sigma(i, x) is the
+    projection's reflected source, so the extension x and its quotient are
+    reflected once each. The functors draw nothing, so sharing changes no
+    result.
     """
     fld = fld or default_field()
     params = {
@@ -217,6 +224,8 @@ def check_reflection_contracts(g, corpus_size, rng, fld=None, twist=1):
     def body(details):
         if corpus_size <= 0:
             return "empty corpus"
+        if not g.n:
+            return "graph has no vertices"
         try:
             corpus = random_corpus(g, corpus_size, rng, fld)
         except InternalRelationFailure as exc:
@@ -230,9 +239,10 @@ def check_reflection_contracts(g, corpus_size, rng, fld=None, twist=1):
             _fail(kind, module=m.to_dict(), extra=extra)
 
         for m in corpus:
+            reflected = {}  # sigma(i, m) by vertex, for this module only
             for i in g.vertices():
                 try:
-                    sm = sigma(i, m, twist=twist)
+                    sm = reflected[i] = sigma(i, m, twist=twist)
                     ssm = sigma_star(i, m, twist=twist)
                     # The functors check only shapes: the relations are checked here.
                     sm.validate(_nilpotency=False)
@@ -272,8 +282,8 @@ def check_reflection_contracts(g, corpus_size, rng, fld=None, twist=1):
                 x = random_extension(m, quot, rng)
                 incl, proj = extension_maps(m, x, quot)
                 try:
-                    s_incl = sigma_on_map(i, incl, twist=twist)
-                    s_proj = sigma_on_map(i, proj, twist=twist)
+                    s_incl = sigma_on_map(i, incl, twist=twist, source=reflected[i])
+                    s_proj = sigma_on_map(i, proj, twist=twist, source=s_incl.target)
                 except (InternalRelationFailure, ValueError) as exc:
                     fail("functor-on-map", str(exc))
                 details["contracts_checked"] += 1
@@ -292,8 +302,8 @@ def check_reflection_contracts(g, corpus_size, rng, fld=None, twist=1):
             for (u, v) in {frozenset(e) for e in g.edges}:
                 if g.edge_count(u, v) != 1:
                     continue
-                lhs = sigma(u, sigma(v, sigma(u, m, twist=twist), twist=twist), twist=twist)
-                rhs = sigma(v, sigma(u, sigma(v, m, twist=twist), twist=twist), twist=twist)
+                lhs = sigma(u, sigma(v, reflected[u], twist=twist), twist=twist)
+                rhs = sigma(v, sigma(u, reflected[v], twist=twist), twist=twist)
                 details["contracts_checked"] += 1
                 if not is_iso(lhs, rhs, rng=rng):
                     fail("braid-iso", {"pair": [u, v]})

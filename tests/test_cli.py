@@ -236,6 +236,19 @@ def test_verify_summary_calls_an_empty_mutated_corpus_vacuous(capsys):
     ]
 
 
+def test_verify_summary_calls_contracts_on_a_graph_without_vertices_vacuous(tmp_path, capsys):
+    # No vertex to reflect at and none to draw a corpus module on.
+    path = tmp_path / "g0.json"
+    path.write_text(json.dumps({"vertices": 0, "edges": []}))
+    assert run(["--graph", str(path), "--no-timestamp",
+                "verify", "reflection-contracts"]) == 0
+    err = capsys.readouterr().err.splitlines()
+    assert [line.rsplit(" (", 1)[0] for line in err] == [
+        "reflection-contracts: VACUOUS (graph has no vertices)",
+        "reflection-contracts-mutated: VACUOUS (graph has no vertices)",
+    ]
+
+
 def test_verify_summary_fails_a_mutated_run_that_passes(monkeypatch, capsys):
     # A mutated run that checks contracts and passes them missed the mutation.
     real = veritas.check_reflection_contracts

@@ -1,10 +1,12 @@
+import hashlib
+import json
 import random
 
 import pytest
 
 from nilcrystal import veritas
 from nilcrystal.errors import NotInGenericStratum
-from nilcrystal.fields import default_field
+from nilcrystal.fields import RationalField, default_field
 from nilcrystal.prepmod import functors
 from nilcrystal.rootsys import WeylWord, a_n, affine_a1, d4
 
@@ -132,6 +134,30 @@ def test_cross_model_reflects_each_sample_once_per_letter(monkeypatch):
     assert len(calls) == 10
 
 
+@pytest.mark.parametrize("fld", [default_field(), RationalField()], ids=["prime", "rat"])
+@pytest.mark.parametrize("g", [a_n(3), d4()], ids=["A3", "D4"])
+def test_reflection_contracts_reflect_each_module_once_per_vertex(monkeypatch, g, fld):
+    # Per corpus module m and vertex i: sigma(i, m), sigma(i, sigma*(i, m)),
+    # and the extension x and its quotient once each; per single edge, two
+    # reflections on each side of the braid, which starts from sigma(u, m)
+    # and sigma(v, m). The modules are kept alive, so no id is reused.
+    calls = []
+    real = functors._forward
+
+    def counted(i, m, twist):
+        calls.append((i, m))
+        return real(i, m, twist)
+
+    monkeypatch.setattr(functors, "_forward", counted)
+    r = veritas.check_reflection_contracts(g, 5, random.Random(7), fld=fld)
+    assert r.outcome == "probabilistic-pass", r.witness
+    modules = 5 + 1  # the corpus and the cross witness
+    edges = len({frozenset(e) for e in g.edges})
+    assert len(calls) == modules * (4 * g.n + 4 * edges)
+    keys = [(i, id(m)) for i, m in calls]
+    assert len(set(keys)) == len(keys)
+
+
 @pytest.mark.parametrize("g, maxlen, words", [(a_n(3), 3, 19), (d4(), 4, 112)],
                          ids=["A3", "D4"])
 def test_modules_builds_one_cokernel_layer_per_word(monkeypatch, g, maxlen, words):
@@ -183,6 +209,25 @@ def test_mutated_reflection_report_is_pinned():
         "extra": "forward reflection at 1 broke relations: relation fails at vertex 2",
     }
     assert r.details == {"contracts_checked": 0}
+
+
+# sha256 of the canonical JSON of the D4 contract reports over Q at seed 7,
+# `wall_time` dropped. D4's branch vertex has three incoming arrows, so its
+# assemblies stack more blocks than any A3 vertex does.
+D4_CONTRACTS_SHA256 = {
+    1: "0cf61de97fb37f01498d667cc2425b4b88c73340c61825dd52c94762a6cc39a6",
+    -1: "20f610058bfcca9aaaf1a3ebb458295299955158a47854ac3509f20c75a81980",
+}
+
+
+@pytest.mark.parametrize("twist", list(D4_CONTRACTS_SHA256))
+def test_d4_reflection_contract_reports_are_pinned(twist):
+    r = veritas.check_reflection_contracts(d4(), 5, random.Random(7), fld=RationalField(),
+                                           twist=twist)
+    payload = r.to_dict()
+    del payload["wall_time"]
+    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(canonical.encode()).hexdigest() == D4_CONTRACTS_SHA256[twist]
 
 
 def test_modules_report_a_nontrivial_top(monkeypatch):
