@@ -11,15 +11,8 @@ import functools
 
 from ..errors import InternalRelationFailure, InvalidVertex, NoEmbeddingFound, NonReducedWord
 from ..fields import RationalField, default_field
-from ..linalg import Mat, is_invertible, solve
-from ..rootsys import (
-    CartanGraph,
-    RootVec,
-    Weight,
-    WeylWord,
-    apply_word_to_weight,
-    is_reduced,
-)
+from ..linalg import Mat, is_invertible
+from ..rootsys import CartanGraph, Weight, WeylWord, is_reduced
 from .hom import find_injective_hom
 from .module import _GRAPH_CACHE_SIZE
 from .module import PModule, arrows_of, arrows_out_of, quotient, semisimple, zero_module
@@ -115,35 +108,9 @@ def v_module(g, w, k, field=None):
     return n_module(g, rev_prefix, Weight.fundamental(g.n, i_k), field=field)
 
 
-def v_dim_weight(g, w, k):
-    """Expected weight-basis dimension data: varpi_{i_k} - s_{i_1}..s_{i_k} varpi_{i_k}."""
-    i_k = w[k - 1]
-    lam = Weight.fundamental(g.n, i_k)
-    rev_prefix = WeylWord(tuple(reversed(w.letters[:k])))
-    return lam - apply_word_to_weight(g, rev_prefix, lam)
-
-
 def cartan_invertible(g):
     """Whether the Cartan matrix is invertible over the rationals: finite type."""
     return is_invertible(Mat.from_int_rows(RationalField(), g.cartan(), ncols=g.n))
-
-
-def weight_to_root(g, lam):
-    """Convert a weight-basis vector that lies in the root lattice.
-
-    Solves A^T x = lam over the rationals, where A is the Cartan matrix;
-    raises ValueError when A is singular (affine graphs) or x is not
-    integral.
-    """
-    if not cartan_invertible(g):
-        raise ValueError("Cartan matrix is singular; cannot convert basis")
-    fld = RationalField()
-    at = Mat.from_int_rows(fld, g.cartan(), ncols=g.n).transpose()
-    x = solve(at, Mat.col_vector(fld, [fld.of_int(c) for c in lam.coeffs]))
-    sol = [r[0] for r in x.rows]
-    if any(s.denominator != 1 for s in sol):
-        raise ValueError("weight vector is not in the root lattice")
-    return RootVec(tuple(int(s) for s in sol))
 
 
 def k_minus(w, k):

@@ -175,9 +175,9 @@ def _run(check_id, claim, params, fld, work, body, clean="probabilistic-pass"):
     The body counts its work in `details`, calls `_fail` at the first
     failure, and returns a reason when there is nothing to check. The
     outcome is `fail` with the witness. It is `vacuous-pass`, with a
-    warning, when the body gave a reason or `details[work]` is 0 (then no
-    confidence is stated), or when every stratum sample missed. Else it is
-    `clean`.
+    warning, when the body gave a reason, `details[work]` is 0 or a
+    sampled check drew no sample (then no confidence is stated), or when
+    every stratum sample missed. Else it is `clean`.
     """
     t0 = time.time()
     details = {}
@@ -187,8 +187,12 @@ def _run(check_id, claim, params, fld, work, body, clean="probabilistic-pass"):
     except _Failed as exc:
         witness = exc.witness
     else:
-        if idle is not None or not details[work]:
-            warning, confidence = idle or f"nothing was checked: {work} is 0", None
+        if idle is None and not details[work]:
+            idle = f"nothing was checked: {work} is 0"
+        elif idle is None and details.get("samples") == 0:
+            idle = "nothing was sampled: samples is 0"
+        if idle is not None:
+            warning, confidence = idle, None
         elif "samples" in details and details["sampling_misses"] == details["samples"]:
             warning = "no sample was read back from the generic stratum"
     if warning is not None:
@@ -396,14 +400,50 @@ def check_modules(g, maxlen, rng=None, fld=None, socle_chain_oracle=False):
                 params, fld, "words_checked", body)
 
 
+def _stratum_samples(g, word, a, samples, reads, rng, fld, details):
+    """Stratum samples of the datum a under word, each read under every word of reads.
+
+    Yields, per sample, the module and the tuple read under each word of
+    reads, or None where the read missed on every try. Each sample is
+    built once and its preprojective relations are checked, since
+    build_filtered trusts its extensions: a broken one fails the check
+    with kind `relations`. A missed read is retried on fresh samples, up
+    to RETRY_BUDGET of them. Every read counts in details["samples"], and
+    every read that missed on all its tries in details["sampling_misses"].
+    """
+    def build():
+        x = build_filtered(g, word, a, rng, field=fld)
+        try:
+            x.validate(_nilpotency=False)
+        except InternalRelationFailure as exc:
+            _fail("relations", a=list(a), error=str(exc))
+        return x
+
+    for _ in range(samples):
+        x, gots = build(), []
+        for w in reads:
+            details["samples"] += 1
+            for retry in range(RETRY_BUDGET + 1):
+                try:
+                    gots.append(extract_datum(g, w, build() if retry else x))
+                    break
+                except NotInGenericStratum:
+                    pass
+            else:
+                details["sampling_misses"] += 1
+                gots.append(None)
+        yield x, gots
+
+
 def check_cross_model(g, word, bound, samples, rng, fld=None):
     """Cross-model law on a full datum grid for one word.
 
-    Per sample: weight law, first-socle law, and equality of crystal and
-    module extraction. `extract_datum` is itself the induction along the
-    word (read a socle, reflect backward, read the residual under the
-    shorter word), so each residual's tail is the tail of the tuple
-    compared here, and it misses exactly when the full read misses.
+    Per sample: the preprojective relations (in the sampler), weight law,
+    first-socle law, and equality of crystal and module extraction.
+    `extract_datum` is itself the induction along the word (read a socle,
+    reflect backward, read the residual under the shorter word), so each
+    residual's tail is the tail of the tuple compared here, and it misses
+    exactly when the full read misses.
     """
     fld = fld or default_field()
     params = {
@@ -423,18 +463,13 @@ def check_cross_model(g, word, bound, samples, rng, fld=None):
                 d = datum(g, word, a)
                 cert = extraction_chain(g, d)
                 expected_weight = weight(g, d)
-                for _ in range(samples):
-                    details["samples"] += 1
-                    x = build_filtered(g, word, a, rng, field=fld)
+                for x, (got,) in _stratum_samples(g, word, a, samples, [word], rng, fld,
+                                                  details):
                     if x.dims != expected_weight.coeffs:
                         _fail("weight-law", a=list(a), dims=x.dims)
                     if r and eps_star_mod(word[0], x) != a[0]:
                         _fail("socle-law", a=list(a), module=x.to_dict())
-                    rebuild = lambda: build_filtered(g, word, a, rng, field=fld)
-                    got = _extract_with_retry(g, word, x, rebuild)
-                    if got is None:
-                        details["sampling_misses"] += 1
-                    elif got != cert.exponents:
+                    if got is not None and got != cert.exponents:
                         _fail("chain-mismatch", a=list(a), got=got)
         finally:
             details["miss_rate"] = details["sampling_misses"] / max(details["samples"], 1)
@@ -443,20 +478,16 @@ def check_cross_model(g, word, bound, samples, rng, fld=None):
                 params, fld, "samples", body, clean="pass" if bound == 0 else "probabilistic-pass")
 
 
-def _extract_with_retry(g, word, x, rebuild):
-    """Extraction with fresh-sample retries: the tuple, or None if every read missed."""
-    for attempt in range(RETRY_BUDGET + 1):
-        if attempt:
-            x = rebuild()
-        try:
-            return extract_datum(g, word, x)
-        except NotInGenericStratum:
-            continue
-    return None
-
-
 def check_transitions(g, word, bound, rng, fld=None, samples=1):
-    """Transition-map coherence across every braid neighbor of a word."""
+    """Transition-map coherence across every braid neighbor of a word.
+
+    At each grid point the crystal side maps the datum through every braid
+    move, and each stratum sample of the datum under `word` is read under
+    every neighbour word: one component, with one parameter per reduced
+    expression. The reads of one sample share it, so the reads under
+    different neighbours are not independent draws; the miss bound of each
+    read is unchanged.
+    """
     fld = fld or default_field()
     params = {
         "graph": g.to_dict(),
@@ -474,6 +505,7 @@ def check_transitions(g, word, bound, rng, fld=None, samples=1):
         for a in itertools.product(range(bound + 1), repeat=len(word)):
             d = datum(g, word, a)
             wt = weight(g, d).coeffs
+            neighbours = []
             for pos, kind, moved in moves:
                 details["pairs_checked"] += 1
                 d2 = transition(g, d, pos, kind)
@@ -484,14 +516,11 @@ def check_transitions(g, word, bound, rng, fld=None, samples=1):
                     _fail("involution", a=list(a), pos=pos)
                 if any(x < 0 for x in d2.a):
                     _fail("negative-entry", a=list(a), pos=pos)
-                for _ in range(samples):
-                    details["samples"] += 1
-                    x = build_filtered(g, word, a, rng, field=fld)
-                    rebuild = lambda: build_filtered(g, word, a, rng, field=fld)
-                    got = _extract_with_retry(g, d2.word, x, rebuild)
-                    if got is None:
-                        details["sampling_misses"] += 1
-                    elif got != d2.a:
+                neighbours.append((pos, d2))
+            reads = [d2.word for _, d2 in neighbours]
+            for _, gots in _stratum_samples(g, word, a, samples, reads, rng, fld, details):
+                for (pos, d2), got in zip(neighbours, gots):
+                    if got is not None and got != d2.a:
                         _fail("cross-model", a=list(a), pos=pos, got=got)
 
     return _run("transitions", "rank-2 transition maps preserve weight and match the module side",

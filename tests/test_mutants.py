@@ -120,17 +120,20 @@ def test_split_extensions_fail_the_transition_check(monkeypatch):
 
 
 def test_skipped_back_substitution_fails_the_transition_check(monkeypatch):
-    # The smallest report-level check found to fail: check_transitions on a
-    # length-5 A3 word, at seeds 0-4 and 7 alike. Both sampled checks pass
-    # with this mutant on A2 (1,2,1) up to bound 4 and on every A3 word of
-    # length 3 or 4 at bound 1 (seeds 0-4), and at seed 7 so do both on the
-    # longest word (bound 1) and the reflection contracts on an A3 corpus
-    # of 4.
+    # The stratum sampler checks the relations of each sample it builds, so
+    # both sampled checks fail with `relations` on SHORT and on the longest
+    # word, at seeds 0-4 and 7 alike, and on six of the A3 words of length
+    # 4 at bound 1. Both still pass with this mutant on A2 (1,2,1) up to
+    # bound 4 and on every A3 word of length 3 at bound 1 (seeds 0-4).
     monkeypatch.setattr(strata, "kernel_vectors", _kernel_vectors_without_back_substitution)
     r = veritas.check_transitions(a_n(3), SHORT, 1, random.Random(7))
     assert r.outcome == "fail"
-    assert r.witness == {"kind": "cross-model", "a": [1, 0, 1, 0, 1], "pos": 2,
-                         "got": (1, 0, 1, 0, 1)}
+    assert r.witness == {"kind": "relations", "a": [0, 1, 0, 1, 0],
+                         "error": "relation fails at vertex 1"}
+    r = veritas.check_cross_model(a_n(3), LONGEST, 1, 1, random.Random(7))
+    assert r.outcome == "fail"
+    assert r.witness == {"kind": "relations", "a": [0, 1, 0, 0, 1, 0],
+                         "error": "relation fails at vertex 2"}
 
 
 def test_skipped_back_substitution_fails_the_corpus_of_the_contracts(monkeypatch):
@@ -204,6 +207,25 @@ def test_contiguous_left_terms_in_the_extensions_fail_the_d4_corpus(monkeypatch)
     assert r.outcome == "probabilistic-pass"
     r = veritas.check_transitions(a_n(3), LONGEST, 1, random.Random(7))
     assert r.outcome == "probabilistic-pass"
+
+
+# The shortest D4 word whose last layer has a 2 at the centre, so that some
+# extension blocks have two columns.
+D4_WORD = WeylWord((2, 1, 3, 2, 4))
+
+
+def test_contiguous_left_terms_in_the_extensions_fail_the_d4_samples(monkeypatch):
+    # build_filtered trusts its extensions; the sampled checks check the
+    # relations of each sample, and fail at the first sample that breaks one.
+    assert veritas.check_cross_model(d4(), D4_WORD, 1, 2, random.Random(7)).passed
+    assert veritas.check_transitions(d4(), D4_WORD, 1, random.Random(7)).passed
+    monkeypatch.setattr(strata, "block_system", _block_system_with_contiguous_left_terms)
+    witness = {"kind": "relations", "a": [1, 0, 1, 1, 1],
+               "error": "relation fails at vertex 2"}
+    r = veritas.check_cross_model(d4(), D4_WORD, 1, 2, random.Random(7))
+    assert r.outcome == "fail" and r.witness == witness
+    r = veritas.check_transitions(d4(), D4_WORD, 1, random.Random(7))
+    assert r.outcome == "fail" and r.witness == witness
 
 
 def _last_entry_off_by_one(g, w, x, trace=None):

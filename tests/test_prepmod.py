@@ -645,31 +645,6 @@ def test_find_injective_hom_into_bigger():
     assert h is not None and h.is_injective()
 
 
-@pytest.mark.parametrize("g", [a_n(3), d4()], ids=["A3", "D4"])
-def test_weight_drops_convert_to_integer_roots(g):
-    a = g.cartan()
-    for words in all_reduced_words_upto(g, 3).values():
-        for w in words:
-            for k in range(1, len(w) + 1):
-                drop = families.v_dim_weight(g, w, k)
-                root = families.weight_to_root(g, drop).coeffs
-                assert all(isinstance(x, int) and x >= 0 for x in root)
-                assert tuple(
-                    sum(a[j][i] * root[j] for j in range(g.n)) for i in range(g.n)
-                ) == drop.coeffs
-    # On A3, alpha_2 and the highest root alpha_1 + alpha_2 + alpha_3.
-    assert families.weight_to_root(A3, Weight((-1, 2, -1))).coeffs == (0, 1, 0)
-    assert families.weight_to_root(A3, Weight((1, 0, 1))).coeffs == (1, 1, 1)
-
-
-def test_weight_to_root_rejects_off_lattice_and_singular():
-    # varpi_1 of A2 is (2/3) alpha_1 + (1/3) alpha_2.
-    with pytest.raises(ValueError, match="root lattice"):
-        families.weight_to_root(a_n(2), Weight.fundamental(2, 1))
-    with pytest.raises(ValueError, match="singular"):
-        families.weight_to_root(affine_a1(), Weight((2, -2)))
-
-
 @pytest.mark.parametrize("f", [F, RationalField()], ids=["prime", "rat"])
 def test_direct_power_matches_iterated_direct_sum(f):
     m = sigma(1, sigma(2, simple(A3, 3, field=f)))

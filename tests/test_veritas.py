@@ -8,7 +8,7 @@ from nilcrystal import veritas
 from nilcrystal.errors import NotInGenericStratum
 from nilcrystal.fields import RationalField, default_field
 from nilcrystal.prepmod import functors
-from nilcrystal.rootsys import WeylWord, a_n, affine_a1, d4
+from nilcrystal.rootsys import WeylWord, a_n, affine_a1, all_reduced_words_upto, braid_moves, d4
 
 
 def test_derive_seed_deterministic():
@@ -119,6 +119,42 @@ def test_cross_model_of_the_empty_word_passes():
     r = veritas.check_cross_model(a_n(2), WeylWord(()), 1, 3, random.Random(3))
     assert r.passed and not r.witness
     assert r.details["grid_points"] == 1 and r.details["samples"] == 3
+
+
+def _count_builds(monkeypatch):
+    builds = []
+    real = veritas.build_filtered
+    monkeypatch.setattr(veritas, "build_filtered",
+                        lambda *a, **k: builds.append(a) or real(*a, **k))
+    return builds
+
+
+def test_transitions_build_each_sample_once_for_all_moves(monkeypatch):
+    # Each of the 16 A3 longest words has 2 or 3 braid moves and 64 grid
+    # points at bound 1; each sample is read under every neighbour word.
+    builds = _count_builds(monkeypatch)
+    rng = random.Random(7)
+    words = all_reduced_words_upto(a_n(3), 6)[6]
+    assert len(words) == 16
+    reads = 0
+    for w in words:
+        r = veritas.check_transitions(a_n(3), w, 1, rng)
+        assert r.outcome == "probabilistic-pass" and r.details["sampling_misses"] == 0
+        assert r.details["samples"] == r.details["pairs_checked"]
+        reads += r.details["samples"]
+    assert len(builds) == 16 * 64 == 1024
+    assert reads > len(builds)
+
+
+def test_transitions_count_every_read_of_every_sample(monkeypatch):
+    builds = _count_builds(monkeypatch)
+    r = veritas.check_transitions(a_n(3), WeylWord((1, 2, 1, 3, 2, 1)), 1,
+                                  random.Random(7), samples=3)
+    assert r.outcome == "probabilistic-pass" and r.details["sampling_misses"] == 0
+    moves = len(braid_moves(a_n(3), WeylWord((1, 2, 1, 3, 2, 1))))
+    assert r.details["pairs_checked"] == 64 * moves
+    assert r.details["samples"] == r.details["pairs_checked"] * 3
+    assert len(builds) == 64 * 3
 
 
 def test_cross_model_reflects_each_sample_once_per_letter(monkeypatch):
@@ -310,6 +346,9 @@ def test_every_check_that_did_no_work_is_a_vacuous_pass_that_says_why():
     assert reports[0].details == {"words_checked": 0,
                                   "warning": "nothing was checked: words_checked is 0"}
     assert reports[2].details == reports[3].details == {"warning": "empty corpus"}
+    assert reports[5].details == {"pairs_checked": 8, "samples": 0, "sampling_misses": 0,
+                                  "warning": "nothing was sampled: samples is 0"}
+    assert reports[5].confidence is None
 
 
 def test_modules_checks_the_cartan_matrix_once(monkeypatch):
