@@ -104,10 +104,10 @@ class PrimeField:
     def dot(self, xs, ys):
         return sum(map(mul, xs, ys)) % self.p
 
-    def matmul(self, a_rows, bt_rows):
-        """Rows of A @ B, given the rows of A and of B transposed."""
+    def matmul(self, a_rows, b_cols):
+        """Rows of A @ B, given the rows of A and the columns of B."""
         p = self.p
-        return [[sum(map(mul, r, c)) % p for c in bt_rows] for r in a_rows]
+        return [[sum(map(mul, r, c)) % p for c in b_cols] for r in a_rows]
 
     def scale_vec(self, c, xs):
         p = self.p
@@ -204,9 +204,9 @@ class RationalField:
     def dot(self, xs, ys):
         return self.matmul([xs], [ys])[0][0]
 
-    def matmul(self, a_rows, bt_rows):
-        """Rows of A @ B, given the rows of A and of B transposed."""
-        cols = [_over_lcm(c) for c in bt_rows]
+    def matmul(self, a_rows, b_cols):
+        """Rows of A @ B, given the rows of A and the columns of B."""
+        cols = [_over_lcm(c) for c in b_cols]
         out = []
         for r in a_rows:
             nr, dr = _over_lcm(r)

@@ -2,8 +2,10 @@
 
 Matrices are immutable-by-convention lists of lists of field elements.
 Zero-row and zero-column matrices are first-class citizens: most of the
-module theory downstream lives at the boundary cases. The arithmetic loops
-belong to the field (`matmul`, `scale_vec` and the elimination steps); this
+module theory downstream lives at the boundary cases, so a product with a
+zero dimension, or an elimination of an empty matrix, returns at once and
+never reaches the field. The arithmetic loops belong to the field
+(`matmul`, on B's columns, `scale_vec` and the elimination steps); this
 module holds the one Gaussian elimination that every solve, rank and
 nullspace shares. Its forward pass clears the rows below each pivot, and
 the RREF also clears the rows above. `nullspace` reads a kernel basis off
@@ -100,7 +102,9 @@ class Mat:
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch in matrix product")
         f = self.field
-        return Mat(f, self.nrows, other.ncols, f.matmul(self.rows, other.transpose().rows))
+        if not (self.nrows and self.ncols and other.ncols):  # no entry has a term
+            return Mat.zero(f, self.nrows, other.ncols)
+        return Mat(f, self.nrows, other.ncols, f.matmul(self.rows, list(zip(*other.rows))))
 
     def __matmul__(self, other):
         return self.mul(other)
@@ -221,6 +225,8 @@ def _eliminate(m, upward):
     with `upward` it clears the rows above too, which gives the RREF.
     """
     f = m.field
+    if not (m.nrows and m.ncols):
+        return [[] for _ in range(m.nrows)], []
     rows = f.elim_rows(m.rows)
     pivot, reduce = f.elim_pivot, f.elim_reduce
     pivots = []

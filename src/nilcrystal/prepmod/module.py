@@ -67,7 +67,9 @@ def reverse_arrow(a):
 class PModule:
     """A representation of the double quiver satisfying the signed relations.
 
-    Immutable after construction. `dims` is a tuple indexed by vertex - 1;
+    Immutable after construction: no code writes `maps` once the module is
+    made, so `in_map(i)` and `out_map(i)` are assembled from them once per
+    vertex, on first use, and kept. `dims` is a tuple indexed by vertex - 1;
     `maps` is keyed by (edge_index, direction); a missing arrow gets the
     zero map. Shapes are always checked. `check=False` skips the relations
     and nilpotency, for a module made by an operation that keeps both: the
@@ -78,17 +80,17 @@ class PModule:
     def __init__(self, graph, field, dims, maps, check=True):
         self.graph = graph
         self.field = field
-        self.dims = tuple(int(d) for d in dims)
-        self.maps = dict(maps)
+        self.dims = dims = tuple(int(d) for d in dims)
+        self.maps = maps = dict(maps)
+        self._in, self._out = {}, {}
         for a in arrows_of(graph):
-            key = (a.edge, a.dir)
-            want = (self.dims[a.tgt - 1], self.dims[a.src - 1])
-            m = self.maps.get(key)
+            nr, nc = dims[a.tgt - 1], dims[a.src - 1]
+            m = maps.get((a.edge, a.dir))
             if m is None:
-                self.maps[key] = Mat.zero(field, *want)
-            elif (m.nrows, m.ncols) != want:
+                maps[(a.edge, a.dir)] = Mat.zero(field, nr, nc)
+            elif m.nrows != nr or m.ncols != nc:
                 raise InternalRelationFailure(
-                    f"arrow {a} has shape {(m.nrows, m.ncols)}, expected {want}"
+                    f"arrow {a} has shape {(m.nrows, m.ncols)}, expected {(nr, nc)}"
                 )
         if check:
             self.validate()
@@ -146,8 +148,10 @@ class PModule:
 
         Block order follows arrows_into; the relation says this composed
         with out_map is zero. Given `cols`, ascending indices into the sum,
-        only those columns are built and signed.
+        only those columns are built and signed; else the assembly is kept.
         """
+        if cols is None and i in self._in:
+            return self._in[i]
         blocks, lo = [], 0
         for a in arrows_into(self.graph, i):
             m = self.arrow_map(a)
@@ -156,12 +160,17 @@ class PModule:
                 m = m.cols([j - lo for j in cols if lo <= j < hi])
             blocks.append(m if a.sign > 0 else m.neg())
             lo = hi
-        return hstack_all(self.field, blocks, self.dims[i - 1])
+        assembled = hstack_all(self.field, blocks, self.dims[i - 1])
+        if cols is None:
+            self._in[i] = assembled
+        return assembled
 
     def out_map(self, i):
-        """Unsigned block column M_i -> (sum of incoming spaces)."""
-        blocks = [self.maps[(a.edge, -a.dir)] for a in arrows_into(self.graph, i)]
-        return vstack_all(self.field, blocks, self.dims[i - 1])
+        """Unsigned block column M_i -> (sum of incoming spaces), kept."""
+        if i not in self._out:
+            blocks = [self.maps[(a.edge, -a.dir)] for a in arrows_into(self.graph, i)]
+            self._out[i] = vstack_all(self.field, blocks, self.dims[i - 1])
+        return self._out[i]
 
     def in_block_slices(self, i):
         """Row/column offsets of each incoming arrow's block."""

@@ -175,9 +175,9 @@ def _run(check_id, claim, params, fld, work, body, clean="probabilistic-pass"):
     The body counts its work in `details`, calls `_fail` at the first
     failure, and returns a reason when there is nothing to check. The
     outcome is `fail` with the witness. It is `vacuous-pass`, with a
-    warning, when the body gave a reason, `details[work]` is 0 or a
-    sampled check drew no sample (then no confidence is stated), or when
-    every stratum sample missed. Else it is `clean`.
+    warning, when the body gave a reason, a sampled check drew no sample
+    or `details[work]` is 0 (then no confidence is stated), or when every
+    stratum sample missed. Else it is `clean`.
     """
     t0 = time.time()
     details = {}
@@ -187,10 +187,10 @@ def _run(check_id, claim, params, fld, work, body, clean="probabilistic-pass"):
     except _Failed as exc:
         witness = exc.witness
     else:
-        if idle is None and not details[work]:
-            idle = f"nothing was checked: {work} is 0"
-        elif idle is None and details.get("samples") == 0:
+        if idle is None and details.get("samples") == 0:
             idle = "nothing was sampled: samples is 0"
+        elif idle is None and not details[work]:
+            idle = f"nothing was checked: {work} is 0"
         if idle is not None:
             warning, confidence = idle, None
         elif "samples" in details and details["sampling_misses"] == details["samples"]:

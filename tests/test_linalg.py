@@ -310,6 +310,34 @@ def test_mul_matches_scalar_loops(f):
 
 
 @pytest.mark.parametrize("f", FIELDS)
+def test_empty_shapes_never_reach_the_field_kernels(f, monkeypatch):
+    # Result rows are lists, as ModuleMap.validate compares rows with !=.
+    mats, rng = kernel_cases(f, 25)
+    for a in mats:
+        assert all(type(r) is list for r in (a @ rand_mat(f, a.ncols, 3, rng)).rows)
+
+    def kernel(*args):
+        raise AssertionError("an empty shape reached the field kernel")
+
+    monkeypatch.setattr(type(f), "matmul", kernel)
+    monkeypatch.setattr(type(f), "elim_rows", kernel)
+    for (p, q, r) in ((0, 3, 2), (2, 0, 3), (2, 3, 0), (0, 0, 0)):
+        prod = rand_mat(f, p, q, rng) @ rand_mat(f, q, r, rng)
+        assert (prod.nrows, prod.ncols, prod.rows) == (p, r, [[f.zero] * r for _ in range(p)])
+    for n in (0, 4):
+        wide, tall = Mat.zero(f, 0, n), Mat(f, n, 0, [[] for _ in range(n)])
+        assert rref(wide) == (wide, []) and rref(tall) == (tall, [])
+        assert rank(wide) == rank(tall) == 0
+        assert nullspace(wide) == (Mat.identity(f, n), list(range(n)))
+        assert nullspace(tall) == (Mat.zero(f, 0, 0), [])
+        values = [[f.of_int(j + 1) for j in range(n)]]
+        assert list(kernel_vectors(wide, lambda free: values)) == values
+        assert list(kernel_vectors(tall, lambda free: [free])) == [[]]
+    with pytest.raises(AssertionError, match="field kernel"):
+        rref(Mat.identity(f, 1))
+
+
+@pytest.mark.parametrize("f", FIELDS)
 def test_rref_nullspace_solve_match_scalar_loops(f):
     mats, rng = kernel_cases(f, 21)
     for m in mats:
@@ -354,7 +382,8 @@ def test_kernel_vector_is_the_nullspace_combination(f):
         draw = lambda: f.random(rng)
     for m in mats:
         ns, free = nullspace(m)
-        assert free == [j for j in range(m.ncols) if j not in rref(m)[1]]
+        pivots = rref(m)[1]
+        assert free == [j for j in range(m.ncols) if j not in pivots]
         assert len(free) == ns.ncols
         # One vector, and several from the one elimination.
         for count in (1, 3):

@@ -157,6 +157,39 @@ def test_relation_at_is_the_signed_sum_of_round_trips(f):
 
 
 @pytest.mark.parametrize("f", [F, RationalField()], ids=["prime", "rat"])
+@pytest.mark.parametrize("g", [a_n(3), d4()], ids=["A3", "D4"])
+def test_each_module_assembles_its_boundary_maps_once_per_vertex(g, f):
+    def assembled(m, i):
+        """(in, out) at i, stacked pair by pair from the module's maps."""
+        d = m.dim_at(i)
+        in_i, out_i = Mat(f, d, 0, [[] for _ in range(d)]), Mat.zero(f, 0, d)
+        for a in arrows_of(g):
+            if a.tgt == i:
+                in_i = in_i.hstack(m.arrow_map(a) if a.sign > 0 else m.arrow_map(a).neg())
+                out_i = out_i.vstack(m.arrow_map(reverse_arrow(a)))
+        return in_i, out_i
+
+    rng = random.Random(9)
+    modules = veritas.random_corpus(g, 4, rng, f, max_total_dim=6)
+    modules.append(semisimple(g, [2, 0] + [1] * (g.n - 2), field=f))  # dim 0 at vertex 2
+    for m in modules:
+        for i in g.vertices():
+            in_i, out_i = m.in_map(i), m.out_map(i)
+            assert m.in_map(i) is in_i and m.out_map(i) is out_i
+            assert (in_i, out_i) == assembled(m, i)
+            for cols in (list(range(0, in_i.ncols, 2)),
+                         sorted(rng.sample(range(in_i.ncols), in_i.ncols // 2))):
+                assert m.in_map(i, cols) == in_i.cols(cols)
+    # The kept assemblies are the module's own maps, so a module with broken
+    # relations still fails its check after they were read.
+    broken = PModule(A2, F, [1, 1], _broken_a2_maps(), check=False)
+    for i in A2.vertices():
+        broken.in_map(i), broken.out_map(i)
+    with pytest.raises(InternalRelationFailure, match="relation fails at vertex 1"):
+        broken.validate()
+
+
+@pytest.mark.parametrize("f", [F, RationalField()], ids=["prime", "rat"])
 def test_module_map_must_commute(f):
     from nilcrystal.linalg import Mat
 

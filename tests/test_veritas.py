@@ -346,6 +346,10 @@ def test_every_check_that_did_no_work_is_a_vacuous_pass_that_says_why():
     assert reports[0].details == {"words_checked": 0,
                                   "warning": "nothing was checked: words_checked is 0"}
     assert reports[2].details == reports[3].details == {"warning": "empty corpus"}
+    assert reports[4].details == {"grid_points": 8, "samples": 0, "sampling_misses": 0,
+                                  "miss_rate": 0.0,
+                                  "warning": "nothing was sampled: samples is 0"}
+    assert reports[4].confidence is None
     assert reports[5].details == {"pairs_checked": 8, "samples": 0, "sampling_misses": 0,
                                   "warning": "nothing was sampled: samples is 0"}
     assert reports[5].confidence is None
