@@ -1,10 +1,9 @@
 """Combinatorial datum model for crystal elements attached to a Weyl word.
 
 An element is named by a reduced word plus a tuple of naturals in
-application order. First-entry statistics, the reflection that strips the
-first letter, rank-2 transition maps across braid moves, and the full
-extraction chain live here; equality across different words goes through
-braid-path transport.
+application order. Its weight, the rank-2 transition maps across braid
+moves, and braid-path transport to another reduced word of the same Weyl
+element live here.
 """
 
 from dataclasses import dataclass
@@ -15,7 +14,6 @@ from .errors import (
     InvalidMovePosition,
     LengthMismatch,
     NonReducedWord,
-    PreconditionViolated,
 )
 from .rootsys import (
     WeylWord,
@@ -35,10 +33,6 @@ class LusztigDatum:
 
     def __post_init__(self):
         object.__setattr__(self, "a", tuple(int(x) for x in self.a))
-
-    @property
-    def r(self):
-        return len(self.word)
 
     def to_dict(self):
         return {
@@ -61,37 +55,6 @@ def datum(g, word, a):
     if any(x < 0 for x in a):
         raise ValueError("datum entries must be nonnegative")
     return LusztigDatum(word, tuple(a))
-
-
-def eps_star(d):
-    """First-letter statistic: the first entry of the datum."""
-    if d.r == 0:
-        raise PreconditionViolated("empty word has no first entry")
-    return d.a[0]
-
-
-def e_star_max(d):
-    """Zero out the first entry; idempotent."""
-    if d.r == 0:
-        raise PreconditionViolated("empty word has no first entry")
-    return LusztigDatum(d.word, (0,) + d.a[1:])
-
-
-def saito_T(g, d):
-    """Strip the first letter and entry; requires a vanishing first entry."""
-    if d.r == 0:
-        raise PreconditionViolated("empty word cannot be shortened")
-    if d.a[0] != 0:
-        raise PreconditionViolated("first entry must be zero before the reflection")
-    return LusztigDatum(d.word.drop_first(), d.a[1:])
-
-
-def saito_T_inv(g, i, d):
-    """Prepend a letter with entry zero; must keep the word reduced."""
-    new_word = d.word.prepend(i)
-    if not is_reduced(g, new_word):
-        raise NonReducedWord(f"prepending {i} makes {new_word.letters} non-reduced")
-    return LusztigDatum(new_word, (0,) + d.a)
 
 
 def _move_at(g, d, pos, kind):
@@ -155,46 +118,11 @@ def transport(g, d, target_word, cap=10000):
                 if len(seen) > cap:
                     raise CapExceeded(f"braid transport exceeds cap {cap}")
                 queue.append(nxt)
-    if target_word.letters in seen:
-        return seen[target_word.letters]
     raise CapExceeded(
         f"word {target_word.letters} not reached by braid moves (cap {cap})"
     )
 
 
-def equal(g, d1, d2, cap=10000):
-    """Whether two data name the same element, across reduced words."""
-    moved = transport(g, d1, d2.word, cap=cap)
-    return moved.a == d2.a
-
-
 def weight(g, d):
     """Root-basis weight of the datum (sign convention: positive sum)."""
     return mu(g, d.word, d.a)
-
-
-@dataclass(frozen=True)
-class ExtractionCertificate:
-    """Replayable record of the alternating strip-and-reflect chain."""
-
-    word: WeylWord
-    a: tuple
-    exponents: tuple  # a_k read off at each step, in application order
-
-    def __post_init__(self):
-        if self.exponents != self.a:
-            raise ValueError("certificate exponents must reproduce the datum")
-
-
-def extraction_chain(g, d):
-    """Alternate first-entry strips with word-shortening reflections.
-
-    Terminates after exactly r reflection steps at the empty datum and
-    records the removed exponents, which reproduce the datum.
-    """
-    exps = []
-    cur = d
-    while cur.r > 0:
-        exps.append(eps_star(cur))
-        cur = saito_T(g, e_star_max(cur))
-    return ExtractionCertificate(d.word, d.a, tuple(exps))

@@ -44,10 +44,6 @@ class NotInGenericStratum(NilcrystalError, RuntimeError):
         self.residual_dims = residual_dims
 
 
-class PreconditionViolated(NilcrystalError, ValueError):
-    """An operation was called outside its stated domain."""
-
-
 class InvalidMovePosition(NilcrystalError, ValueError):
     """No braid move exists at the requested position."""
 

@@ -59,11 +59,11 @@ def _forward(i, m, twist):
 
 def _backward(i, m, twist):
     """The backward reflection, with the cokernel (units, projection) of out;
-    only the columns of `in` at the units are read, so only they are built."""
+    only the columns of `in` at the units are read."""
     out_i = m.out_map(i)
     units, proj = cokernel(out_i)
     # Induced map coker -> total-in from twist * out . in (kills image(out)).
-    induced = (out_i @ m.in_map(i, units)).scale(m.field.of_int(twist))
+    induced = (out_i @ m.in_map(i).cols(units)).scale(m.field.of_int(twist))
     return _replace_at(i, m, proj, induced, twist, "backward"), units, proj
 
 

@@ -143,27 +143,19 @@ class PModule:
 
     # -- assembled boundary maps at a vertex ---------------------------
 
-    def in_map(self, i, cols=None):
-        """Signed block row (sum of incoming spaces) -> M_i.
+    def in_map(self, i):
+        """Signed block row (sum of incoming spaces) -> M_i, kept.
 
         Block order follows arrows_into; the relation says this composed
-        with out_map is zero. Given `cols`, ascending indices into the sum,
-        only those columns are built and signed; else the assembly is kept.
+        with out_map is zero.
         """
-        if cols is None and i in self._in:
-            return self._in[i]
-        blocks, lo = [], 0
-        for a in arrows_into(self.graph, i):
-            m = self.arrow_map(a)
-            hi = lo + m.ncols
-            if cols is not None:
-                m = m.cols([j - lo for j in cols if lo <= j < hi])
-            blocks.append(m if a.sign > 0 else m.neg())
-            lo = hi
-        assembled = hstack_all(self.field, blocks, self.dims[i - 1])
-        if cols is None:
-            self._in[i] = assembled
-        return assembled
+        if i not in self._in:
+            blocks = []
+            for a in arrows_into(self.graph, i):
+                m = self.arrow_map(a)
+                blocks.append(m if a.sign > 0 else m.neg())
+            self._in[i] = hstack_all(self.field, blocks, self.dims[i - 1])
+        return self._in[i]
 
     def out_map(self, i):
         """Unsigned block column M_i -> (sum of incoming spaces), kept."""

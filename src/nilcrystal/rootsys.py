@@ -158,10 +158,6 @@ class Weight:
         return all(c == 0 for c in self.coeffs)
 
     @staticmethod
-    def zero(n):
-        return Weight((0,) * n)
-
-    @staticmethod
     def fundamental(n, i):
         return Weight(tuple(1 if j == i else 0 for j in range(1, n + 1)))
 
@@ -188,15 +184,6 @@ class WeylWord:
         for i in self.letters:
             g.check_vertex(i)
 
-    def prefix(self, k):
-        return WeylWord(self.letters[:k])
-
-    def drop_first(self):
-        return WeylWord(self.letters[1:])
-
-    def prepend(self, i):
-        return WeylWord((i,) + self.letters)
-
 
 def reflect_root(g, i, v):
     """Simple reflection on a root-basis vector: v - <v, alpha_i^vee> alpha_i."""
@@ -215,12 +202,6 @@ def reflect_weight(g, i, lam):
     c = lam.coeffs[i - 1]
     # alpha_i in the weight basis is the i-th row of the Cartan matrix.
     return Weight(tuple(lam.coeffs[j] - c * a[i - 1][j] for j in range(g.n)))
-
-
-def apply_word_to_root(g, w, v):
-    for i in w:
-        v = reflect_root(g, i, v)
-    return v
 
 
 def apply_word_to_weight(g, w, lam):

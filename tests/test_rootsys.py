@@ -11,7 +11,6 @@ from nilcrystal.rootsys import (
     a_n,
     affine_a1,
     all_reduced_words_upto,
-    apply_word_to_root,
     apply_word_to_weight,
     beta_sequence,
     braid_moves,
@@ -143,13 +142,17 @@ def test_word_counts_a3():
 
 
 def test_apply_word_matches_stepwise():
+    # The Cartan matrix maps the root basis into the weight basis and
+    # commutes with each reflection, so the word acts alike on both sides.
     g = d4()
     w = WeylWord((1, 2, 3, 2))
-    v = RootVec.simple(4, 4)
+    v = RootVec((1, 0, 2, 1))  # every letter of w moves it
     step = v
     for i in w:
         step = reflect_root(g, i, step)
-    assert apply_word_to_root(g, w, v).coeffs == step.coeffs
+    as_weight = Weight(tuple(sum(r[j] * v.coeffs[j] for j in range(4)) for r in g.cartan()))
+    want = tuple(sum(r[j] * step.coeffs[j] for j in range(4)) for r in g.cartan())
+    assert apply_word_to_weight(g, w, as_weight).coeffs == want
 
 
 def test_weight_application_order():

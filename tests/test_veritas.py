@@ -276,7 +276,8 @@ def test_modules_report_a_nontrivial_top(monkeypatch):
 
 
 def _miss_at(monkeypatch, full):
-    """Make extract_datum miss every read while the grid is at `full`."""
+    """Make extract_datum miss every read while the grid is at `full`;
+    returns the grid points visited so far, the current one last."""
     at = []
     real_datum, real_extract = veritas.datum, veritas.extract_datum
 
@@ -291,20 +292,21 @@ def _miss_at(monkeypatch, full):
 
     monkeypatch.setattr(veritas, "datum", datum)
     monkeypatch.setattr(veritas, "extract_datum", extract)
+    return at
 
 
 def test_cross_model_report_a_chain_mismatch(monkeypatch):
-    _miss_at(monkeypatch, (0, 1, 0))
-    real_chain = veritas.extraction_chain
+    at = _miss_at(monkeypatch, (0, 1, 0))
+    real = veritas.extract_datum
 
-    class Wrong:
-        exponents = None
+    def extract(g, w, x, trace=None):
+        got = real(g, w, x)
+        return (1, 1, 1) if at[-1] == (1, 0, 1) else got
 
-    monkeypatch.setattr(veritas, "extraction_chain", lambda g, d: (
-        Wrong() if d.a == (1, 0, 1) else real_chain(g, d)))
+    monkeypatch.setattr(veritas, "extract_datum", extract)
     r = veritas.check_cross_model(a_n(2), WeylWord((1, 2, 1)), 1, 2, random.Random(3))
     assert r.outcome == "fail"
-    assert r.witness == {"kind": "chain-mismatch", "a": [1, 0, 1], "got": (1, 0, 1)}
+    assert r.witness == {"kind": "chain-mismatch", "a": [1, 0, 1], "got": (1, 1, 1)}
     assert r.details == {"grid_points": 6, "samples": 11, "sampling_misses": 2,
                          "miss_rate": 2 / 11}
     assert r.confidence is not None
