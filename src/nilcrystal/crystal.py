@@ -102,6 +102,8 @@ def neighbors(g, d):
 
 def transport(g, d, target_word, cap=10000):
     """Transport a datum to another reduced word of the same Weyl element."""
+    if not is_reduced(g, target_word):
+        raise NonReducedWord(f"word {target_word.letters} is not reduced")
     if weyl_action_matrix(g, d.word) != weyl_action_matrix(g, target_word):
         raise DifferentWeylElement(
             f"{d.word.letters} and {target_word.letters} differ as Weyl elements"
@@ -118,9 +120,8 @@ def transport(g, d, target_word, cap=10000):
                 if len(seen) > cap:
                     raise CapExceeded(f"braid transport exceeds cap {cap}")
                 queue.append(nxt)
-    raise CapExceeded(
-        f"word {target_word.letters} not reached by braid moves (cap {cap})"
-    )
+    raise RuntimeError(f"braid moves from {d.word.letters} ran out before {target_word.letters}: "
+                       "by Matsumoto-Tits a search can only reach its target or its cap")
 
 
 def weight(g, d):

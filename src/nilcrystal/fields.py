@@ -6,11 +6,13 @@ integral and else a Fraction (Fraction(3) == 3, with equal hashes). Besides
 the scalar operations, each field supplies the whole-vector kernels
 `matmul`, `dot` and `scale_vec`, and the steps of the shared elimination in
 `linalg` (`elim_rows`, `elim_pivot`, `elim_reduce`, `elim_result`) on rows
-of ints. Over F_p a pivot row passes on only its nonzero entries, so a
-reduce step touches only their columns. Over the rationals, a product puts
-each row of A and each column of B over one common denominator and divides
-each sum by it; the elimination clears each row to integers, reduces
-fraction-free, and divides each pivot row by its pivot once, at the end.
+of ints. `matmul` takes the rows of A and of B. Over F_p a row of A sums
+the nonzero entries of B's rows at its nonzero entries, and a pivot row
+passes on only its nonzero entries, so a reduce step touches only their
+columns. Over the rationals, a product or a dot product puts each vector
+over its own common denominator and divides each sum by theirs; the
+elimination clears each row to integers, reduces fraction-free, and
+divides each pivot row by its pivot once, at the end.
 """
 
 import functools
@@ -104,10 +106,18 @@ class PrimeField:
     def dot(self, xs, ys):
         return sum(map(mul, xs, ys)) % self.p
 
-    def matmul(self, a_rows, b_cols):
-        """Rows of A @ B, given the rows of A and the columns of B."""
-        p = self.p
-        return [[sum(map(mul, r, c)) % p for c in b_cols] for r in a_rows]
+    def matmul(self, a_rows, b_rows):
+        """Rows of A @ B from the rows of A and B, each entry reduced once."""
+        p, width = self.p, len(b_rows[0])
+        b_terms = [list(compress(enumerate(r), r)) for r in b_rows]
+        out = []
+        for r in a_rows:
+            acc = [0] * width
+            for x, terms in compress(zip(r, b_terms), r):
+                for j, y in terms:
+                    acc[j] += x * y
+            out.append([v % p for v in acc])
+        return out
 
     def scale_vec(self, c, xs):
         p = self.p
@@ -202,11 +212,12 @@ class RationalField:
         return a == 0
 
     def dot(self, xs, ys):
-        return self.matmul([xs], [ys])[0][0]
+        (nx, dx), (ny, dy) = _over_lcm(xs), _over_lcm(ys)
+        return _ratio(sum(map(mul, nx, ny)), dx * dy)
 
-    def matmul(self, a_rows, b_cols):
-        """Rows of A @ B, given the rows of A and the columns of B."""
-        cols = [_over_lcm(c) for c in b_cols]
+    def matmul(self, a_rows, b_rows):
+        """Rows of A @ B, given the rows of A and of B."""
+        cols = [_over_lcm(c) for c in zip(*b_rows)]
         out = []
         for r in a_rows:
             nr, dr = _over_lcm(r)

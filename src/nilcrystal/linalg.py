@@ -5,7 +5,7 @@ Zero-row and zero-column matrices are first-class citizens: most of the
 module theory downstream lives at the boundary cases, so a product with a
 zero dimension, or an elimination of an empty matrix, returns at once and
 never reaches the field. The arithmetic loops belong to the field
-(`matmul`, on B's columns, `scale_vec` and the elimination steps); this
+(`matmul`, on rows, `scale_vec` and the elimination steps); this
 module holds the one Gaussian elimination that every solve, rank and
 nullspace shares. Its forward pass clears the rows below each pivot, and
 the RREF also clears the rows above. `nullspace` reads a kernel basis off
@@ -104,7 +104,7 @@ class Mat:
         f = self.field
         if not (self.nrows and self.ncols and other.ncols):  # no entry has a term
             return Mat.zero(f, self.nrows, other.ncols)
-        return Mat(f, self.nrows, other.ncols, f.matmul(self.rows, list(zip(*other.rows))))
+        return Mat(f, self.nrows, other.ncols, f.matmul(self.rows, other.rows))
 
     def __matmul__(self, other):
         return self.mul(other)

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nilcrystal import crystal
 from nilcrystal.crystal import (
     CONVENTION,
     LusztigDatum,
@@ -82,6 +83,21 @@ def test_transport_different_element_rejected():
     d = datum(A2, WeylWord((1, 2)), (1, 0))
     with pytest.raises(DifferentWeylElement):
         transport(A2, d, WeylWord((2, 1)))
+
+
+def test_transport_rejects_a_non_reduced_target():
+    # s1 s1 is the identity, so (1, 1, 1, 2, 1) names the element of (1, 2, 1).
+    d = datum(A2, W121, (1, 0, 0))
+    with pytest.raises(NonReducedWord, match=r"\(1, 1, 1, 2, 1\) is not reduced"):
+        transport(A2, d, WeylWord((1, 1, 1, 2, 1)))
+
+
+def test_transport_that_runs_out_of_braid_moves_names_matsumoto_tits(monkeypatch):
+    # Unreachable with sound braid moves; a datum with no neighbours runs out.
+    monkeypatch.setattr(crystal, "neighbors", lambda g, d: [])
+    with pytest.raises(RuntimeError, match="Matsumoto-Tits") as info:
+        transport(A2, datum(A2, W121, (1, 0, 0)), WeylWord((2, 1, 2)))
+    assert not isinstance(info.value, CapExceeded)
 
 
 def test_transport_raises_past_its_cap():

@@ -308,6 +308,47 @@ def test_mul_matches_scalar_loops(f):
     a, b = rand_mat(f, 3, 0, rng), rand_mat(f, 0, 4, rng)
     assert (a @ b).rows == ref_mul(a, b) == [[f.zero] * 4 for _ in range(3)]
 
+    # Sparse factors, zero rows in A and in B, and rows with one nonzero entry.
+    def sparse(nr, nc, density):
+        return Mat(f, nr, nc, [[f.of_int(rng.choice((-3, -1, 1, 2, 4))) if rng.random() < density
+                                else f.zero for _ in range(nc)] for _ in range(nr)])
+
+    zero_rows = Mat.from_int_rows(f, [[0, 0, 0, 0], [2, 0, 0, -1], [0, 0, 0, 0]])
+    single = Mat.from_int_rows(f, [[0, 0, 3, 0], [1, 0, 0, 0], [0, 0, 0, -2], [0, 5, 0, 0]])
+    cases = [(sparse(6, 7, 0.15), sparse(7, 5, 0.15)) for _ in range(8)]
+    cases += [(zero_rows, single), (sparse(5, 3, 0.5), zero_rows), (single, single.transpose()),
+              (Mat.zero(f, 2, 4), single), (single, Mat.zero(f, 4, 3))]
+    for a, b in cases:
+        assert (a @ b).rows == ref_mul(a, b)
+    if isinstance(f, PrimeField):
+        # Nonzero ints that are 0 mod p multiply like any other entry, and
+        # every output entry comes back reduced.
+        p = f.p
+        a = Mat(f, 2, 3, [[p, 1, -p], [2 * p, 0, 3]])
+        b = Mat(f, 3, 2, [[1, p], [p - 1, 0], [-3 * p, 2]])
+        assert (a @ b).rows == ref_mul(a, b) == [[p - 1, 0], [0, 6]]
+
+
+def test_prime_product_multiplies_only_pairs_of_nonzero_factors():
+    f, rng, products = PrimeField(997), random.Random(5), []
+
+    class CountedInt(int):
+        def __mul__(self, other):
+            products.append(1)
+            return int(self) * int(other)
+
+        __rmul__ = __mul__
+
+    def sparse(nr, nc):
+        return Mat(f, nr, nc, [[CountedInt(rng.randrange(1, 997) if rng.random() < 0.2 else 0)
+                                for _ in range(nc)] for _ in range(nr)])
+
+    a, b = sparse(9, 12), sparse(12, 7)
+    prod = a @ b
+    pairs = sum(1 for r in a.rows for x, row in zip(r, b.rows) if x for y in row if y)
+    assert len(products) == pairs and 0 < pairs < 9 * 12 * 7 // 4
+    assert prod.rows == ref_mul(a, b)
+
 
 @pytest.mark.parametrize("f", FIELDS)
 def test_empty_shapes_never_reach_the_field_kernels(f, monkeypatch):
@@ -423,9 +464,10 @@ def test_prime_kernels_reduce_unreduced_inputs():
     c = -3
     dot = sum(x * y for x, y in zip(xs, ys)) % 997
     assert f.dot(xs, ys) == dot
-    assert f.matmul([xs, ys], [ys]) == [[dot], [f.dot(ys, ys)]]
+    y_col = [[y] for y in ys]  # B's rows: B is the one column ys
+    assert f.matmul([xs, ys], y_col) == [[dot], [f.dot(ys, ys)]]
     assert f.scale_vec(c, xs) == [c * x % 997 for x in xs]
-    # Mat.neg scales by p - 1; the result is reduced like any other scalar's.
+    # Scaling by p - 1 negates; the result is reduced like any other scalar's.
     negated = f.scale_vec(996, xs)
     assert negated == [-x % 997 for x in xs] and negated[:3] == [1, 0, 494]
     rows = f.elim_rows([xs, ys])
@@ -443,7 +485,7 @@ def test_prime_kernels_reduce_unreduced_inputs():
     row = [5, 0, 3, 0, 7]
     assert f.elim_pivot(row, 2) == [(2, 1), (4, 7 * pow(3, -1, 997) % 997)]
     assert row[:2] == [5, 0] and row[3] == 0
-    for out in (f.scale_vec(c, xs), negated, *rows, f.matmul([xs], [ys])[0]):
+    for out in (f.scale_vec(c, xs), negated, *rows, f.matmul([xs], y_col)[0]):
         assert all(0 <= v < 997 for v in out)
 
 
@@ -452,7 +494,7 @@ def test_rational_kernels_return_ints_where_integral():
     xs, ys = [Fraction(1, 2), Fraction(-3)], [Fraction(2, 3), Fraction(5, 7)]
     assert f.dot(xs, ys) == Fraction(1, 3) - Fraction(15, 7)
     assert f.dot([], []) == 0 and type(f.dot([], [])) is int
-    assert f.matmul([xs], [ys]) == [[f.dot(xs, ys)]]
+    assert f.matmul([xs], [[y] for y in ys]) == [[f.dot(xs, ys)]]
     # Rows enter the elimination as integer vectors with gcd 1 ...
     rows = f.elim_rows([xs, ys, [Fraction(0), Fraction(-4, 6)]])
     assert rows == [[1, -6], [14, 15], [0, -1]]

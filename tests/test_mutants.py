@@ -8,15 +8,18 @@ mutation, which the reflection contracts catch, is tested in test_veritas
 and test_acceptance.
 """
 
+import json
 import random
+from pathlib import Path
 
 import pytest
 
 from nilcrystal import fields, linalg, veritas
+from nilcrystal.cli import main
 from nilcrystal.fields import RationalField
 from nilcrystal.linalg import Mat, cokernel, nullspace, rref, vstack_all
-from nilcrystal.prepmod import (Submodule, arrows_out_of, functors, hom, injectives, semisimple,
-                               strata)
+from nilcrystal.prepmod import (ModuleMap, Submodule, arrows_out_of, functors, hom, injectives,
+                               semisimple, strata)
 from nilcrystal.rootsys import WeylWord, a_n, d4
 
 
@@ -326,3 +329,40 @@ def test_top_dimension_zero_fails_the_forward_dimension_law(monkeypatch):
     assert r.outcome == "fail"
     assert r.witness["kind"] == "dims-forward"
     assert r.witness["extra"] == {"vertex": 2, "got": (1, 1, 1)}
+
+
+def _rank_free_is_isomorphism(self):
+    """Each block square, its rank never asked: every morphism between
+    modules of equal dims counts as an isomorphism."""
+    return all(m.nrows == m.ncols for m in self.mats)
+
+
+# The unmutated outcomes of `verify all` below; the sign mutation fails by design.
+VERIFY_ALL_OUTCOMES = {"reflection-contracts": "probabilistic-pass",
+                       "reflection-contracts-mutated": "fail", "modules": "probabilistic-pass",
+                       "cross-model": "probabilistic-pass", "transitions": "probabilistic-pass"}
+
+
+@pytest.mark.parametrize("owner, name, mutant", [
+    (veritas, "is_iso", lambda m, n, rng=None: True),
+    (ModuleMap, "is_isomorphism", _rank_free_is_isomorphism),
+], ids=["is-iso-always-true", "rank-free-is-isomorphism"])
+def test_isomorphism_mutants_pass_verify_all(monkeypatch, capsys, owner, name, mutant):
+    # The gap: every suite of `verify all` on A3 passes, and the run exits 0.
+    # Each isomorphism the suites test (braid-iso in the reflection
+    # contracts, m-routes and v-socle-chain in the modules) is one that
+    # holds, so an is_iso that never says False passes them all. The check
+    # that should catch both mutants is a negative control in the same
+    # report: a pair of equal dims whose tops differ, such as S1 + S2 and
+    # the non-split A2 extension, which is_iso must call not isomorphic. No
+    # report runs one yet. Outside the reports,
+    # test_prepmod::test_is_iso_tells_apart_modules_with_equal_dims catches
+    # the rank-free mutant, but not the first, which lives in veritas alone.
+    monkeypatch.setattr(owner, name, mutant)
+    graph = Path(__file__).resolve().parent.parent / "graphs" / "a3.json"
+    code = main(["--graph", str(graph), "--seed", "7", "--json", "--no-timestamp",
+                 "verify", "all", "--word", "1", "2", "1", "--bound", "2"])
+    reports = json.loads(capsys.readouterr().out)["reports"]
+    assert code == 0
+    assert {r["check_id"]: r["outcome"] for r in reports} == VERIFY_ALL_OUTCOMES
+    assert reports[1]["witness"]["kind"] == "construction"
