@@ -17,7 +17,7 @@ def show(g, name, letters):
     w = WeylWord(letters)
     print(f"{name}, word {letters}:")
     for k, (i, b) in enumerate(zip(w.letters, beta_sequence(g, w)), start=1):
-        print(f"  beta_{k} (letter {i}) = {list(b.coeffs)}")
+        print(f"  beta_{k} (letter {i}) = {list(b)}")
 
 
 def main():

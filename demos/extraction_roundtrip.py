@@ -23,7 +23,7 @@ def main():
     print("layer modules and their dimension vectors (equal to the betas):")
     for k, b in enumerate(beta_sequence(g, w), start=1):
         m = m_module(g, w, k, field=f)
-        print(f"  M_{k}: dims {m.dims}  beta {list(b.coeffs)}")
+        print(f"  M_{k}: dims {m.dims}  beta {list(b)}")
 
     x = build_filtered(g, w, a, rng, field=f)
     print(f"\nsampled module dims: {x.dims}")

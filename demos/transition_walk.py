@@ -20,7 +20,7 @@ def main():
     base = words[0]
     d = datum(g, base, (1, 0, 1, 0, 1, 0))
     print(f"base word {list(base.letters)}, datum {list(d.a)}, "
-          f"weight {list(weight(g, d).coeffs)}")
+          f"weight {list(weight(g, d))}")
 
     f = default_field()
     rng = random.Random(7)

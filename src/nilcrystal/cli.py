@@ -149,12 +149,12 @@ def cmd_roots(args, g):
         payload = {
             "config": _config_dict(args),
             "word": list(w.letters),
-            "betas": [list(b.coeffs) for b in betas],
+            "betas": [list(b) for b in betas],
         }
         return _emit(args, json.dumps(payload, indent=1, sort_keys=True))
     lines = [f"{'k':>3} {'i_k':>4}  beta (alpha coefficients)"]
     for k, (i, b) in enumerate(zip(w.letters, betas), start=1):
-        lines.append(f"{k:>3} {i:>4}  {list(b.coeffs)}")
+        lines.append(f"{k:>3} {i:>4}  {list(b)}")
     return _emit(args, "\n".join(lines))
 
 

@@ -13,13 +13,12 @@ from .errors import (
     DifferentWeylElement,
     InvalidMovePosition,
     LengthMismatch,
-    NonReducedWord,
 )
 from .rootsys import (
     WeylWord,
     braid_moves,
-    is_reduced,
     mu,
+    require_reduced,
     weyl_action_matrix,
 )
 
@@ -48,8 +47,7 @@ class LusztigDatum:
 
 def datum(g, word, a):
     """Validated datum: reduced word, matching tuple length."""
-    if not is_reduced(g, word):
-        raise NonReducedWord(f"word {word.letters} is not reduced")
+    require_reduced(g, word)
     if len(a) != len(word):
         raise LengthMismatch(f"|a|={len(a)} but word length is {len(word)}")
     if any(x < 0 for x in a):
@@ -102,8 +100,7 @@ def neighbors(g, d):
 
 def transport(g, d, target_word, cap=10000):
     """Transport a datum to another reduced word of the same Weyl element."""
-    if not is_reduced(g, target_word):
-        raise NonReducedWord(f"word {target_word.letters} is not reduced")
+    require_reduced(g, target_word)
     if weyl_action_matrix(g, d.word) != weyl_action_matrix(g, target_word):
         raise DifferentWeylElement(
             f"{d.word.letters} and {target_word.letters} differ as Weyl elements"

@@ -9,10 +9,10 @@ vectors realize the beta-sequence of the word.
 
 import functools
 
-from ..errors import InternalRelationFailure, InvalidVertex, NoEmbeddingFound, NonReducedWord
+from ..errors import InternalRelationFailure, InvalidVertex, NoEmbeddingFound
 from ..fields import RationalField, default_field
 from ..linalg import Mat, is_invertible
-from ..rootsys import CartanGraph, Weight, WeylWord, is_reduced
+from ..rootsys import CartanGraph, WeylWord, require_reduced, unit
 from .hom import find_injective_hom
 from .module import _GRAPH_CACHE_SIZE
 from .module import PModule, arrows_of, arrows_out_of, quotient, semisimple, zero_module
@@ -36,9 +36,9 @@ def hat_graph(g):
 
 
 def _primed_dims(g, lam):
-    if any(c < 0 for c in lam.coeffs):
+    if any(c < 0 for c in lam):
         raise ValueError("weight must be dominant (nonnegative coefficients)")
-    return (0,) * g.n + lam.coeffs
+    return (0,) * g.n + tuple(lam)
 
 
 def semisimple_primed(g, lam, field=None):
@@ -63,8 +63,7 @@ def _reflected(g, field, dims, letters):
 
 def n_hat(g, w, lam, field=None):
     """Reflect the primed semisimple along the word, first letter first."""
-    if not is_reduced(g, w):
-        raise NonReducedWord(f"word {w.letters} is not reduced")
+    require_reduced(g, w)
     dims = _primed_dims(g, lam)
     return _reflected(hat_graph(g), field or default_field(), dims, w.letters)
 
@@ -97,15 +96,14 @@ def v_module(g, w, k, field=None):
     vector is the k-step weight drop of the k-th letter's fundamental
     weight. k = 0 gives the zero module.
     """
-    if not is_reduced(g, w):
-        raise NonReducedWord(f"word {w.letters} is not reduced")
+    require_reduced(g, w)
     if k == 0:
         return zero_module(g, field or default_field())
     if not 1 <= k <= len(w):
         raise InvalidVertex(f"index k={k} outside 1..{len(w)}")
     i_k = w[k - 1]
     rev_prefix = WeylWord(tuple(reversed(w.letters[:k])))
-    return n_module(g, rev_prefix, Weight.fundamental(g.n, i_k), field=field)
+    return n_module(g, rev_prefix, unit(g.n, i_k), field=field)
 
 
 def cartan_invertible(g):
@@ -129,14 +127,12 @@ def m_module(g, w, k, route="reflection", field=None, rng=None):
     strict prefix. route="cokernel": embed the previous same-letter
     submodule-family member into the k-th one and take the cokernel.
     """
-    if not is_reduced(g, w):
-        raise NonReducedWord(f"word {w.letters} is not reduced")
+    require_reduced(g, w)
     if not 1 <= k <= len(w):
         raise InvalidVertex(f"index k={k} outside 1..{len(w)}")
     field = field or default_field()
     if route == "reflection":
-        dims = tuple(int(j == w[k - 1]) for j in g.vertices())
-        return _reflected(g, field, dims, tuple(reversed(w.letters[: k - 1])))
+        return _reflected(g, field, unit(g.n, w[k - 1]), tuple(reversed(w.letters[: k - 1])))
     if route == "cokernel":
         km = k_minus(w, k)
         vk = v_module(g, w, k, field=field)

@@ -25,7 +25,7 @@ from ..linalg import (
     solve,
     vstack_all,
 )
-from ..rootsys import CartanGraph, RootVec
+from ..rootsys import CartanGraph, unit
 
 Arrow = namedtuple("Arrow", "edge dir src tgt sign")
 
@@ -104,9 +104,6 @@ class PModule:
     @property
     def total_dim(self):
         return sum(self.dims)
-
-    def dim_vector(self):
-        return RootVec(self.dims)
 
     def relation_at(self, i):
         """Signed sum of round trips into vertex i; zero on valid modules.
@@ -343,8 +340,7 @@ def simple(g, i, field=None):
     """The one-dimensional module concentrated at vertex i."""
     g.check_vertex(i)
     field = field or default_field()
-    dims = tuple(1 if j == i else 0 for j in g.vertices())
-    return PModule(g, field, dims, {}, check=False)
+    return PModule(g, field, unit(g.n, i), {}, check=False)
 
 
 def semisimple(g, mults, field=None):

@@ -7,10 +7,10 @@ reflections, each of which also gives the socle multiplicity it removes.
 
 from itertools import groupby
 
-from ..errors import LengthMismatch, NonReducedWord, NotInGenericStratum
+from ..errors import LengthMismatch, NotInGenericStratum
 from ..fields import default_field
 from ..linalg import Mat, block_system, kernel_vectors
-from ..rootsys import is_reduced
+from ..rootsys import require_reduced
 from .functors import sigma_star
 from .module import (
     ModuleMap,
@@ -19,7 +19,6 @@ from .module import (
     arrows_of,
     direct_power,
     reverse_arrow,
-    soc_i,
     zero_module,
 )
 from .families import m_module
@@ -114,8 +113,7 @@ def build_filtered(g, w, a, rng, field=None):
     of one extension by the whole direct power per layer. With a_k = 1 that
     first layer is the memoized M_k itself.
     """
-    if not is_reduced(g, w):
-        raise NonReducedWord(f"word {w.letters} is not reduced")
+    require_reduced(g, w)
     if len(a) != len(w):
         raise LengthMismatch(f"|a|={len(a)} but word length is {len(w)}")
     field = field or default_field()
@@ -131,11 +129,6 @@ def build_filtered(g, w, a, rng, field=None):
     return x
 
 
-def eps_star_mod(i, x):
-    """Socle multiplicity of the i-th simple."""
-    return soc_i(x, i).dim_at(i)
-
-
 def extract_datum(g, w, x, trace=None):
     """Read off the datum of a module by socle reads and backward reflections.
 
@@ -145,8 +138,7 @@ def extract_datum(g, w, x, trace=None):
     included, is not reflected: a_k is its whole dimension there, and the
     reflection is the zero module.
     """
-    if not is_reduced(g, w):
-        raise NonReducedWord(f"word {w.letters} is not reduced")
+    require_reduced(g, w)
     out = []
     for i in w:
         if x.total_dim == x.dim_at(i):  # out_i has no rows: x_i is all socle

@@ -2,11 +2,14 @@
 
 Conventions: vertices are 1-based. Words are stored in application order,
 so word[0] is the first reflection applied; serialized lists follow the
-same order.
+same order. Roots and weights are plain tuples of ints, roots in
+simple-root coordinates and weights in fundamental-weight coordinates;
+unit(n, i) is alpha_i or varpi_i.
 """
 
 import functools
 import json
+from collections import Counter
 from dataclasses import dataclass
 
 from .errors import CapExceeded, GraphTooLarge, InvalidVertex, LengthMismatch, NonReducedWord
@@ -70,7 +73,7 @@ class CartanGraph:
         orient = data.get("orientation")
         if orient is not None:
             oriented = _vertex_pairs(orient, "orientation")
-            if sorted(frozenset(e) for e in oriented) != sorted(frozenset(e) for e in edges):
+            if Counter(map(frozenset, oriented)) != Counter(map(frozenset, edges)):
                 raise ValueError("orientation does not match the edge multiset")
             edges = oriented
         else:
@@ -109,57 +112,10 @@ def affine_a1():
     return CartanGraph(2, ((1, 2), (1, 2)))
 
 
-@dataclass(frozen=True)
-class RootVec:
-    """Integer vector in the simple-root basis."""
-
-    coeffs: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", tuple(int(c) for c in self.coeffs))
-
-    def __add__(self, other):
-        return RootVec(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __sub__(self, other):
-        return RootVec(tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def scaled(self, k):
-        return RootVec(tuple(k * c for c in self.coeffs))
-
-    def is_zero(self):
-        return all(c == 0 for c in self.coeffs)
-
-    def is_positive(self):
-        return all(c >= 0 for c in self.coeffs) and not self.is_zero()
-
-    @staticmethod
-    def zero(n):
-        return RootVec((0,) * n)
-
-    @staticmethod
-    def simple(n, i):
-        return RootVec(tuple(1 if j == i else 0 for j in range(1, n + 1)))
-
-
-@dataclass(frozen=True)
-class Weight:
-    """Integer vector in the fundamental-weight basis."""
-
-    coeffs: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", tuple(int(c) for c in self.coeffs))
-
-    def __sub__(self, other):
-        return Weight(tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def is_zero(self):
-        return all(c == 0 for c in self.coeffs)
-
-    @staticmethod
-    def fundamental(n, i):
-        return Weight(tuple(1 if j == i else 0 for j in range(1, n + 1)))
+def unit(n, i):
+    """The i-th unit vector of length n: alpha_i in the root basis, varpi_i in
+    the weight basis."""
+    return (0,) * (i - 1) + (1,) + (0,) * (n - i)
 
 
 @dataclass(frozen=True)
@@ -189,19 +145,18 @@ def reflect_root(g, i, v):
     """Simple reflection on a root-basis vector: v - <v, alpha_i^vee> alpha_i."""
     g.check_vertex(i)
     a = g.cartan()
-    pairing = sum(a[i - 1][j] * v.coeffs[j] for j in range(g.n))
-    out = list(v.coeffs)
-    out[i - 1] -= pairing
-    return RootVec(tuple(out))
+    out = list(v)
+    out[i - 1] -= sum(a[i - 1][j] * v[j] for j in range(g.n))
+    return tuple(out)
 
 
 def reflect_weight(g, i, lam):
     """Simple reflection on a weight-basis vector: lam - lam_i alpha_i."""
     g.check_vertex(i)
     a = g.cartan()
-    c = lam.coeffs[i - 1]
+    c = lam[i - 1]
     # alpha_i in the weight basis is the i-th row of the Cartan matrix.
-    return Weight(tuple(lam.coeffs[j] - c * a[i - 1][j] for j in range(g.n)))
+    return tuple(lam[j] - c * a[i - 1][j] for j in range(g.n))
 
 
 def apply_word_to_weight(g, w, lam):
@@ -220,10 +175,10 @@ def beta_sequence(g, w):
     w.validate(g)
     betas = []
     for k, i in enumerate(w):
-        b = RootVec.simple(g.n, i)
+        b = unit(g.n, i)
         for j in reversed(w.letters[:k]):
             b = reflect_root(g, j, b)
-        if not b.is_positive():
+        if not (min(b) >= 0 and any(b)):
             raise NonReducedWord(f"word {w.letters} is not reduced (step {k + 1})")
         betas.append(b)
     return betas
@@ -243,15 +198,17 @@ def is_reduced(g, w):
         return False
 
 
+def require_reduced(g, w):
+    if not is_reduced(g, w):
+        raise NonReducedWord(f"word {w.letters} is not reduced")
+
+
 def mu(g, w, a):
     """Weighted sum of the beta-sequence: the stratum dimension vector."""
     if len(a) != len(w):
         raise LengthMismatch(f"|a|={len(a)} but word length is {len(w)}")
     betas = beta_sequence(g, w)
-    out = RootVec.zero(g.n)
-    for ak, bk in zip(a, betas):
-        out = out + bk.scaled(ak)
-    return out
+    return tuple(sum(ak * bk[j] for ak, bk in zip(a, betas)) for j in range(g.n))
 
 
 def braid_moves(g, w):
@@ -260,8 +217,7 @@ def braid_moves(g, w):
     Returns a list of (position, kind, moved_word) with kind in
     {"2-move", "3-move"}; positions are 0-based in application order.
     """
-    if not is_reduced(g, w):
-        raise NonReducedWord(f"word {w.letters} is not reduced")
+    require_reduced(g, w)
     a = g.cartan()
     out = []
     ls = w.letters
@@ -280,8 +236,7 @@ def braid_moves(g, w):
 
 def reduced_words(g, w, cap=10000):
     """Braid-closure of a reduced word, capped."""
-    if not is_reduced(g, w):
-        raise NonReducedWord(f"word {w.letters} is not reduced")
+    require_reduced(g, w)
     seen = {w.letters}
     queue = [w]
     while queue:
@@ -301,10 +256,7 @@ def weyl_action_matrix(g, w):
     Column j is the image of the j-th fundamental weight; two words act
     identically iff they represent the same Weyl element.
     """
-    cols = []
-    for j in g.vertices():
-        cols.append(apply_word_to_weight(g, w, Weight.fundamental(g.n, j)).coeffs)
-    return tuple(zip(*cols))
+    return tuple(zip(*(apply_word_to_weight(g, w, unit(g.n, j)) for j in g.vertices())))
 
 
 def all_reduced_words_upto(g, maxlen):

@@ -14,7 +14,7 @@ from nilcrystal import veritas
 from nilcrystal.cli import main
 from nilcrystal.fields import RationalField, default_field
 from nilcrystal.prepmod import simple, zero_module
-from nilcrystal.rootsys import a_n, affine_a1, d4
+from nilcrystal.rootsys import CartanGraph, a_n, affine_a1, d4
 
 GRAPHS = Path(__file__).resolve().parent.parent / "graphs"
 
@@ -338,6 +338,24 @@ def test_mistyped_graph_file_exits_4(tmp_path, graph):
     path = tmp_path / "g.json"
     path.write_text(json.dumps(graph))
     assert run(["--graph", str(path), "roots", "1"]) == 4
+
+
+def test_orientation_is_the_edge_multiset_in_any_order(tmp_path):
+    # Frozensets compare by inclusion, so sorting a list of them does not
+    # put it in a canonical order: a check by sorted lists refused this file.
+    path = tmp_path / "g.json"
+    good = {"vertices": 3, "edges": [[1, 2], [2, 3]], "orientation": [[3, 2], [2, 1]]}
+    path.write_text(json.dumps(good))
+    assert run(["--graph", str(path), "roots", "1", "2", "1"]) == 0
+    assert CartanGraph.from_dict(good).edges == ((3, 2), (2, 1))
+    double = {"vertices": 2, "edges": [[1, 2], [1, 2]], "orientation": [[2, 1], [1, 2]]}
+    assert CartanGraph.from_dict(double).edges == ((2, 1), (1, 2))
+    for data in (dict(good, orientation=[[3, 2]]),
+                 dict(good, orientation=[[3, 2], [2, 1], [1, 2]]),
+                 dict(good, orientation=[[3, 1], [2, 1]]),
+                 dict(double, orientation=[[2, 1], [2, 1], [1, 2]])):
+        path.write_text(json.dumps(data))
+        assert run(["--graph", str(path), "roots", "1", "2", "1"]) == 4
 
 
 # Small, often malformed inputs for the fuzzers below.

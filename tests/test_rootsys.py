@@ -5,8 +5,6 @@ import pytest
 from nilcrystal.errors import CapExceeded, NonReducedWord
 from nilcrystal.rootsys import (
     CartanGraph,
-    RootVec,
-    Weight,
     WeylWord,
     a_n,
     affine_a1,
@@ -20,6 +18,8 @@ from nilcrystal.rootsys import (
     reduced_words,
     reflect_root,
     reflect_weight,
+    require_reduced,
+    unit,
     weyl_action_matrix,
 )
 
@@ -57,21 +57,21 @@ def test_graph_rejects_loops():
 
 def test_simple_reflection_on_root():
     g = a_n(2)
-    assert reflect_root(g, 1, RootVec.simple(2, 1)).coeffs == (-1, 0)
-    assert reflect_root(g, 1, RootVec.simple(2, 2)).coeffs == (1, 1)
+    assert reflect_root(g, 1, unit(2, 1)) == (-1, 0)
+    assert reflect_root(g, 1, unit(2, 2)) == (1, 1)
 
 
 def test_simple_reflection_on_weight():
     g = a_n(2)
-    lam = Weight.fundamental(2, 1)
-    assert reflect_weight(g, 1, lam).coeffs == (-1, 1)
-    assert reflect_weight(g, 2, lam).coeffs == lam.coeffs
+    lam = unit(2, 1)
+    assert reflect_weight(g, 1, lam) == (-1, 1)
+    assert reflect_weight(g, 2, lam) == lam
 
 
 def test_beta_sequence_a2():
     g = a_n(2)
     betas = beta_sequence(g, WeylWord((1, 2, 1)))
-    assert [b.coeffs for b in betas] == [(1, 0), (1, 1), (0, 1)]
+    assert betas == [(1, 0), (1, 1), (0, 1)]
 
 
 def test_non_reduced_raises():
@@ -79,6 +79,20 @@ def test_non_reduced_raises():
     with pytest.raises(NonReducedWord):
         beta_sequence(g, WeylWord((1, 1)))
     assert not is_reduced(g, WeylWord((1, 2, 1, 2)))
+
+
+def test_require_reduced_asks_rootsys_is_reduced_each_time(monkeypatch):
+    # bench/layers.py counts is_reduced by rebinding the name in each module
+    # that holds it, so the guard must look it up in rootsys at every call.
+    from nilcrystal import rootsys
+
+    calls, orig = [], rootsys.is_reduced
+    monkeypatch.setattr(rootsys, "is_reduced", lambda g, w: calls.append(w.letters) or orig(g, w))
+    g = a_n(2)
+    require_reduced(g, WeylWord((1, 2, 1)))
+    with pytest.raises(NonReducedWord, match=r"^word \(1, 2, 1, 2\) is not reduced$"):
+        require_reduced(g, WeylWord((1, 2, 1, 2)))
+    assert calls == [(1, 2, 1), (1, 2, 1, 2)]
 
 
 def test_affine_word_reduced():
@@ -89,8 +103,8 @@ def test_affine_word_reduced():
 
 def test_mu_a2():
     g = a_n(2)
-    assert mu(g, WeylWord((1, 2, 1)), (1, 1, 1)).coeffs == (2, 2)
-    assert mu(g, WeylWord((1, 2, 1)), (0, 0, 0)).coeffs == (0, 0)
+    assert mu(g, WeylWord((1, 2, 1)), (1, 1, 1)) == (2, 2)
+    assert mu(g, WeylWord((1, 2, 1)), (0, 0, 0)) == (0, 0)
 
 
 def test_braid_moves_a2():
@@ -146,19 +160,19 @@ def test_apply_word_matches_stepwise():
     # commutes with each reflection, so the word acts alike on both sides.
     g = d4()
     w = WeylWord((1, 2, 3, 2))
-    v = RootVec((1, 0, 2, 1))  # every letter of w moves it
+    v = (1, 0, 2, 1)  # every letter of w moves it
     step = v
     for i in w:
         step = reflect_root(g, i, step)
-    as_weight = Weight(tuple(sum(r[j] * v.coeffs[j] for j in range(4)) for r in g.cartan()))
-    want = tuple(sum(r[j] * step.coeffs[j] for j in range(4)) for r in g.cartan())
-    assert apply_word_to_weight(g, w, as_weight).coeffs == want
+    as_weight = tuple(sum(r[j] * v[j] for j in range(4)) for r in g.cartan())
+    want = tuple(sum(r[j] * step[j] for j in range(4)) for r in g.cartan())
+    assert apply_word_to_weight(g, w, as_weight) == want
 
 
 def test_weight_application_order():
     # letters[0] acts first; compare against explicit composition.
     g = a_n(2)
-    lam = Weight.fundamental(2, 2)
+    lam = unit(2, 2)
     w = WeylWord((1, 2))
     expect = reflect_weight(g, 2, reflect_weight(g, 1, lam))
-    assert apply_word_to_weight(g, w, lam).coeffs == expect.coeffs
+    assert apply_word_to_weight(g, w, lam) == expect
