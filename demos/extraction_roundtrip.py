@@ -9,17 +9,17 @@ import random
 
 from nilcrystal.fields import default_field
 from nilcrystal.prepmod import build_filtered, extract_datum, m_module
-from nilcrystal.rootsys import WeylWord, a_n, beta_sequence
+from nilcrystal.rootsys import a_n, beta_sequence
 
 
 def main():
     g = a_n(3)
-    w = WeylWord((1, 2, 1, 3, 2, 1))
+    w = (1, 2, 1, 3, 2, 1)
     a = (1, 0, 2, 1, 0, 1)
     f = default_field()
     rng = random.Random(2026)
 
-    print(f"word {list(w.letters)}, target datum {list(a)}")
+    print(f"word {list(w)}, target datum {list(a)}")
     print("layer modules and their dimension vectors (equal to the betas):")
     for k, b in enumerate(beta_sequence(g, w), start=1):
         m = m_module(g, w, k, field=f)

@@ -14,12 +14,12 @@ from nilcrystal.rootsys import all_reduced_words_upto, a_n
 
 def main():
     g = a_n(3)
-    words = sorted(all_reduced_words_upto(g, 6)[6], key=lambda w: w.letters)
+    words = sorted(all_reduced_words_upto(g, 6)[6])
     print(f"{len(words)} reduced words for the longest element")
 
     base = words[0]
     d = datum(g, base, (1, 0, 1, 0, 1, 0))
-    print(f"base word {list(base.letters)}, datum {list(d.a)}, "
+    print(f"base word {list(base)}, datum {list(d.a)}, "
           f"weight {list(weight(g, d))}")
 
     f = default_field()
@@ -30,7 +30,7 @@ def main():
         moved = transport(g, d, w)
         got = extract_datum(g, w, x)
         mark = "ok" if got == moved.a else "MISMATCH"
-        print(f"  word {list(w.letters)}: datum {list(moved.a)}  "
+        print(f"  word {list(w)}: datum {list(moved.a)}  "
               f"module reads {list(got)}  {mark}")
 
 

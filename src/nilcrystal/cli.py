@@ -110,11 +110,9 @@ def _load_graph(path):
         return _die(EXIT_INFRA, f"cannot read graph file: {exc}")
 
 
-def _word(args, letters=None):
-    letters = tuple(letters if letters is not None else args.word)
-    if args.paper_order:
-        letters = tuple(reversed(letters))
-    return WeylWord(letters)
+def _word(args):
+    w = WeylWord(args.word)
+    return w[::-1] if args.paper_order else w
 
 
 def _die(code, message):
@@ -148,12 +146,12 @@ def cmd_roots(args, g):
     if args.json:
         payload = {
             "config": _config_dict(args),
-            "word": list(w.letters),
+            "word": list(w),
             "betas": [list(b) for b in betas],
         }
         return _emit(args, json.dumps(payload, indent=1, sort_keys=True))
     lines = [f"{'k':>3} {'i_k':>4}  beta (alpha coefficients)"]
-    for k, (i, b) in enumerate(zip(w.letters, betas), start=1):
+    for k, (i, b) in enumerate(zip(w, betas), start=1):
         lines.append(f"{k:>3} {i:>4}  {list(b)}")
     return _emit(args, "\n".join(lines))
 
@@ -172,13 +170,13 @@ def cmd_modules(args, g, fld):
     payload = {
         "config": _config_dict(args),
         "family": args.which,
-        "word": list(w.letters),
+        "word": list(w),
         "modules": dumps,
         "dims_summary": [d["dims"] for d in dumps],
     }
     if args.json:
         return _emit(args, json.dumps(payload, indent=1, sort_keys=True))
-    lines = [f"{args.which} family along word {list(w.letters)}"]
+    lines = [f"{args.which} family along word {list(w)}"]
     for d in dumps:
         lines.append(f"  k={d['k']} (letter {d['letter']}): dims {tuple(d['dims'])}")
     return _emit(args, "\n".join(lines))
@@ -204,7 +202,7 @@ def cmd_extract(args, g):
     payload = {
         "config": _config_dict(args),
         "convention": crystal.CONVENTION,
-        "word": list(w.letters),
+        "word": list(w),
         "a": list(a),
     }
     if args.json:
@@ -228,7 +226,7 @@ def cmd_verify(args, g, fld):
         elif suite == "modules":
             reports.append(veritas.check_modules(g, args.maxlen, rng=rng, fld=fld))
         elif suite in ("cross-model", "transitions"):
-            w = _word(args, args.word)
+            w = _word(args)
             if suite == "cross-model":
                 reports.append(
                     veritas.check_cross_model(g, w, args.bound, args.samples, rng,

@@ -8,15 +8,11 @@ element live here.
 
 from dataclasses import dataclass
 
-from .errors import (
-    CapExceeded,
-    DifferentWeylElement,
-    InvalidMovePosition,
-    LengthMismatch,
-)
+from .errors import DifferentWeylElement, InvalidMovePosition, LengthMismatch
 from .rootsys import (
     WeylWord,
     braid_moves,
+    braid_walk,
     mu,
     require_reduced,
     weyl_action_matrix,
@@ -27,97 +23,76 @@ CONVENTION = "application-order; first letter acts first"
 
 @dataclass(frozen=True)
 class LusztigDatum:
-    word: WeylWord
+    word: tuple
     a: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "a", tuple(int(x) for x in self.a))
 
     def to_dict(self):
         return {
             "convention": CONVENTION,
-            "word": list(self.word.letters),
+            "word": list(self.word),
             "a": list(self.a),
         }
 
     @staticmethod
     def from_dict(g, data):
-        return datum(g, WeylWord(tuple(data["word"])), tuple(data["a"]))
+        return datum(g, WeylWord(data["word"]), data["a"])
 
 
 def datum(g, word, a):
-    """Validated datum: reduced word, matching tuple length."""
+    """Validated datum: reduced word, matching tuple length, entries naturals.
+
+    ValueError for an entry that is not an int (bool included)."""
     require_reduced(g, word)
+    a = tuple(a)
     if len(a) != len(word):
         raise LengthMismatch(f"|a|={len(a)} but word length is {len(word)}")
+    if any(type(x) is not int for x in a):
+        raise ValueError(f"datum entries must be integers, got {a!r}")
     if any(x < 0 for x in a):
         raise ValueError("datum entries must be nonnegative")
-    return LusztigDatum(word, tuple(a))
+    return LusztigDatum(word, a)
 
 
 def _move_at(g, d, pos, kind):
     for p, k, moved in braid_moves(g, d.word):
         if p == pos and k == kind:
             return moved
-    raise InvalidMovePosition(f"no {kind} at position {pos} of {d.word.letters}")
-
-
-def transition_2move(g, d, pos):
-    """Swap the entries across a commuting pair."""
-    moved = _move_at(g, d, pos, "2-move")
-    a = list(d.a)
-    a[pos], a[pos + 1] = a[pos + 1], a[pos]
-    return LusztigDatum(moved, tuple(a))
-
-
-def transition_3move(g, d, pos):
-    """Piecewise-linear transport across a single-edge braid triple.
-
-    On consecutive entries (x, y, z) in application order, with
-    p = min(x, z): (x, y, z) -> (y + z - p, p, x + y - p). Involutive and
-    weight-preserving.
-    """
-    moved = _move_at(g, d, pos, "3-move")
-    x, y, z = d.a[pos], d.a[pos + 1], d.a[pos + 2]
-    p = min(x, z)
-    a = list(d.a)
-    a[pos], a[pos + 1], a[pos + 2] = y + z - p, p, x + y - p
-    return LusztigDatum(moved, tuple(a))
+    raise InvalidMovePosition(f"no {kind} at position {pos} of {d.word}")
 
 
 def transition(g, d, pos, kind):
+    """The datum across the braid move (pos, kind) of its word.
+
+    A 2-move swaps the entries of a commuting pair. A 3-move is the
+    piecewise-linear map of a single-edge braid triple: on consecutive
+    entries (x, y, z) in application order, with p = min(x, z),
+    (x, y, z) -> (y + z - p, p, x + y - p). Both are involutive and
+    weight-preserving.
+    """
+    moved = _move_at(g, d, pos, kind)
+    a = list(d.a)
     if kind == "2-move":
-        return transition_2move(g, d, pos)
-    if kind == "3-move":
-        return transition_3move(g, d, pos)
-    raise InvalidMovePosition(f"unknown move kind {kind!r}")
-
-
-def neighbors(g, d):
-    """All one-move transports of a datum."""
-    return [transition(g, d, p, k) for p, k, _ in braid_moves(g, d.word)]
+        a[pos], a[pos + 1] = a[pos + 1], a[pos]
+    else:
+        x, y, z = a[pos:pos + 3]
+        p = min(x, z)
+        a[pos:pos + 3] = y + z - p, p, x + y - p
+    return LusztigDatum(moved, tuple(a))
 
 
 def transport(g, d, target_word, cap=10000):
-    """Transport a datum to another reduced word of the same Weyl element."""
+    """Transport a datum to another reduced word of the same Weyl element,
+    carrying it along rootsys.braid_walk."""
     require_reduced(g, target_word)
     if weyl_action_matrix(g, d.word) != weyl_action_matrix(g, target_word):
-        raise DifferentWeylElement(
-            f"{d.word.letters} and {target_word.letters} differ as Weyl elements"
-        )
-    seen = {d.word.letters: d}
-    queue = [d]
-    while queue:
-        cur = queue.pop()
-        if cur.word.letters == target_word.letters:
-            return cur
-        for nxt in neighbors(g, cur):
-            if nxt.word.letters not in seen:
-                seen[nxt.word.letters] = nxt
-                if len(seen) > cap:
-                    raise CapExceeded(f"braid transport exceeds cap {cap}")
-                queue.append(nxt)
-    raise RuntimeError(f"braid moves from {d.word.letters} ran out before {target_word.letters}: "
+        raise DifferentWeylElement(f"{d.word} and {target_word} differ as Weyl elements")
+    at = {d.word: d}
+    for word, parent, move in braid_walk(g, d.word, cap):
+        if parent is not None:
+            at[word] = transition(g, at[parent], *move)
+        if word == target_word:
+            return at[word]
+    raise RuntimeError(f"braid moves from {d.word} ran out before {target_word}: "
                        "by Matsumoto-Tits a search can only reach its target or its cap")
 
 

@@ -12,7 +12,7 @@ import functools
 from ..errors import InternalRelationFailure, InvalidVertex, NoEmbeddingFound
 from ..fields import RationalField, default_field
 from ..linalg import Mat, is_invertible
-from ..rootsys import CartanGraph, WeylWord, require_reduced, unit
+from ..rootsys import CartanGraph, require_reduced, unit
 from .hom import find_injective_hom
 from .module import _GRAPH_CACHE_SIZE
 from .module import PModule, arrows_of, arrows_out_of, quotient, semisimple, zero_module
@@ -65,7 +65,7 @@ def n_hat(g, w, lam, field=None):
     """Reflect the primed semisimple along the word, first letter first."""
     require_reduced(g, w)
     dims = _primed_dims(g, lam)
-    return _reflected(hat_graph(g), field or default_field(), dims, w.letters)
+    return _reflected(hat_graph(g), field or default_field(), dims, w)
 
 
 def restrict_to_unprimed(m, g):
@@ -102,8 +102,7 @@ def v_module(g, w, k, field=None):
     if not 1 <= k <= len(w):
         raise InvalidVertex(f"index k={k} outside 1..{len(w)}")
     i_k = w[k - 1]
-    rev_prefix = WeylWord(tuple(reversed(w.letters[:k])))
-    return n_module(g, rev_prefix, unit(g.n, i_k), field=field)
+    return n_module(g, w[:k][::-1], unit(g.n, i_k), field=field)
 
 
 def cartan_invertible(g):
@@ -132,7 +131,7 @@ def m_module(g, w, k, route="reflection", field=None, rng=None):
         raise InvalidVertex(f"index k={k} outside 1..{len(w)}")
     field = field or default_field()
     if route == "reflection":
-        return _reflected(g, field, unit(g.n, w[k - 1]), tuple(reversed(w.letters[: k - 1])))
+        return _reflected(g, field, unit(g.n, w[k - 1]), w[: k - 1][::-1])
     if route == "cokernel":
         km = k_minus(w, k)
         vk = v_module(g, w, k, field=field)
@@ -142,7 +141,7 @@ def m_module(g, w, k, route="reflection", field=None, rng=None):
         emb = find_injective_hom(vkm, vk, rng=rng)
         if emb is None:
             raise NoEmbeddingFound(
-                f"no injective morphism for layer k={k} of word {w.letters}"
+                f"no injective morphism for layer k={k} of word {w}"
             )
         q, _ = quotient(vk, emb.image())
         return q

@@ -1,10 +1,12 @@
 """Cartan graphs, roots, weights, reduced words and braid combinatorics.
 
-Conventions: vertices are 1-based. Words are stored in application order,
-so word[0] is the first reflection applied; serialized lists follow the
-same order. Roots and weights are plain tuples of ints, roots in
-simple-root coordinates and weights in fundamental-weight coordinates;
-unit(n, i) is alpha_i or varpi_i.
+Conventions: vertices are 1-based. A word is a plain tuple of ints in
+application order, so word[0] is the first reflection applied; WeylWord
+turns letters from outside into one, and serialized lists follow the same
+order. Roots and weights are plain tuples of ints, roots in simple-root
+coordinates and weights in fundamental-weight coordinates; unit(n, i) is
+alpha_i or varpi_i. braid_walk is the one search of a braid class, and
+reduced_words and crystal.transport walk it.
 """
 
 import functools
@@ -118,27 +120,15 @@ def unit(n, i):
     return (0,) * (i - 1) + (1,) + (0,) * (n - i)
 
 
-@dataclass(frozen=True)
-class WeylWord:
-    """Reflection word in application order: letters[0] acts first."""
+def WeylWord(letters=()):
+    """The word of some letters, in application order: letters[0] acts first.
 
-    letters: tuple = ()
-
-    def __post_init__(self):
-        object.__setattr__(self, "letters", tuple(int(i) for i in self.letters))
-
-    def __len__(self):
-        return len(self.letters)
-
-    def __iter__(self):
-        return iter(self.letters)
-
-    def __getitem__(self, k):
-        return self.letters[k]
-
-    def validate(self, g):
-        for i in self.letters:
-            g.check_vertex(i)
+    ValueError for a letter that is not an int (bool included): int(1.9)
+    would truncate it."""
+    word = tuple(letters)
+    if any(type(i) is not int for i in word):
+        raise ValueError(f"word letters must be integers, got {word!r}")
+    return word
 
 
 def reflect_root(g, i, v):
@@ -172,14 +162,15 @@ def beta_sequence(g, w):
     (k = 0 gives the bare simple root). Raises NonReducedWord as soon as
     a negative root appears.
     """
-    w.validate(g)
+    for i in w:
+        g.check_vertex(i)
     betas = []
     for k, i in enumerate(w):
         b = unit(g.n, i)
-        for j in reversed(w.letters[:k]):
+        for j in reversed(w[:k]):
             b = reflect_root(g, j, b)
         if not (min(b) >= 0 and any(b)):
-            raise NonReducedWord(f"word {w.letters} is not reduced (step {k + 1})")
+            raise NonReducedWord(f"word {w} is not reduced (step {k + 1})")
         betas.append(b)
     return betas
 
@@ -200,7 +191,7 @@ def is_reduced(g, w):
 
 def require_reduced(g, w):
     if not is_reduced(g, w):
-        raise NonReducedWord(f"word {w.letters} is not reduced")
+        raise NonReducedWord(f"word {w} is not reduced")
 
 
 def mu(g, w, a):
@@ -220,34 +211,41 @@ def braid_moves(g, w):
     require_reduced(g, w)
     a = g.cartan()
     out = []
-    ls = w.letters
-    for p in range(len(ls) - 1):
-        i, j = ls[p], ls[p + 1]
+    for p in range(len(w) - 1):
+        i, j = w[p], w[p + 1]
         if i != j and a[i - 1][j - 1] == 0:
-            moved = ls[:p] + (j, i) + ls[p + 2:]
-            out.append((p, "2-move", WeylWord(moved)))
-    for p in range(len(ls) - 2):
-        i, j, k = ls[p], ls[p + 1], ls[p + 2]
+            out.append((p, "2-move", w[:p] + (j, i) + w[p + 2:]))
+    for p in range(len(w) - 2):
+        i, j, k = w[p], w[p + 1], w[p + 2]
         if i == k and i != j and a[i - 1][j - 1] == -1:
-            moved = ls[:p] + (j, i, j) + ls[p + 3:]
-            out.append((p, "3-move", WeylWord(moved)))
+            out.append((p, "3-move", w[:p] + (j, i, j) + w[p + 3:]))
     return out
 
 
-def reduced_words(g, w, cap=10000):
-    """Braid-closure of a reduced word, capped."""
+def braid_walk(g, w, cap=10000):
+    """Depth-first walk of the braid class of a reduced word.
+
+    Yields (word, parent, (pos, kind)) once per word of the class, w first
+    with parent and move None; the move at pos of parent gives word.
+    Raises CapExceeded as soon as more than cap words are seen.
+    """
     require_reduced(g, w)
-    seen = {w.letters}
-    queue = [w]
-    while queue:
-        cur = queue.pop()
-        for _, _, moved in braid_moves(g, cur):
-            if moved.letters not in seen:
-                seen.add(moved.letters)
+    seen = {w}
+    stack = [(w, None, None)]
+    while stack:
+        cur, parent, move = stack.pop()
+        yield cur, parent, move
+        for pos, kind, moved in braid_moves(g, cur):
+            if moved not in seen:
+                seen.add(moved)
                 if len(seen) > cap:
-                    raise CapExceeded(f"braid closure exceeds cap {cap}")
-                queue.append(moved)
-    return {WeylWord(ls) for ls in seen}
+                    raise CapExceeded(f"braid class exceeds cap {cap}")
+                stack.append((moved, cur, (pos, kind)))
+
+
+def reduced_words(g, w, cap=10000):
+    """Braid class of a reduced word, capped."""
+    return {word for word, _, _ in braid_walk(g, w, cap)}
 
 
 def weyl_action_matrix(g, w):
@@ -264,12 +262,12 @@ def all_reduced_words_upto(g, maxlen):
 
     Uses plain extension search, so it also works for infinite Weyl groups.
     """
-    by_len = {0: [WeylWord()]}
+    by_len = {0: [()]}
     for l in range(1, maxlen + 1):
         cur = []
         for w in by_len[l - 1]:
             for i in g.vertices():
-                cand = WeylWord(w.letters + (i,))
+                cand = w + (i,)
                 if is_reduced(g, cand):
                     cur.append(cand)
         by_len[l] = cur

@@ -44,7 +44,6 @@ from .prepmod import (
 )
 from .prepmod.families import _reflected, cartan_invertible
 from .rootsys import (
-    WeylWord,
     all_reduced_words_upto,
     apply_word_to_weight,
     beta_sequence,
@@ -349,8 +348,8 @@ def check_modules(g, maxlen, rng=None, fld=None, socle_chain_oracle=False):
         for k in range(1, maxlen + 1):
             for w in by_len[k]:
                 details["words_checked"] += 1
-                word = list(w.letters)
-                rev = WeylWord(tuple(reversed(w.letters)))
+                word = list(w)
+                rev = w[::-1]
                 # Quotient-family laws for the full word, one per final letter.
                 for i in g.vertices():
                     lam = unit(g.n, i)
@@ -366,7 +365,7 @@ def check_modules(g, maxlen, rng=None, fld=None, socle_chain_oracle=False):
                     if socle_dims(nm) != lam:
                         _fail("n-socle", word=word, i=i)
                     # Trivial top for letters extending the word.
-                    ext = WeylWord(rev.letters + (i,))
+                    ext = rev + (i,)
                     if is_reduced(g, ext) and top_i_dim(n_hat(g, rev, lam, fld), i) != 0:
                         _fail("nhat-top", word=word, i=i)
                 # Layer laws for the last layer k = len(w) only. Layer k
@@ -386,12 +385,12 @@ def check_modules(g, maxlen, rng=None, fld=None, socle_chain_oracle=False):
                 # memo holds as prefixes of the m_module key above.
                 simple_dims = unit(g.n, w[k - 1])
                 for ll in range(k - 1, 1, -1):
-                    letters = tuple(reversed(w.letters[ll - 1 : k - 1]))
+                    letters = w[ll - 1 : k - 1][::-1]
                     part = _reflected(g, fld, simple_dims, letters)
                     if top_i_dim(part, w[ll - 2]) != 0:
                         _fail("partial-top", word=word, k=k, l=ll - 1)
                 if socle_chain_oracle:
-                    vsc, _ = soc_chain(injectives[w[k - 1]], rev.letters).as_module()
+                    vsc, _ = soc_chain(injectives[w[k - 1]], rev).as_module()
                     if not is_iso(vsc, v_module(g, w, k, field=fld), rng=rng):
                         _fail("v-socle-chain", word=word, k=k)
 
@@ -448,7 +447,7 @@ def check_cross_model(g, word, bound, samples, rng, fld=None):
     fld = fld or default_field()
     params = {
         "graph": g.to_dict(),
-        "word": list(word.letters),
+        "word": list(word),
         "bound": bound,
         "samples": samples,
         "field": repr(fld),
@@ -490,7 +489,7 @@ def check_transitions(g, word, bound, rng, fld=None, samples=1):
     fld = fld or default_field()
     params = {
         "graph": g.to_dict(),
-        "word": list(word.letters),
+        "word": list(word),
         "bound": bound,
         "field": repr(fld),
         "samples": samples,
@@ -511,7 +510,7 @@ def check_transitions(g, word, bound, rng, fld=None, samples=1):
                 if weight(g, d2) != wt:
                     _fail("weight", a=list(a), pos=pos)
                 back = transition(g, d2, pos, kind)
-                if back.a != d.a or back.word.letters != word.letters:
+                if back.a != d.a or back.word != word:
                     _fail("involution", a=list(a), pos=pos)
                 if any(x < 0 for x in d2.a):
                     _fail("negative-entry", a=list(a), pos=pos)

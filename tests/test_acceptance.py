@@ -16,7 +16,6 @@ from nilcrystal.errors import NotInGenericStratum
 from nilcrystal.fields import default_field
 from nilcrystal.prepmod import build_filtered, extract_datum, simple, soc_i
 from nilcrystal.rootsys import (
-    WeylWord,
     a_n,
     affine_a1,
     all_reduced_words_upto,
@@ -65,7 +64,7 @@ def beta_oracle(g, w):
     n = g.n
     out = []
     acc = [[1 if r == c else 0 for c in range(n)] for r in range(n)]
-    for k, i in enumerate(w.letters):
+    for k, i in enumerate(w):
         alpha = tuple(1 if j == i - 1 else 0 for j in range(n))
         out.append(mat_vec(acc, alpha))
         acc = mat_mul(acc, reflection_matrix(g, i))
@@ -108,11 +107,10 @@ def test_criterion_1_beta_layer(capfd):
         g = GRAPHS[name]
         lengths = group_lengths(g)
         for l in range(1, 6):
-            for letters in itertools.product(g.vertices(), repeat=l):
-                w = WeylWord(letters)
+            for w in itertools.product(g.vertices(), repeat=l):
                 acc = [[1 if r == c else 0 for c in range(g.n)]
                        for r in range(g.n)]
-                for i in letters:
+                for i in w:
                     acc = mat_mul(acc, reflection_matrix(g, i))
                 exhaustive = lengths[tuple(tuple(r) for r in acc)] == l
                 if is_reduced(g, w) != exhaustive:
@@ -183,7 +181,7 @@ def _roundtrip_stats(g, w, grid, samples, rng):
 def test_criterion_4_extraction_roundtrip(capfd):
     t0 = time.time()
     rng = random.Random(veritas.derive_seed(2026, "roundtrip"))
-    g2, w2 = a_n(2), WeylWord((1, 2, 1))
+    g2, w2 = a_n(2), (1, 2, 1)
     grid2 = list(itertools.product(range(3), repeat=3))
     t2, s2, soc2 = _roundtrip_stats(g2, w2, grid2, 5, rng)
     g3 = a_n(3)
@@ -200,14 +198,14 @@ def test_criterion_5_crystal_module_agreement(capfd):
     t0 = time.time()
     rng = random.Random(veritas.derive_seed(2026, "cross-model"))
     ok = True
-    r = veritas.check_cross_model(a_n(2), WeylWord((1, 2, 1)), 2, 5, rng)
+    r = veritas.check_cross_model(a_n(2), (1, 2, 1), 2, 5, rng)
     ok = ok and r.passed
     g3 = a_n(3)
     w3 = all_reduced_words_upto(g3, 6)[6][0]
     r = veritas.check_cross_model(g3, w3, 1, 2, rng)
     ok = ok and r.passed
     # The non-adaptable four-letter word through the trivalent vertex.
-    r = veritas.check_cross_model(d4(), WeylWord((1, 2, 3, 2)), 1, 2, rng)
+    r = veritas.check_cross_model(d4(), (1, 2, 3, 2), 1, 2, rng)
     ok = ok and r.passed
     elapsed = time.time() - t0
     report(capfd, 5, "crystal extraction matches module extraction",
@@ -218,7 +216,7 @@ def test_criterion_6_transition_coherence(capfd):
     t0 = time.time()
     rng = random.Random(veritas.derive_seed(2026, "transitions"))
     ok = True
-    r = veritas.check_transitions(a_n(2), WeylWord((1, 2, 1)), 2, rng)
+    r = veritas.check_transitions(a_n(2), (1, 2, 1), 2, rng)
     ok = ok and r.passed and r.details["sampling_misses"] == 0
     g3 = a_n(3)
     words = all_reduced_words_upto(g3, 6)[6]
@@ -238,7 +236,7 @@ def test_criterion_6_transition_coherence(capfd):
 def test_criterion_7_hand_trace(capfd):
     t0 = time.time()
     g = a_n(2)
-    w = WeylWord((1, 2, 1))
+    w = (1, 2, 1)
     trace = []
     a = extract_datum(g, w, simple(g, 2, field=F), trace=trace)
     dims = [d for (_, d) in trace]

@@ -10,17 +10,19 @@ and test_acceptance.
 
 import json
 import random
+from itertools import compress
 from pathlib import Path
 
 import pytest
 
 from nilcrystal import fields, linalg, veritas
 from nilcrystal.cli import main
+from nilcrystal.errors import NotInGenericStratum
 from nilcrystal.fields import RationalField
 from nilcrystal.linalg import Mat, cokernel, nullspace, rref, vstack_all
-from nilcrystal.prepmod import (ModuleMap, Submodule, arrows_out_of, functors, hom, injectives,
-                               semisimple, strata)
-from nilcrystal.rootsys import WeylWord, a_n, d4
+from nilcrystal.prepmod import (ModuleMap, Submodule, arrows_into, arrows_out_of, functors, hom,
+                               injectives, semisimple, sigma_star, strata, zero_module)
+from nilcrystal.rootsys import a_n, d4
 
 
 def _soc_chain_mutant(project, update):
@@ -70,8 +72,8 @@ def test_unsigned_relations_fail_the_injectives(monkeypatch):
 
 # The A3 longest word, and the shortest A3 word whose transitions catch the
 # skipped back substitution.
-LONGEST = WeylWord((1, 2, 1, 3, 2, 1))
-SHORT = WeylWord((2, 1, 2, 3, 2))
+LONGEST = (1, 2, 1, 3, 2, 1)
+SHORT = (2, 1, 2, 3, 2)
 
 
 def _split_kernel_vectors(m, fill):
@@ -214,7 +216,7 @@ def test_contiguous_left_terms_in_the_extensions_fail_the_d4_corpus(monkeypatch)
 
 # The shortest D4 word whose last layer has a 2 at the centre, so that some
 # extension blocks have two columns.
-D4_WORD = WeylWord((2, 1, 3, 2, 4))
+D4_WORD = (2, 1, 3, 2, 4)
 
 
 def test_contiguous_left_terms_in_the_extensions_fail_the_d4_samples(monkeypatch):
@@ -245,6 +247,69 @@ def test_last_entry_off_by_one_fails_the_cross_model_and_transition_checks(monke
     r = veritas.check_transitions(a_n(3), LONGEST, 1, random.Random(7))
     assert r.outcome == "fail"
     assert r.witness["kind"] == "cross-model"
+
+
+def _extract_datum_counting_the_first_incoming_arrow(g, w, x, trace=None):
+    """`strata.extract_datum` with a_k read off the first arrow into the
+    letter alone, as if out_i mapped into that one neighbour: a letter
+    with two neighbours in the support reads a_k too large."""
+    out = []
+    for i in w:
+        if x.total_dim == x.dim_at(i):
+            a_k = x.dim_at(i)
+            if a_k:
+                x = zero_module(g, x.field)
+        else:
+            a_k = x.dim_at(i) - sum(x.dim_at(a.src) for a in arrows_into(g, i)[:1])
+            x = sigma_star(i, x)
+            a_k += x.dim_at(i)
+        out.append(a_k)
+    if x.total_dim != 0:
+        raise NotInGenericStratum(f"residual module has dims {x.dims} after the word")
+    return tuple(out)
+
+
+def test_first_incoming_arrow_fails_the_cross_model_and_transition_checks(monkeypatch):
+    # Vertex 2 of A3 has two neighbours; the first read of it on the longest
+    # word with both in the support is too large by the dimension at 3.
+    monkeypatch.setattr(veritas, "extract_datum", _extract_datum_counting_the_first_incoming_arrow)
+    r = veritas.check_cross_model(a_n(3), LONGEST, 1, 5, random.Random(7))
+    assert r.outcome == "fail"
+    assert r.witness == {"kind": "chain-mismatch", "a": [0, 0, 0, 0, 0, 1],
+                         "got": (0, 1, 0, 0, 0, 1)}
+    r = veritas.check_transitions(a_n(3), LONGEST, 1, random.Random(7))
+    assert r.outcome == "fail"
+    assert r.witness == {"kind": "cross-model", "a": [0, 0, 0, 0, 0, 1], "pos": 2,
+                         "got": (0, 1, 0, 0, 0, 1)}
+
+
+# Past this many columns beyond the pivot, the mutant below drops the tail.
+_PIVOT_TAIL = 13
+
+
+def _truncated_pivot_tail(self, row, col):
+    """`PrimeField.elim_pivot` with the pivot row cut _PIVOT_TAIL columns
+    past the pivot: entries further right are neither scaled nor used to
+    clear the other rows, so wide systems are solved wrongly."""
+    p, end = self.p, col + _PIVOT_TAIL
+    inv = pow(row[col], -1, p)
+    tail = []
+    for j in compress(range(col, min(end, len(row))), row[col:end]):
+        row[j] = x = inv * row[j] % p
+        tail.append((j, x))
+    return tail
+
+
+def test_truncated_pivot_tail_fails_the_prime_contracts(monkeypatch):
+    # The contracts' corpus modules give the morphism searches and the
+    # reflections systems wide enough to cut; `verify all` on A3 at seed 7
+    # fails too, with no-surjection, while its sampled suites pass.
+    assert veritas.check_reflection_contracts(d4(), 2, random.Random(7)).passed
+    monkeypatch.setattr(fields.PrimeField, "elim_pivot", _truncated_pivot_tail)
+    r = veritas.check_reflection_contracts(d4(), 2, random.Random(7))
+    assert r.outcome == "fail"
+    assert r.witness["kind"] == "braid-iso"
+    assert r.witness["extra"] == {"pair": [2, 3]}
 
 
 def test_the_rational_contracts_pass_unmutated():

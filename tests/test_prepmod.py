@@ -55,7 +55,6 @@ from nilcrystal.prepmod import (
 )
 from nilcrystal.rootsys import (
     CartanGraph,
-    WeylWord,
     a_n,
     affine_a1,
     all_reduced_words_upto,
@@ -232,7 +231,7 @@ def test_sigma_star_kills_simple_at_vertex():
 def test_sigma_composition_example():
     m = sigma(2, sigma(1, simple(A2, 2, field=F)))
     assert is_iso(m, simple(A2, 1, field=F))
-    same = sigma_word(WeylWord((1, 2)), simple(A2, 2, field=F))
+    same = sigma_word((1, 2), simple(A2, 2, field=F))
     assert is_iso(m, same)
 
 
@@ -252,21 +251,21 @@ def test_dims_reflect_when_top_trivial():
 
 def test_n_module_a2():
     lam = unit(2, 1)
-    m = n_module(A2, WeylWord((1,)), lam, F)
+    m = n_module(A2, (1,), lam, F)
     assert m.dims == (1, 0)
-    m2 = n_module(A2, WeylWord((2, 1)), unit(2, 2), F)
+    m2 = n_module(A2, (2, 1), unit(2, 2), F)
     assert m2.dims == (1, 1)
     assert socle_dims(m2) == (0, 1)
 
 
 def test_n_hat_top_vanishes_on_extension():
     lam = unit(2, 1)
-    nh = n_hat(A2, WeylWord((1,)), lam, F)
+    nh = n_hat(A2, (1,), lam, F)
     assert top_i_dim(nh, 2) == 0
 
 
 def test_v_module_dims_a2():
-    w = WeylWord((1, 2, 1))
+    w = (1, 2, 1)
     assert v_module(A2, w, 1, field=F).dims == (1, 0)
     assert v_module(A2, w, 2, field=F).dims == (1, 1)
     assert v_module(A2, w, 3, field=F).dims == (1, 1)
@@ -274,7 +273,7 @@ def test_v_module_dims_a2():
 
 
 def test_m_module_routes_agree_a2():
-    w = WeylWord((1, 2, 1))
+    w = (1, 2, 1)
     rng = random.Random(0)
     betas = beta_sequence(A2, w)
     for k in (1, 2, 3):
@@ -292,11 +291,11 @@ def test_injective_module_a2():
 
 
 def test_injective_socle_chain_matches_v():
-    w = WeylWord((1, 2, 1))
+    w = (1, 2, 1)
     rng = random.Random(1)
     injs = {i: injective_module(A2, i, F) for i in (1, 2)}
     for k in (1, 2, 3):
-        seq = tuple(reversed(w.letters[:k]))
+        seq = w[:k][::-1]
         sub = soc_chain(injs[w[k - 1]], seq)
         got, _ = sub.as_module()
         assert is_iso(got, v_module(A2, w, k, field=F), rng=rng)
@@ -395,7 +394,7 @@ def test_random_extension_relations_hold():
 
 
 def test_build_and_extract_roundtrip_a2():
-    w = WeylWord((1, 2, 1))
+    w = (1, 2, 1)
     rng = random.Random(3)
     for a in [(0, 0, 0), (1, 0, 2), (2, 1, 2), (1, 1, 1)]:
         x = build_filtered(A2, w, a, rng, field=F)
@@ -413,14 +412,13 @@ def _one_extension_per_layer(g, w, a, rng, f):
 
 @pytest.mark.parametrize("f", [PrimeField(2**61 - 1), PrimeField(3), RationalField()],
                          ids=["p61", "p3", "rat"])
-@pytest.mark.parametrize("g, letters", [(A3, (1, 2, 1, 3, 2, 1)), (A3, (2, 1, 2, 3, 2)),
+@pytest.mark.parametrize("g, w", [(A3, (1, 2, 1, 3, 2, 1)), (A3, (2, 1, 2, 3, 2)),
                                         (d4(), (1, 2, 3, 2)), (d4(), (2, 1, 3, 4, 2))],
                          ids=["A3-longest", "A3-short", "D4-4", "D4-5"])
-def test_build_filtered_solves_each_copy_like_the_whole_layer(f, g, letters):
+def test_build_filtered_solves_each_copy_like_the_whole_layer(f, g, w):
     # Solving one copy's system per copy must give the module and leave the
     # rng exactly as one extension by the direct power does: the same draws,
     # in the same order. Every a_k takes each value 0..3, next to others.
-    w = WeylWord(letters)
     data = [tuple((s + j * t) % 4 for j in range(len(w))) for t in (1, 3) for s in range(4)]
     for seed, a in enumerate(data + [(3,) * len(w)]):
         rng = random.Random(seed)
@@ -461,11 +459,11 @@ def _read_reflecting_every_letter(g, w, x):
 def _stratum_samples_over_f3():
     # A3 longest word, bound 1, over F_3, each sample read under the word
     # and under its suffix (3, 2, 1), where many reads miss.
-    w, f = WeylWord((1, 2, 1, 3, 2, 1)), PrimeField(3)
+    w, f = (1, 2, 1, 3, 2, 1), PrimeField(3)
     rng = random.Random(5)
     samples = [build_filtered(A3, w, a, rng, field=f)
                for a in itertools.product(range(2), repeat=len(w))]
-    return [(A3, v, x) for x in samples for v in (w, WeylWord((3, 2, 1)))]
+    return [(A3, v, x) for x in samples for v in (w, (3, 2, 1))]
 
 
 def test_extraction_skips_only_reflections_that_are_zero():
@@ -473,11 +471,11 @@ def test_extraction_skips_only_reflections_that_are_zero():
     # still agree with one reflection per letter: the tuple, the trace and
     # the residual's dims, on samples that miss too.
     cases = _stratum_samples_over_f3() + [
-        (A3, WeylWord((1, 2, 1, 3, 2, 1)), semisimple(A3, [0, 0, 2], field=F)),
-        (A2, WeylWord((1, 2, 1)), simple(A2, 2, field=F)),
-        (A3, WeylWord((1, 2, 1, 3, 2, 1)), zero_module(A3, F)),
-        (A3, WeylWord(()), zero_module(A3, F)),
-        (A3, WeylWord(()), simple(A3, 2, field=F)),
+        (A3, (1, 2, 1, 3, 2, 1), semisimple(A3, [0, 0, 2], field=F)),
+        (A2, (1, 2, 1), simple(A2, 2, field=F)),
+        (A3, (1, 2, 1, 3, 2, 1), zero_module(A3, F)),
+        (A3, (), zero_module(A3, F)),
+        (A3, (), simple(A3, 2, field=F)),
     ]
     misses = 0
     for g, w, x in cases:
@@ -496,7 +494,7 @@ def test_extraction_skips_only_reflections_that_are_zero():
 
 def test_extract_rejects_off_stratum():
     # S_1 has no filtration for the word starting with letter 2 only.
-    w = WeylWord((2,))
+    w = (2,)
     with pytest.raises(NotInGenericStratum):
         extract_datum(A2, w, simple(A2, 1, field=F))
 
@@ -585,7 +583,7 @@ def test_reflection_memo_matches_direct_reflection(g, maxlen):
     words = [w for ws in all_reduced_words_upto(g, maxlen).values() for w in ws]
     for w in words:
         for k in range(1, len(w) + 1):
-            rev = WeylWord(tuple(reversed(w.letters[: k - 1])))
+            rev = w[: k - 1][::-1]
             direct = sigma_word(rev, simple(g, w[k - 1], field=F))
             assert _same_module(m_module(g, w, k, route="reflection", field=F), direct)
         for i in g.vertices():
@@ -607,7 +605,7 @@ def test_cokernel_route_leaves_no_memo_entry_on_the_base_graph(monkeypatch):
 
     monkeypatch.setattr(families, "_reflected", spy)
     memo.cache_clear()
-    w = WeylWord((1, 2, 1, 3, 2, 1))
+    w = (1, 2, 1, 3, 2, 1)
     rng = random.Random(5)
     for k in range(1, len(w) + 1):
         m_module(A3, w, k, route="cokernel", field=F, rng=rng)
@@ -703,7 +701,7 @@ def test_hom_searches_stop_at_the_retry_budget(monkeypatch):
     s1 = simple(A3, 1, field=f)
     s1_4 = direct_power(s1, 4)
     s1_2 = direct_power(s1, 2)
-    w = WeylWord((1, 2, 1))
+    w = (1, 2, 1)
     searches = [
         (lambda: find_injective_hom(s1, s1_4), retry_budget(f, 1)),
         (lambda: find_surjective_hom(s1_4, s1), retry_budget(f, 1)),
@@ -756,7 +754,7 @@ def test_derived_modules_are_nilpotent(g, f):
 
 
 def test_round_trip_checks_no_nilpotency(monkeypatch):
-    w = WeylWord((1, 2, 1, 3, 2, 1))
+    w = (1, 2, 1, 3, 2, 1)
     a = (1, 0, 1, 1, 0, 1)
     extract_datum(A3, w, build_filtered(A3, w, a, random.Random(5), field=F))
     calls = []

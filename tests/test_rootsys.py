@@ -12,6 +12,7 @@ from nilcrystal.rootsys import (
     apply_word_to_weight,
     beta_sequence,
     braid_moves,
+    braid_walk,
     d4,
     is_reduced,
     mu,
@@ -70,15 +71,15 @@ def test_simple_reflection_on_weight():
 
 def test_beta_sequence_a2():
     g = a_n(2)
-    betas = beta_sequence(g, WeylWord((1, 2, 1)))
+    betas = beta_sequence(g, (1, 2, 1))
     assert betas == [(1, 0), (1, 1), (0, 1)]
 
 
 def test_non_reduced_raises():
     g = a_n(2)
     with pytest.raises(NonReducedWord):
-        beta_sequence(g, WeylWord((1, 1)))
-    assert not is_reduced(g, WeylWord((1, 2, 1, 2)))
+        beta_sequence(g, (1, 1))
+    assert not is_reduced(g, (1, 2, 1, 2))
 
 
 def test_require_reduced_asks_rootsys_is_reduced_each_time(monkeypatch):
@@ -87,45 +88,76 @@ def test_require_reduced_asks_rootsys_is_reduced_each_time(monkeypatch):
     from nilcrystal import rootsys
 
     calls, orig = [], rootsys.is_reduced
-    monkeypatch.setattr(rootsys, "is_reduced", lambda g, w: calls.append(w.letters) or orig(g, w))
+    monkeypatch.setattr(rootsys, "is_reduced", lambda g, w: calls.append(w) or orig(g, w))
     g = a_n(2)
-    require_reduced(g, WeylWord((1, 2, 1)))
+    require_reduced(g, (1, 2, 1))
     with pytest.raises(NonReducedWord, match=r"^word \(1, 2, 1, 2\) is not reduced$"):
-        require_reduced(g, WeylWord((1, 2, 1, 2)))
+        require_reduced(g, (1, 2, 1, 2))
     assert calls == [(1, 2, 1), (1, 2, 1, 2)]
 
 
 def test_affine_word_reduced():
     # Infinite Weyl group: alternating words never shorten.
     g = affine_a1()
-    assert is_reduced(g, WeylWord((1, 2, 1, 2, 1, 2)))
+    assert is_reduced(g, (1, 2, 1, 2, 1, 2))
 
 
 def test_mu_a2():
     g = a_n(2)
-    assert mu(g, WeylWord((1, 2, 1)), (1, 1, 1)) == (2, 2)
-    assert mu(g, WeylWord((1, 2, 1)), (0, 0, 0)) == (0, 0)
+    assert mu(g, (1, 2, 1), (1, 1, 1)) == (2, 2)
+    assert mu(g, (1, 2, 1), (0, 0, 0)) == (0, 0)
 
 
 def test_braid_moves_a2():
     g = a_n(2)
-    moves = braid_moves(g, WeylWord((1, 2, 1)))
+    moves = braid_moves(g, (1, 2, 1))
     assert len(moves) == 1
     pos, kind, moved = moves[0]
     assert (pos, kind) == (0, "3-move")
-    assert moved.letters == (2, 1, 2)
+    assert moved == (2, 1, 2)
 
 
 def test_braid_moves_disjoint_letters():
     g = a_n(3)
-    moves = braid_moves(g, WeylWord((1, 3)))
-    assert [(p, k, m.letters) for p, k, m in moves] == [(0, "2-move", (3, 1))]
+    moves = braid_moves(g, (1, 3))
+    assert moves == [(0, "2-move", (3, 1))]
+
+
+def test_word_letters_must_be_ints():
+    # int() would truncate each of these silently.
+    assert WeylWord([1, 2, 1]) == (1, 2, 1) and WeylWord() == ()
+    for letters in ((1.9, 2.2, True), (1, 2.0), (True,)):
+        with pytest.raises(ValueError, match="must be integers"):
+            WeylWord(letters)
+
+
+def test_braid_walk_a2():
+    assert list(braid_walk(a_n(2), (1, 2, 1))) == [
+        ((1, 2, 1), None, None), ((2, 1, 2), (1, 2, 1), (0, "3-move"))]
+
+
+def test_braid_walk_reaches_each_word_by_its_move():
+    g = a_n(3)
+    w0 = (1, 2, 1, 3, 2, 1)
+    walk = list(braid_walk(g, w0))
+    assert walk[0] == (w0, None, None)
+    assert len({w for w, _, _ in walk}) == len(walk) == 16
+    seen = {w0}
+    for word, parent, move in walk[1:]:
+        # Each parent is yielded before its children, and its move gives the word.
+        assert parent in seen
+        assert (*move, word) in braid_moves(g, parent)
+        seen.add(word)
+    # The cap counts the words seen, not the words yielded.
+    assert len(list(braid_walk(g, w0, cap=16))) == 16
+    with pytest.raises(CapExceeded, match="cap 15"):
+        list(braid_walk(g, w0, cap=15))
 
 
 def test_reduced_words_closure_a2():
     g = a_n(2)
-    words = reduced_words(g, WeylWord((1, 2, 1)))
-    assert {w.letters for w in words} == {(1, 2, 1), (2, 1, 2)}
+    words = reduced_words(g, (1, 2, 1))
+    assert words == {(1, 2, 1), (2, 1, 2)}
 
 
 def test_reduced_words_closure_a3_longest():
@@ -143,10 +175,10 @@ def test_reduced_words_cap():
 
 def test_weyl_action_matrix_identity_pairs():
     g = a_n(3)
-    w1 = WeylWord((1, 2, 1))
-    w2 = WeylWord((2, 1, 2))
+    w1 = (1, 2, 1)
+    w2 = (2, 1, 2)
     assert weyl_action_matrix(g, w1) == weyl_action_matrix(g, w2)
-    assert weyl_action_matrix(g, w1) != weyl_action_matrix(g, WeylWord((1, 2)))
+    assert weyl_action_matrix(g, w1) != weyl_action_matrix(g, (1, 2))
 
 
 def test_word_counts_a3():
@@ -159,7 +191,7 @@ def test_apply_word_matches_stepwise():
     # The Cartan matrix maps the root basis into the weight basis and
     # commutes with each reflection, so the word acts alike on both sides.
     g = d4()
-    w = WeylWord((1, 2, 3, 2))
+    w = (1, 2, 3, 2)
     v = (1, 0, 2, 1)  # every letter of w moves it
     step = v
     for i in w:
@@ -173,6 +205,6 @@ def test_weight_application_order():
     # letters[0] acts first; compare against explicit composition.
     g = a_n(2)
     lam = unit(2, 2)
-    w = WeylWord((1, 2))
+    w = (1, 2)
     expect = reflect_weight(g, 2, reflect_weight(g, 1, lam))
     assert apply_word_to_weight(g, w, lam) == expect

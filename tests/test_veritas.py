@@ -8,7 +8,7 @@ from nilcrystal import veritas
 from nilcrystal.errors import NotInGenericStratum
 from nilcrystal.fields import RationalField, default_field
 from nilcrystal.prepmod import functors
-from nilcrystal.rootsys import WeylWord, a_n, affine_a1, all_reduced_words_upto, braid_moves, d4
+from nilcrystal.rootsys import a_n, affine_a1, all_reduced_words_upto, braid_moves, d4
 
 
 def test_derive_seed_deterministic():
@@ -54,21 +54,21 @@ def test_modules_small():
 
 
 def test_cross_model_bound_zero_trivial():
-    r = veritas.check_cross_model(a_n(2), WeylWord((1, 2, 1)), 0, 1,
+    r = veritas.check_cross_model(a_n(2), (1, 2, 1), 0, 1,
                                 random.Random(3))
     assert r.outcome == "pass"
     assert r.details["grid_points"] == 1
 
 
 def test_transitions_vacuous_without_moves():
-    r = veritas.check_transitions(affine_a1(), WeylWord((1, 2, 1)), 1,
+    r = veritas.check_transitions(affine_a1(), (1, 2, 1), 1,
                                   random.Random(4))
     assert r.outcome == "vacuous-pass"
 
 
 def test_replayability():
     def run():
-        return veritas.check_cross_model(a_n(2), WeylWord((1, 2, 1)), 1, 2,
+        return veritas.check_cross_model(a_n(2), (1, 2, 1), 1, 2,
                                        random.Random(5))
 
     r1, r2 = run(), run()
@@ -98,7 +98,7 @@ def _always_missing(*args, **kwargs):
 
 def test_cross_model_with_every_sample_missing_is_vacuous(monkeypatch):
     monkeypatch.setattr(veritas, "extract_datum", _always_missing)
-    r = veritas.check_cross_model(a_n(2), WeylWord((1, 2, 1)), 1, 1,
+    r = veritas.check_cross_model(a_n(2), (1, 2, 1), 1, 1,
                                   random.Random(3))
     assert r.outcome == "vacuous-pass" and not r.witness
     assert r.details["sampling_misses"] == r.details["samples"] == 8
@@ -106,17 +106,17 @@ def test_cross_model_with_every_sample_missing_is_vacuous(monkeypatch):
 
 
 def test_transitions_with_every_sample_missing_is_vacuous(monkeypatch):
-    r = veritas.check_transitions(a_n(2), WeylWord((1, 2, 1)), 1, random.Random(4))
+    r = veritas.check_transitions(a_n(2), (1, 2, 1), 1, random.Random(4))
     assert r.outcome == "probabilistic-pass" and "warning" not in r.details
     monkeypatch.setattr(veritas, "extract_datum", _always_missing)
-    r = veritas.check_transitions(a_n(2), WeylWord((1, 2, 1)), 1, random.Random(4))
+    r = veritas.check_transitions(a_n(2), (1, 2, 1), 1, random.Random(4))
     assert r.outcome == "vacuous-pass" and not r.witness
     assert r.details["sampling_misses"] == r.details["samples"] == 8
     assert "generic stratum" in r.details["warning"]
 
 
 def test_cross_model_of_the_empty_word_passes():
-    r = veritas.check_cross_model(a_n(2), WeylWord(()), 1, 3, random.Random(3))
+    r = veritas.check_cross_model(a_n(2), (), 1, 3, random.Random(3))
     assert r.passed and not r.witness
     assert r.details["grid_points"] == 1 and r.details["samples"] == 3
 
@@ -148,10 +148,10 @@ def test_transitions_build_each_sample_once_for_all_moves(monkeypatch):
 
 def test_transitions_count_every_read_of_every_sample(monkeypatch):
     builds = _count_builds(monkeypatch)
-    r = veritas.check_transitions(a_n(3), WeylWord((1, 2, 1, 3, 2, 1)), 1,
+    r = veritas.check_transitions(a_n(3), (1, 2, 1, 3, 2, 1), 1,
                                   random.Random(7), samples=3)
     assert r.outcome == "probabilistic-pass" and r.details["sampling_misses"] == 0
-    moves = len(braid_moves(a_n(3), WeylWord((1, 2, 1, 3, 2, 1))))
+    moves = len(braid_moves(a_n(3), (1, 2, 1, 3, 2, 1)))
     assert r.details["pairs_checked"] == 64 * moves
     assert r.details["samples"] == r.details["pairs_checked"] * 3
     assert len(builds) == 64 * 3
@@ -165,7 +165,7 @@ def test_cross_model_reflects_each_sample_once_per_letter(monkeypatch):
     calls = []
     real = functors._backward
     monkeypatch.setattr(functors, "_backward", lambda *a: calls.append(a) or real(*a))
-    r = veritas.check_cross_model(a_n(2), WeylWord((1, 2, 1)), 1, 1, random.Random(3))
+    r = veritas.check_cross_model(a_n(2), (1, 2, 1), 1, 1, random.Random(3))
     assert r.passed and r.details["sampling_misses"] == 0
     assert len(calls) == 10
 
@@ -304,7 +304,7 @@ def test_cross_model_report_a_chain_mismatch(monkeypatch):
         return (1, 1, 1) if at[-1] == (1, 0, 1) else got
 
     monkeypatch.setattr(veritas, "extract_datum", extract)
-    r = veritas.check_cross_model(a_n(2), WeylWord((1, 2, 1)), 1, 2, random.Random(3))
+    r = veritas.check_cross_model(a_n(2), (1, 2, 1), 1, 2, random.Random(3))
     assert r.outcome == "fail"
     assert r.witness == {"kind": "chain-mismatch", "a": [1, 0, 1], "got": (1, 1, 1)}
     assert r.details == {"grid_points": 6, "samples": 11, "sampling_misses": 2,
@@ -323,7 +323,7 @@ def test_transitions_report_a_cross_model_mismatch(monkeypatch):
         return (9, 9, 9) if len(calls) == 14 else got
 
     monkeypatch.setattr(veritas, "extract_datum", extract)
-    r = veritas.check_transitions(a_n(3), WeylWord((1, 2, 1)), 1, random.Random(4))
+    r = veritas.check_transitions(a_n(3), (1, 2, 1), 1, random.Random(4))
     assert r.outcome == "fail"
     assert r.witness == {"kind": "cross-model", "a": [1, 0, 1], "pos": 0,
                          "got": (9, 9, 9)}
@@ -338,9 +338,9 @@ def test_every_check_that_did_no_work_is_a_vacuous_pass_that_says_why():
         veritas.check_modules(a_n(2), -1),
         veritas.check_reflection_contracts(a_n(2), -3, rng),
         veritas.check_reflection_contracts(a_n(3), 0, rng),
-        veritas.check_cross_model(a_n(2), WeylWord((1, 2, 1)), 1, 0, rng),
-        veritas.check_transitions(a_n(2), WeylWord((1, 2, 1)), 1, rng, samples=0),
-        veritas.check_transitions(affine_a1(), WeylWord((1, 2, 1)), 1, rng),
+        veritas.check_cross_model(a_n(2), (1, 2, 1), 1, 0, rng),
+        veritas.check_transitions(a_n(2), (1, 2, 1), 1, rng, samples=0),
+        veritas.check_transitions(affine_a1(), (1, 2, 1), 1, rng),
     ]
     for r in reports:
         assert r.outcome == "vacuous-pass" and r.passed and not r.witness
