@@ -23,7 +23,7 @@ from .errors import (
     NonReducedWord,
     NotInGenericStratum,
 )
-from .fields import field_from_spec
+from .fields import DEFAULT_PRIME, field_from_spec
 from .prepmod import PModule, extract_datum, m_module, v_module
 from .rootsys import CartanGraph, WeylWord, beta_sequence
 
@@ -50,7 +50,7 @@ def build_parser():
         description="preprojective-algebra modules and crystal data over exact fields",
     )
     p.add_argument("--graph", required=True, help="path to a graph JSON file")
-    p.add_argument("--field", default="prime:2305843009213693951",
+    p.add_argument("--field", default=f"prime:{DEFAULT_PRIME}",
                    help="rat or prime:P with P > 2^31")
     p.add_argument("--seed", type=int, default=0, help="master seed")
     p.add_argument("--json", action="store_true", help="machine-readable output")
@@ -199,15 +199,10 @@ def cmd_extract(args, g):
         print(f"not in a generic stratum for this word; "
               f"residual dims {exc.residual_dims}", file=sys.stderr)
         return EXIT_MATH_FAIL
-    payload = {
-        "config": _config_dict(args),
-        "convention": crystal.CONVENTION,
-        "word": list(w),
-        "a": list(a),
-    }
+    payload = {"config": _config_dict(args), **crystal.LusztigDatum(w, a).to_dict()}
     if args.json:
         return _emit(args, json.dumps(payload, indent=1, sort_keys=True))
-    return _emit(args, f"a = {list(a)}")
+    return _emit(args, f"a = {payload['a']}")
 
 
 def cmd_verify(args, g, fld):

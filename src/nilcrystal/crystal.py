@@ -10,7 +10,6 @@ from dataclasses import dataclass
 
 from .errors import DifferentWeylElement, InvalidMovePosition, LengthMismatch
 from .rootsys import (
-    WeylWord,
     braid_moves,
     braid_walk,
     mu,
@@ -32,10 +31,6 @@ class LusztigDatum:
             "word": list(self.word),
             "a": list(self.a),
         }
-
-    @staticmethod
-    def from_dict(g, data):
-        return datum(g, WeylWord(data["word"]), data["a"])
 
 
 def datum(g, word, a):

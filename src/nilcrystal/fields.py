@@ -2,17 +2,18 @@
 
 Elements are plain Python objects, so matrices are nested lists and all
 arithmetic stays exact: ints reduced mod p, or rationals, each an int when
-integral and else a Fraction (Fraction(3) == 3, with equal hashes). Besides
-the scalar operations, each field supplies the whole-vector kernels
-`matmul`, `dot` and `scale_vec`, and the steps of the shared elimination in
-`linalg` (`elim_rows`, `elim_pivot`, `elim_reduce`, `elim_result`) on rows
-of ints. `matmul` takes the rows of A and of B. Over F_p a row of A sums
-the nonzero entries of B's rows at its nonzero entries, and a pivot row
-passes on only its nonzero entries, so a reduce step touches only their
-columns. Over the rationals, a product or a dot product puts each vector
-over its own common denominator and divides each sum by theirs; the
-elimination clears each row to integers, reduces fraction-free, and
-divides each pivot row by its pivot once, at the end.
+integral and else a Fraction (Fraction(3) == 3, with equal hashes).
+Besides the constants `zero` and `one` and the scalar operations, each
+field supplies the whole-vector kernels `matmul` and `dot`, and the steps
+of the shared elimination in `linalg` (`elim_rows`, `elim_pivot`,
+`elim_reduce`, `elim_result`) on rows of ints. `matmul` takes the rows of
+A and of B. Over F_p a row of A sums the nonzero entries of B's rows at
+its nonzero entries, and a pivot row passes on only its nonzero entries,
+so a reduce step touches only their columns. Over the rationals, a product
+or a dot product puts each vector over its own common denominator and
+divides each sum by theirs; the elimination clears each row to integers,
+reduces fraction-free, and divides each pivot row by its pivot once, at
+the end.
 """
 
 import functools
@@ -62,6 +63,8 @@ def is_probable_prime(n):
 class PrimeField:
     """F_p with elements stored as ints in [0, p)."""
 
+    zero, one = 0, 1
+
     def __init__(self, p=DEFAULT_PRIME):
         if not isinstance(p, int) or not is_probable_prime(p):
             raise ValueError(f"p must be a prime, got {p!r}")
@@ -71,14 +74,6 @@ class PrimeField:
     def sample_size(self):
         """Size of the set `random` draws from."""
         return self.p
-
-    @property
-    def zero(self):
-        return 0
-
-    @property
-    def one(self):
-        return 1
 
     def of_int(self, k):
         return k % self.p
@@ -118,10 +113,6 @@ class PrimeField:
                     acc[j] += x * y
             out.append([v % p for v in acc])
         return out
-
-    def scale_vec(self, c, xs):
-        p = self.p
-        return [c * x % p for x in xs]
 
     # -- elimination steps, on rows of reduced residues -------------------
 
@@ -174,21 +165,10 @@ class PrimeField:
 class RationalField:
     """Exact rationals: an `int` when integral, else a `Fraction`."""
 
-    # Sampling range for "random" rationals; only genericity matters.
-    RAND_BOUND = 2**31
-
-    @property
-    def sample_size(self):
-        """Size of the set `random` draws from: the integers in [0, 2^31)."""
-        return self.RAND_BOUND
-
-    @property
-    def zero(self):
-        return 0
-
-    @property
-    def one(self):
-        return 1
+    zero, one = 0, 1
+    # `random` draws from the integers in [0, sample_size); only genericity
+    # matters.
+    sample_size = 2**31
 
     def of_int(self, k):
         return k
@@ -225,9 +205,6 @@ class RationalField:
                         else _ratio(sum(map(mul, nr, nc)), d) for nc, dc in cols])
         return out
 
-    def scale_vec(self, c, xs):
-        return [c * x for x in xs]
-
     # -- elimination steps, on rows of ints with gcd 1 --------------------
     # Scaling a row by a nonzero rational does not change the RREF.
 
@@ -262,7 +239,7 @@ class RationalField:
         return out + rows[len(pivots):]
 
     def random(self, rng):
-        return rng.randrange(self.RAND_BOUND)
+        return rng.randrange(self.sample_size)
 
     def to_str(self, a):
         return f"{a.numerator}/{a.denominator}"

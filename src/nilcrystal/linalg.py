@@ -5,7 +5,7 @@ Zero-row and zero-column matrices are first-class citizens: most of the
 module theory downstream lives at the boundary cases, so a product with a
 zero dimension, or an elimination of an empty matrix, returns at once and
 never reaches the field. The arithmetic loops belong to the field
-(`matmul`, on rows, `scale_vec` and the elimination steps); this
+(`matmul`, on rows, and the elimination steps); this
 module holds the one Gaussian elimination that every solve, rank and
 nullspace shares. Its forward pass clears the rows below each pivot, and
 the RREF also clears the rows above. `nullspace` reads a kernel basis off
@@ -91,12 +91,6 @@ class Mat:
     def neg(self):
         f = self.field
         return Mat(f, self.nrows, self.ncols, [[f.neg(x) for x in r] for r in self.rows])
-
-    def scale(self, c):
-        f = self.field
-        if c == f.one:  # the reflection functors scale by their twist, 1
-            return self
-        return Mat(f, self.nrows, self.ncols, [f.scale_vec(c, r) for r in self.rows])
 
     def mul(self, other):
         if self.ncols != other.nrows:

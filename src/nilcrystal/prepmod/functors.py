@@ -14,8 +14,9 @@ The forward reflection's new outgoing maps are the row blocks of k, in
 assembly order, so sigma(i, m).out_map(i) is k: the functor on a morphism
 reads the source's k off its reflection, and takes a source that a caller
 has reflected already.
-The twist sign is a parameter only so the harness can demonstrate that the
-flipped convention breaks the contracts; production code never passes it.
+The twist sign, 1 or -1, is a parameter only so the harness can demonstrate
+that the flipped convention breaks the contracts; production code never
+passes it. A twist of -1 negates the new maps at i.
 The real functors (twist 1) preserve nilpotent modules (Baumann-Kamnitzer,
 Preprojective algebras and MV polytopes, 2012), so their results are checked
 for shapes only, and for relations in `veritas.check_reflection_contracts`;
@@ -53,7 +54,9 @@ def _forward(i, m, twist):
     in_i, out_i = m.in_map(i), m.out_map(i)
     k, free = nullspace(in_i)  # total-in x newdim, columns span ker(in)
     # k . c = twist * out . in, whose columns lie in ker(in) since in . out = 0.
-    c = (out_i.rows_at(free) @ in_i).scale(m.field.of_int(twist))
+    c = out_i.rows_at(free) @ in_i
+    if twist == -1:
+        c = c.neg()
     return _replace_at(i, m, c, k, twist, "forward"), free
 
 
@@ -63,7 +66,9 @@ def _backward(i, m, twist):
     out_i = m.out_map(i)
     units, proj = cokernel(out_i)
     # Induced map coker -> total-in from twist * out . in (kills image(out)).
-    induced = (out_i @ m.in_map(i).cols(units)).scale(m.field.of_int(twist))
+    induced = out_i @ m.in_map(i).cols(units)
+    if twist == -1:
+        induced = induced.neg()
     return _replace_at(i, m, proj, induced, twist, "backward"), units, proj
 
 

@@ -20,6 +20,7 @@ from ..linalg import (
     cokernel,
     col_basis,
     hstack_all,
+    is_invertible,
     nullspace,
     rank,
     solve,
@@ -29,6 +30,16 @@ from ..rootsys import CartanGraph, unit
 
 Arrow = namedtuple("Arrow", "edge dir src tgt sign")
 
+
+# The largest total dimension a module file may give, checked before
+# anything is built. Loading tests nilpotency from a d x d identity at each
+# vertex, so a file of a few bytes with no arrow entries asks for time and
+# memory that grow with the square of its dimension: 8.4 s and 0.54 GB at
+# 8,192 on a 2-core x86-64 host. A module the program builds costs far more
+# per dimension: an A3 longest-word point of total dimension 2,000 takes
+# 17 s to build and 33 s to load there, eight and six times its cost at
+# 1,000, so the cap lies past every module the program builds in minutes.
+FILE_DIM_CAP = 8192
 
 # Per-graph incidence tables. CartanGraph is frozen and hashable, and a
 # program meets only a handful of graphs, so the bound is never reached.
@@ -220,16 +231,23 @@ class PModule:
             raise InvalidModuleFile(f"dims must be a list of {g.n} entries, one per vertex")
         if any(type(d) is not int or d < 0 for d in dims):
             raise InvalidModuleFile(f"dims must be nonnegative integers, got {dims}")
+        if sum(dims) > FILE_DIM_CAP:
+            raise InvalidModuleFile(
+                f"a module may have total dimension at most {FILE_DIM_CAP}, got {sum(dims)}")
         by_key = {(a.edge, a.dir): a for a in arrows_of(g)}
         maps = {}
         for rec in data["arrows"]:
             key = (rec["edge"], rec["dir"])
+            if any(type(x) is not int for x in key):  # False == 0, 1.0 == 1
+                raise InvalidModuleFile(f"edge and dir must be integers, got {key}")
             if key not in by_key:
                 raise InvalidModuleFile(f"the graph has no arrow (edge, dir) = {key}")
             if key in maps:
                 raise InvalidModuleFile(f"arrow (edge, dir) = {key} appears twice")
             a = by_key[key]
             nr, nc = dims[a.tgt - 1], dims[a.src - 1]
+            if not isinstance(rec["entries"], list):  # a string would read per character
+                raise InvalidModuleFile(f"entries must be a list, got {rec['entries']!r}")
             vals = [fld.from_str(s) for s in rec["entries"]]
             if len(vals) != nr * nc:
                 raise InvalidModuleFile("entry count does not match dims")
@@ -286,7 +304,7 @@ class ModuleMap:
         return all(rank(m) == m.nrows for m in self.mats)
 
     def is_isomorphism(self):
-        return all(m.nrows == m.ncols and rank(m) == m.nrows for m in self.mats)
+        return all(map(is_invertible, self.mats))
 
     def image(self):
         return Submodule(self.target, [col_basis(m) for m in self.mats])

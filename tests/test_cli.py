@@ -13,6 +13,8 @@ from hypothesis import strategies as st
 from nilcrystal import veritas
 from nilcrystal.cli import main
 from nilcrystal.fields import RationalField, default_field
+from nilcrystal.linalg import Mat
+from nilcrystal.prepmod import module as pmodule
 from nilcrystal.prepmod import simple, zero_module
 from nilcrystal.rootsys import CartanGraph, a_n, affine_a1, d4
 
@@ -169,6 +171,40 @@ def test_extract_malformed_dims_exits_3(tmp_path, capsys, dims):
     gpath, mpath = _module_file(tmp_path, a_n(3), dims, [])
     assert run(["--graph", gpath, "extract", mpath, "1"]) == 3
     assert "dims" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field, value", [("edge", False), ("dir", 1.0), ("entries", "")],
+                         ids=["bool-edge", "float-dir", "string-entries"])
+def test_extract_mistyped_arrow_field_exits_3(tmp_path, capsys, field, value):
+    # Each of these read as the arrow it resembles: False == 0, 1.0 == 1,
+    # and a string iterates as its characters.
+    arrows = [{"edge": 0, "dir": 1, "entries": []}, {"edge": 0, "dir": -1, "entries": []}]
+    arrows[0][field] = value
+    gpath, mpath = _module_file(tmp_path, a_n(2), [1, 0], arrows)
+    assert run(["--graph", gpath, "extract", mpath, "1"]) == 3
+    assert "must be" in capsys.readouterr().err
+
+
+def test_extract_refuses_a_module_past_the_dimension_cap_before_building(tmp_path, capsys,
+                                                                       monkeypatch):
+    graph = CartanGraph(1, ())
+    # The cap itself loads; shown on a small cap, since 8,192 takes seconds.
+    with monkeypatch.context() as mp:
+        mp.setattr(pmodule, "FILE_DIM_CAP", 3)
+        for dims, code in (([3], 0), ([4], 3)):
+            gpath, mpath = _module_file(tmp_path, graph, dims, [])
+            assert run(["--graph", gpath, "extract", mpath, "1"]) == code
+    assert capsys.readouterr().out == "a = [3]\n"
+    cap = pmodule.FILE_DIM_CAP
+
+    def refuse(*args):
+        raise AssertionError("a matrix was built")
+
+    monkeypatch.setattr(Mat, "identity", staticmethod(refuse))
+    monkeypatch.setattr(Mat, "zero", staticmethod(refuse))
+    gpath, mpath = _module_file(tmp_path, graph, [cap + 1], [])
+    assert run(["--graph", gpath, "extract", mpath, "1"]) == 3
+    assert f"at most {cap}, got {cap + 1}" in capsys.readouterr().err
 
 
 def test_extract_zero_denominator_exits_3(tmp_path):

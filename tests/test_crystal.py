@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 from nilcrystal import rootsys
 from nilcrystal.crystal import (
     CONVENTION,
-    LusztigDatum,
     datum,
     transition,
     transport,
@@ -41,10 +40,9 @@ def test_datum_entries_and_word_letters_must_be_ints():
     for a in ((0.5, 0, 0), (1.0, 0, 0), (True, 0, 0)):
         with pytest.raises(ValueError, match="must be integers"):
             datum(A2, W121, a)
-    for data in ({"word": [1.9, 2.0, 1], "a": [1, 0, 0]},
-                 {"word": [1, 2, 1], "a": [1.7, 0, 0]}):
+    for word, a in (([1.9, 2.0, 1], [1, 0, 0]), ([1, 2, 1], [1.7, 0, 0])):
         with pytest.raises(ValueError, match="must be integers"):
-            LusztigDatum.from_dict(A2, data)
+            datum(A2, rootsys.WeylWord(word), a)
 
 
 def test_weight_is_mu():
@@ -124,9 +122,9 @@ def test_transport_raises_past_its_cap():
 
 def test_datum_serialization():
     d = datum(A2, W121, (1, 0, 2))
-    d2 = LusztigDatum.from_dict(A2, d.to_dict())
-    assert d2 == d
-    assert "word" in d.to_dict() and "a" in d.to_dict()
+    data = d.to_dict()
+    assert data == {"convention": CONVENTION, "word": [1, 2, 1], "a": [1, 0, 2]}
+    assert datum(A2, rootsys.WeylWord(data["word"]), data["a"]) == d
 
 
 def test_convention_string_mentions_order():

@@ -53,6 +53,7 @@ from nilcrystal.prepmod import (
     v_module,
     zero_module,
 )
+from nilcrystal.prepmod.module import FILE_DIM_CAP
 from nilcrystal.rootsys import (
     CartanGraph,
     a_n,
@@ -534,6 +535,16 @@ def test_module_serialization_roundtrip(tmp_path):
     assert is_iso(back, m)
 
 
+def test_module_files_above_1024_dimensions_round_trip(tmp_path):
+    # The file dimension cap admits large valid modules. A semisimple one on
+    # a single vertex has no arrow entries, so it loads in under a second.
+    m = semisimple(CartanGraph(1, ()), [2048], field=F)
+    assert 2048 < FILE_DIM_CAP
+    path = tmp_path / "m.json"
+    m.dump(str(path))
+    assert PModule.load(str(path)).dims == (2048,)
+
+
 def test_load_rejects_garbage(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{\"dims\": [1]}")
@@ -778,6 +789,22 @@ def test_twisted_reflection_checks_nilpotency(monkeypatch):
     for reflect in (sigma, sigma_star):
         with pytest.raises(InternalRelationFailure, match="not nilpotent"):
             reflect(1, m, twist=-1)
+
+
+@pytest.mark.parametrize("f", [F, RationalField()], ids=["prime", "rat"])
+@pytest.mark.parametrize("g", [a_n(3), d4()], ids=["A3", "D4"])
+def test_the_twist_negates_exactly_the_new_maps_at_i(g, f, monkeypatch):
+    # sigma's new maps at i are those into i, sigma_star's those out of i.
+    # With no check, every twisted result is reached, not just the valid ones.
+    monkeypatch.setattr(PModule, "validate", lambda self, **kw: None)
+    for m in veritas.random_corpus(g, 6, random.Random(30), f, max_total_dim=8):
+        for i in g.vertices():
+            for reflect, end in ((sigma, "tgt"), (sigma_star, "src")):
+                plain, twisted = reflect(i, m), reflect(i, m, twist=-1)
+                assert twisted.dims == plain.dims
+                for a in arrows_of(g):
+                    want = plain.arrow_map(a)
+                    assert twisted.arrow_map(a) == (want.neg() if getattr(a, end) == i else want)
 
 
 def _first_hom(m, n, rng):
