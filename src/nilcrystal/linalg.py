@@ -62,10 +62,6 @@ class Mat:
             ncols = len(rows[0])
         return Mat(field, nrows, ncols, [[field.of_int(x) for x in r] for r in rows])
 
-    @staticmethod
-    def col_vector(field, entries):
-        return Mat(field, len(entries), 1, [[x] for x in entries])
-
     # -- basic ops -----------------------------------------------------
 
     def __eq__(self, other):

@@ -10,8 +10,7 @@ vectors realize the beta-sequence of the word.
 import functools
 
 from ..errors import InternalRelationFailure, InvalidVertex, NoEmbeddingFound
-from ..fields import RationalField, default_field
-from ..linalg import Mat, is_invertible
+from ..fields import default_field
 from ..rootsys import CartanGraph, require_reduced, unit
 from .hom import find_injective_hom
 from .module import _GRAPH_CACHE_SIZE
@@ -39,11 +38,6 @@ def _primed_dims(g, lam):
     if any(c < 0 for c in lam):
         raise ValueError("weight must be dominant (nonnegative coefficients)")
     return (0,) * g.n + tuple(lam)
-
-
-def semisimple_primed(g, lam, field=None):
-    """The hat-graph module with multiplicity lam_i at vertex i', zero maps."""
-    return semisimple(hat_graph(g), _primed_dims(g, lam), field=field)
 
 
 @functools.lru_cache(maxsize=_REFLECTION_MEMO_SIZE)
@@ -103,11 +97,6 @@ def v_module(g, w, k, field=None):
         raise InvalidVertex(f"index k={k} outside 1..{len(w)}")
     i_k = w[k - 1]
     return n_module(g, w[:k][::-1], unit(g.n, i_k), field=field)
-
-
-def cartan_invertible(g):
-    """Whether the Cartan matrix is invertible over the rationals: finite type."""
-    return is_invertible(Mat.from_int_rows(RationalField(), g.cartan(), ncols=g.n))
 
 
 def k_minus(w, k):

@@ -20,7 +20,9 @@ passes it. A twist of -1 negates the new maps at i.
 The real functors (twist 1) preserve nilpotent modules (Baumann-Kamnitzer,
 Preprojective algebras and MV polytopes, 2012), so their results are checked
 for shapes only, and for relations in `veritas.check_reflection_contracts`;
-a twisted result gets the full check, nilpotency included.
+a twisted result gets `PModule.validate`: the relations, and nilpotency off
+finite type, since on a Dynkin graph the preprojective algebra is
+finite-dimensional (Gelfand-Ponomarev 1979) and the relations imply it.
 """
 
 from ..errors import InternalRelationFailure
@@ -80,13 +82,6 @@ def sigma(i, m, twist=1):
 def sigma_star(i, m, twist=1):
     """Backward reflection at i: new space coker(out), incoming = projection."""
     return _backward(i, m, twist)[0]
-
-
-def sigma_word(word, m, twist=1):
-    """Apply forward reflections along a word, first letter first."""
-    for i in word:
-        m = sigma(i, m, twist=twist)
-    return m
 
 
 def _on_assembly(i, f_map):

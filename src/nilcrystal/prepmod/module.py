@@ -32,13 +32,13 @@ Arrow = namedtuple("Arrow", "edge dir src tgt sign")
 
 
 # The largest total dimension a module file may give, checked before
-# anything is built. Loading tests nilpotency from a d x d identity at each
-# vertex, so a file of a few bytes with no arrow entries asks for time and
-# memory that grow with the square of its dimension: 8.4 s and 0.54 GB at
-# 8,192 on a 2-core x86-64 host. A module the program builds costs far more
-# per dimension: an A3 longest-word point of total dimension 2,000 takes
-# 17 s to build and 33 s to load there, eight and six times its cost at
-# 1,000, so the cap lies past every module the program builds in minutes.
+# anything is built. Loading checks the relations with one d x d product at
+# each vertex of dimension d, so a file of a few bytes with no arrow entries
+# asks for time and memory that grow with the square of its dimension: 9 s
+# and 0.53 GB at 8,192 on a 2-core x86-64 host, on one vertex or on affine
+# A1. A module the program builds costs far more to build than to load: an
+# A3 longest-word point of total dimension 2,000 takes 17 s to build and
+# 1.8 s to load there, so the cap lies past every module built in minutes.
 FILE_DIM_CAP = 8192
 
 # Per-graph incidence tables. CartanGraph is frozen and hashable, and a
@@ -125,29 +125,33 @@ class PModule:
         return self.in_map(i) @ self.out_map(i)
 
     def validate(self, *, _nilpotency=True):
+        """The relations at every vertex, and nilpotency off finite type only:
+        on a Dynkin graph the preprojective algebra is finite-dimensional
+        (Gelfand-Ponomarev 1979), so the relations imply nilpotency.
+        `_nilpotency=False` skips the descent on every graph."""
         for i in self.graph.vertices():
             if not self.relation_at(i).is_zero():
                 raise InternalRelationFailure(f"relation fails at vertex {i}")
-        if _nilpotency and not self.is_nilpotent():
+        if _nilpotency and not self.graph.finite_type and not self.is_nilpotent():
             raise InternalRelationFailure("module is not nilpotent")
 
     def is_nilpotent(self):
-        """Radical-series descent must reach zero within total-dim steps."""
-        spaces = [Mat.identity(self.field, d) for d in self.dims]
-        for _ in range(self.total_dim + 1):
-            if all(s.ncols == 0 for s in spaces):
-                return True
-            nxt = []
-            for i in self.graph.vertices():
-                imgs = [
-                    self.arrow_map(a) @ spaces[a.src - 1] for a in arrows_into(self.graph, i)
-                ]
-                stacked = hstack_all(self.field, imgs, self.dims[i - 1])
-                nxt.append(col_basis(stacked))
-            if [s.ncols for s in nxt] == [s.ncols for s in spaces]:
+        """Radical-series descent: J M at i is spanned by the arrow maps into
+        i, and J^(k+1) M by them on J^k M. The spaces shrink until they reach
+        zero or stop at a nonzero fixed point. `validate` runs it off finite type."""
+        g, f = self.graph, self.field
+
+        def span(image_of):
+            return [col_basis(hstack_all(f, [image_of(a) for a in arrows_into(g, i)], d))
+                    for i, d in zip(g.vertices(), self.dims)]
+
+        sizes, spaces = list(self.dims), span(self.arrow_map)
+        while any(s.ncols for s in spaces):
+            if [s.ncols for s in spaces] == sizes:
                 return False
-            spaces = nxt
-        return all(s.ncols == 0 for s in spaces)
+            sizes = [s.ncols for s in spaces]
+            spaces = span(lambda a: self.arrow_map(a) @ spaces[a.src - 1])
+        return True
 
     # -- assembled boundary maps at a vertex ---------------------------
 

@@ -58,6 +58,22 @@ class CartanGraph:
             a[v - 1][u - 1] -= 1
         return a
 
+    @functools.cached_property
+    def finite_type(self):
+        """Whether the Cartan matrix is positive definite (Dynkin type), once
+        per graph: Sylvester's criterion by Bareiss elimination, whose k-th
+        pivot is the k-th leading principal minor while the earlier ones are
+        positive."""
+        a, prev = self.cartan(), 1
+        for k in range(self.n):
+            if a[k][k] <= 0:
+                return False
+            for i in range(k + 1, self.n):
+                for j in range(k + 1, self.n):
+                    a[i][j] = (a[k][k] * a[i][j] - a[i][k] * a[k][j]) // prev
+            prev = a[k][k]
+        return True
+
     def vertices(self):
         return range(1, self.n + 1)
 

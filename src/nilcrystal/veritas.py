@@ -42,7 +42,7 @@ from .prepmod import (
     v_module,
     zero_module,
 )
-from .prepmod.families import _reflected, cartan_invertible
+from .prepmod.families import _reflected
 from .rootsys import (
     all_reduced_words_upto,
     apply_word_to_weight,
@@ -149,8 +149,8 @@ def random_corpus(g, size, rng, fld, max_total_dim=12):
                 mults[rng.randrange(g.n)] += 1
             layer = semisimple(g, mults, field=fld)
             x = random_extension(x, layer, rng)
-        # The corpus is a trust boundary, so each module gets the relation
-        # and nilpotency checks that random_extension leaves out.
+        # The corpus is a trust boundary, so each module gets the checks that
+        # random_extension leaves out: relations, and nilpotency off finite type.
         x.validate()
         out.append(x)
     return out
@@ -342,7 +342,6 @@ def check_modules(g, maxlen, rng=None, fld=None, socle_chain_oracle=False):
                 injectives[i] = injective_module(g, i, fld)
             except (InternalRelationFailure, CapExceeded) as exc:
                 _fail("injectives", vertex=i, error=str(exc))
-        finite_type = cartan_invertible(g)
         cartan = g.cartan()
         by_len = all_reduced_words_upto(g, maxlen)
         for k in range(1, maxlen + 1):
@@ -357,10 +356,10 @@ def check_modules(g, maxlen, rng=None, fld=None, socle_chain_oracle=False):
                     if not any(drop):
                         continue
                     nm = n_module(g, rev, lam, fld)
-                    # A is symmetric and invertible on finite type, so this
-                    # says that nm.dims is the root of the weight drop.
+                    # C . dim N = lam - w lam in weight coordinates, on every
+                    # symmetric Kac-Moody type, finite or not.
                     a_dims = tuple(sum(a * d for a, d in zip(row, nm.dims)) for row in cartan)
-                    if finite_type and a_dims != drop:
+                    if a_dims != drop:
                         _fail("n-dims", word=word, i=i)
                     if socle_dims(nm) != lam:
                         _fail("n-socle", word=word, i=i)

@@ -434,8 +434,8 @@ def test_kernel_vector_is_the_nullspace_combination(f):
             assert seen == [free]  # the free columns, ascending, asked for once
             assert len(xs) == count
             for x, c in zip(xs, coeffs):
-                assert x == [r[0] for r in (ns @ Mat.col_vector(f, c)).rows]
-                assert all(v == f.zero for r in (m @ Mat.col_vector(f, x)).rows for v in r)
+                assert x == [r[0] for r in (ns @ Mat(f, len(c), 1, [[y] for y in c])).rows]
+                assert (m @ Mat(f, len(x), 1, [[y] for y in x])).is_zero()
 
 
 @pytest.mark.parametrize("f", FIELDS)
@@ -452,7 +452,7 @@ def test_kernel_vectors_pull_one_list_of_free_values_per_vector(f):
     assert pulled == []  # nothing is eliminated or drawn before it is asked for
     first = next(xs)
     assert len(pulled) == 1
-    assert first == [r[0] for r in (nullspace(m)[0] @ Mat.col_vector(f, [1, 1])).rows]
+    assert first == [r[0] for r in (nullspace(m)[0] @ Mat(f, 2, 1, [[1], [1]])).rows]
     next(xs)
     assert len(pulled) == 2
 
@@ -631,7 +631,7 @@ def test_block_system_matches_scalar_loops(f):
                 for t in terms:
                     x = f.add(x, t.rows[r][c])
                 sums.append(x)
-    assert (system @ Mat.col_vector(f, vec)).rows == [[x] for x in sums]
+    assert (system @ Mat(f, len(vec), 1, [[y] for y in vec])).rows == [[x] for x in sums]
 
 
 # sha256 of the JSON of one stratum sample over each field; the values were

@@ -11,12 +11,13 @@ from nilcrystal.errors import (
     NotInGenericStratum,
 )
 from nilcrystal.fields import PrimeField, RationalField, default_field
-from nilcrystal.linalg import Mat, cokernel, nullspace
+from nilcrystal.linalg import Mat, cokernel, col_basis, hstack_all, nullspace
 from nilcrystal.prepmod import families
 from nilcrystal.prepmod import (
     ModuleMap,
     PModule,
     Submodule,
+    arrows_into,
     arrows_of,
     arrows_out_of,
     build_filtered,
@@ -44,7 +45,6 @@ from nilcrystal.prepmod import (
     sigma_on_map,
     sigma_star,
     sigma_star_on_map,
-    sigma_word,
     simple,
     soc_chain,
     soc_i,
@@ -232,8 +232,6 @@ def test_sigma_star_kills_simple_at_vertex():
 def test_sigma_composition_example():
     m = sigma(2, sigma(1, simple(A2, 2, field=F)))
     assert is_iso(m, simple(A2, 1, field=F))
-    same = sigma_word((1, 2), simple(A2, 2, field=F))
-    assert is_iso(m, same)
 
 
 def test_sigma_star_inverts_sigma_on_trivial_top():
@@ -588,6 +586,12 @@ def _same_module(a, b):
     return a.graph == b.graph and a.dims == b.dims and a.maps == b.maps
 
 
+def _reflect_along(word, m):
+    for i in word:
+        m = sigma(i, m)
+    return m
+
+
 @pytest.mark.parametrize("g, maxlen", [(A3, 4), (d4(), 3)], ids=["A3", "D4"])
 def test_reflection_memo_matches_direct_reflection(g, maxlen):
     families._reflected.cache_clear()
@@ -595,11 +599,12 @@ def test_reflection_memo_matches_direct_reflection(g, maxlen):
     for w in words:
         for k in range(1, len(w) + 1):
             rev = w[: k - 1][::-1]
-            direct = sigma_word(rev, simple(g, w[k - 1], field=F))
+            direct = _reflect_along(rev, simple(g, w[k - 1], field=F))
             assert _same_module(m_module(g, w, k, route="reflection", field=F), direct)
         for i in g.vertices():
             lam = unit(g.n, i)
-            direct = sigma_word(w, families.semisimple_primed(g, lam, field=F))
+            primed = semisimple(families.hat_graph(g), (0,) * g.n + lam, field=F)
+            direct = _reflect_along(w, primed)
             assert _same_module(n_hat(g, w, lam, field=F), direct)
     assert families._reflected.cache_info().hits > 0
 
@@ -782,13 +787,68 @@ def test_round_trip_checks_no_nilpotency(monkeypatch):
 
 
 def test_twisted_reflection_checks_nilpotency(monkeypatch):
-    # The twisted maps are not a functor, so only its results get the check.
+    # The twisted maps are not a functor, so only its results get the check:
+    # the relations, and nilpotency off finite type, where they do not imply it.
+    for reflect in (sigma, sigma_star):
+        with pytest.raises(InternalRelationFailure, match="relation fails"):
+            reflect(1, veritas.cross_witness(A3, F), twist=-1)
     monkeypatch.setattr(PModule, "is_nilpotent", lambda self: False)
-    m = simple(A3, 2, field=F)
-    assert sigma(1, m).dims == sigma_star(1, m).dims == (1, 1, 0)
+    assert sigma(1, simple(A3, 2, field=F), twist=-1).dims == (1, 1, 0)
+    m = simple(affine_a1(), 2, field=F)
+    assert sigma(1, m).dims == sigma_star(1, m).dims == (2, 1)
     for reflect in (sigma, sigma_star):
         with pytest.raises(InternalRelationFailure, match="not nilpotent"):
             reflect(1, m, twist=-1)
+
+
+@pytest.mark.parametrize("g, w", [(A3, (1, 2, 1, 3, 2, 1)), (d4(), (2, 1, 3, 2, 4))],
+                         ids=["A3", "D4"])
+def test_finite_type_validation_runs_no_descent(g, w, monkeypatch):
+    # On a Dynkin graph the relations imply nilpotency (Gelfand-Ponomarev).
+    x = build_filtered(g, w, (1,) * len(w), random.Random(3), field=F)
+    calls = []
+    monkeypatch.setattr(PModule, "is_nilpotent", lambda self: calls.append(self))
+    monkeypatch.setattr(Mat, "identity", staticmethod(lambda f, n: calls.append(n)))
+    assert _same_module(PModule.from_dict(x.to_dict()), x)
+    assert len(veritas.random_corpus(g, 6, random.Random(4), F)) == 6
+    assert calls == []
+
+
+def test_validate_runs_the_descent_off_finite_type(monkeypatch):
+    calls = []
+    real = PModule.is_nilpotent
+    monkeypatch.setattr(PModule, "is_nilpotent", lambda self: calls.append(1) or real(self))
+    corpus = veritas.random_corpus(affine_a1(), 4, random.Random(8), F)
+    PModule.from_dict(corpus[0].to_dict())
+    assert len(calls) == 5
+
+
+def _descent_from_identities(m):
+    """The radical-series descent started from d x d identities: the reference."""
+    spaces = [Mat.identity(m.field, d) for d in m.dims]
+    for _ in range(m.total_dim + 1):
+        if all(s.ncols == 0 for s in spaces):
+            return True
+        nxt = []
+        for i in m.graph.vertices():
+            imgs = [m.arrow_map(a) @ spaces[a.src - 1] for a in arrows_into(m.graph, i)]
+            nxt.append(col_basis(hstack_all(m.field, imgs, m.dim_at(i))))
+        if [s.ncols for s in nxt] == [s.ncols for s in spaces]:
+            return False
+        spaces = nxt
+    return all(s.ncols == 0 for s in spaces)
+
+
+def test_descent_from_the_arrow_maps_gives_the_same_answer():
+    g, one = affine_a1(), F.one
+    cycle = PModule(g, F, [1, 1], {(0, 1): Mat(F, 1, 1, [[one]]), (0, -1): Mat(F, 1, 1, [[one]]),
+                                   (1, 1): Mat(F, 1, 1, [[one]]),
+                                   (1, -1): Mat(F, 1, 1, [[F.neg(one)]])}, check=False)
+    corpus = veritas.random_corpus(g, 12, random.Random(9), F)
+    mods = corpus + [cycle, zero_module(g, F)] + [direct_sum(cycle, m) for m in corpus[:4]]
+    answers = [m.is_nilpotent() for m in mods]
+    assert answers == [_descent_from_identities(m) for m in mods]
+    assert answers == [True] * 12 + [False, True] + [False] * 4
 
 
 @pytest.mark.parametrize("f", [F, RationalField()], ids=["prime", "rat"])

@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import pytest
@@ -33,6 +34,29 @@ def test_a2_cartan():
 def test_affine_a1_cartan():
     g = affine_a1()
     assert [list(r) for r in g.cartan()] == [[2, -2], [-2, 2]]
+
+
+def _e(n):
+    # Bourbaki labels: the chain 1 - 3 - 4 - ... - n, with 2 joined to 4.
+    return CartanGraph(n, ((1, 3), (3, 4), (2, 4)) + tuple((i, i + 1) for i in range(4, n)))
+
+
+def test_finite_type_table(monkeypatch):
+    dynkin = [a_n(k) for k in range(1, 6)] + [
+        d4(), CartanGraph(5, ((1, 2), (2, 3), (3, 4), (3, 5))), _e(6), _e(7), _e(8)]
+    k4 = CartanGraph(4, tuple(itertools.combinations(range(1, 5), 2)))
+    # K4's Cartan matrix 3I - J is invertible (eigenvalues 3, 3, 3, -1) but indefinite.
+    others = [affine_a1(), CartanGraph(3, ((1, 2), (2, 3), (1, 3))), k4,
+              CartanGraph(5, ((1, 5), (2, 5), (3, 5), (4, 5)))]
+    assert [g.finite_type for g in dynkin] == [True] * 10
+    assert [g.finite_type for g in others] == [False] * 4
+    # Computed once per graph.
+    calls = []
+    real = CartanGraph.cartan
+    monkeypatch.setattr(CartanGraph, "cartan", lambda g: calls.append(g) or real(g))
+    g = a_n(4)
+    assert g.finite_type and g.finite_type
+    assert calls == [g]
 
 
 def test_d4_shape():

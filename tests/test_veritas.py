@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import random
 
@@ -7,8 +8,8 @@ import pytest
 from nilcrystal import veritas
 from nilcrystal.errors import NotInGenericStratum
 from nilcrystal.fields import RationalField, default_field
-from nilcrystal.prepmod import functors
-from nilcrystal.rootsys import a_n, affine_a1, all_reduced_words_upto, braid_moves, d4
+from nilcrystal.prepmod import direct_sum, functors, simple
+from nilcrystal.rootsys import CartanGraph, a_n, affine_a1, all_reduced_words_upto, braid_moves, d4
 
 
 def test_derive_seed_deterministic():
@@ -84,12 +85,6 @@ def test_write_reports(tmp_path):
     lines = cp.read_text().strip().splitlines()
     assert lines[0] == "check_id,outcome,wall_time" and len(lines) == 2
     assert lines[1].startswith("reflection-contracts,probabilistic-pass,")
-
-
-def test_cartan_invertible():
-    assert not veritas.cartan_invertible(affine_a1())
-    assert veritas.cartan_invertible(a_n(3))
-    assert veritas.cartan_invertible(d4())
 
 
 def _always_missing(*args, **kwargs):
@@ -357,9 +352,15 @@ def test_every_check_that_did_no_work_is_a_vacuous_pass_that_says_why():
     assert reports[5].confidence is None
 
 
-def test_modules_checks_the_cartan_matrix_once(monkeypatch):
-    calls = []
-    real = veritas.cartan_invertible
-    monkeypatch.setattr(veritas, "cartan_invertible", lambda g: calls.append(g) or real(g))
-    assert veritas.check_modules(a_n(3), 3, rng=random.Random(2)).passed
-    assert calls == [a_n(3)]
+def test_modules_checks_n_dims_off_finite_type(monkeypatch):
+    # C . dim N = lam - w lam holds on every symmetric Kac-Moody type.
+    tilde_a2 = CartanGraph(3, ((1, 2), (2, 3), (1, 3)))
+    k4 = CartanGraph(4, tuple(itertools.combinations(range(1, 5), 2)))
+    for g, maxlen in ((affine_a1(), 6), (tilde_a2, 5), (k4, 4)):
+        assert veritas.check_modules(g, maxlen, rng=random.Random(7)).passed
+    # A quotient-family module with one extra simple fails the law first.
+    real = veritas.n_module
+    monkeypatch.setattr(veritas, "n_module", lambda g, w, lam, fld: direct_sum(
+        real(g, w, lam, fld), simple(g, 1, field=fld)))
+    r = veritas.check_modules(affine_a1(), 2, rng=random.Random(7))
+    assert r.witness["kind"] == "n-dims"
