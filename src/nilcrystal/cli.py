@@ -232,7 +232,6 @@ def cmd_verify(args, g, fld):
                     veritas.check_transitions(g, w, args.bound, rng, fld=fld,
                                               samples=args.samples)
                 )
-    has_witness = veritas.cross_witness(g, fld) is not None
     payload = {
         "config": _config_dict(args),
         "note": "operational consequences are verified; the underlying "
@@ -252,15 +251,10 @@ def cmd_verify(args, g, fld):
         if r.outcome == "vacuous-pass":  # passed, with the reason it checked nothing
             marker = f"VACUOUS ({r.details['warning']})"
         elif r.check_id == "reflection-contracts-mutated":
-            # The flipped sign convention must break on any graph with a
-            # vertex of in-degree two; on smaller graphs both signs agree.
-            if not r.passed:
-                marker = "PASS (mutation detected)"
-            elif not has_witness:
-                marker = "PASS (no sign witness on this graph)"
-            else:
-                marker = "FAIL (mutation not detected)"
-                ok = False
+            # The flipped sign convention must break the cross witness; a
+            # graph with no witness gave a vacuous pass above.
+            marker = "FAIL (mutation not detected)" if r.passed else "PASS (mutation detected)"
+            ok = ok and not r.passed
         else:
             marker = "PASS" if r.passed else "FAIL"
             ok = ok and r.passed

@@ -99,26 +99,6 @@ class Mat:
     def __matmul__(self, other):
         return self.mul(other)
 
-    def hstack(self, other):
-        if self.nrows != other.nrows:
-            raise ValueError("row count mismatch in hstack")
-        return Mat(
-            self.field,
-            self.nrows,
-            self.ncols + other.ncols,
-            [ra + rb for ra, rb in zip(self.rows, other.rows)],
-        )
-
-    def vstack(self, other):
-        if self.ncols != other.ncols:
-            raise ValueError("column count mismatch in vstack")
-        return Mat(
-            self.field,
-            self.nrows + other.nrows,
-            self.ncols,
-            [list(r) for r in self.rows] + [list(r) for r in other.rows],
-        )
-
     def cols(self, indices):
         return Mat(
             self.field,
@@ -297,7 +277,7 @@ def solve(a, b):
     if a.nrows != b.nrows:
         raise ValueError("shape mismatch in solve")
     f = a.field
-    R, pivots = rref(a.hstack(b))
+    R, pivots = rref(hstack_all(f, [a, b], a.nrows))
     if any(p >= a.ncols for p in pivots):  # a pivot in the b-block: inconsistent
         return None
     by_pivot = dict(zip(pivots, R.rows))

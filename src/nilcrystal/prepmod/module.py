@@ -33,12 +33,15 @@ Arrow = namedtuple("Arrow", "edge dir src tgt sign")
 
 # The largest total dimension a module file may give, checked before
 # anything is built. Loading checks the relations with one d x d product at
-# each vertex of dimension d, so a file of a few bytes with no arrow entries
-# asks for time and memory that grow with the square of its dimension: 9 s
-# and 0.53 GB at 8,192 on a 2-core x86-64 host, on one vertex or on affine
-# A1. A module the program builds costs far more to build than to load: an
-# A3 longest-word point of total dimension 2,000 takes 17 s to build and
-# 1.8 s to load there, so the cap lies past every module built in minutes.
+# each vertex of dimension d whose incoming assembly has columns; a vertex
+# with none has a zero relation by shape and forms no product, so a file
+# with no arrow entries loads at once (6 ms at 8,192 on one vertex). Two
+# entries per unit of dimension suffice for the product: an 82 kB file on
+# A2 with dims (8,191, 1) and zero maps takes 7 s and 0.54 GB to load on a
+# 2-core x86-64 host. A module the program builds costs far more to build
+# than to load: an A3 longest-word point of total dimension 2,000 takes 17 s
+# to build and 1.8 s to load there, so the cap lies past every module built
+# in minutes.
 FILE_DIM_CAP = 8192
 
 # Per-graph incidence tables. CartanGraph is frozen and hashable, and a
@@ -84,7 +87,7 @@ class PModule:
     `maps` is keyed by (edge_index, direction); a missing arrow gets the
     zero map. Shapes are always checked. `check=False` skips the relations
     and nilpotency, for a module made by an operation that keeps both: the
-    twist-1 functors, `random_extension`, quotients, submodules and
+    reflection functors, `random_extension`, quotients, submodules and
     restrictions.
     """
 
@@ -128,9 +131,11 @@ class PModule:
         """The relations at every vertex, and nilpotency off finite type only:
         on a Dynkin graph the preprojective algebra is finite-dimensional
         (Gelfand-Ponomarev 1979), so the relations imply nilpotency.
-        `_nilpotency=False` skips the descent on every graph."""
+        `_nilpotency=False` skips the descent on every graph. A vertex whose
+        incoming assembly has no columns has a zero relation by shape, so no
+        product is formed there."""
         for i in self.graph.vertices():
-            if not self.relation_at(i).is_zero():
+            if self.in_map(i).ncols and not self.relation_at(i).is_zero():
                 raise InternalRelationFailure(f"relation fails at vertex {i}")
         if _nilpotency and not self.graph.finite_type and not self.is_nilpotent():
             raise InternalRelationFailure("module is not nilpotent")

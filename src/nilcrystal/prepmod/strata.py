@@ -97,9 +97,9 @@ def random_extension(sub, quot, rng, copies=1):
 def extension_maps(sub, x, quot):
     """The inclusion sub -> x and the projection x -> quot of an extension
     made by `random_extension`, whose spaces put sub's block first."""
-    f, pieces = sub.field, list(zip(sub.dims, quot.dims))
-    incl = [Mat.identity(f, s).vstack(Mat.zero(f, q, s)) for s, q in pieces]
-    proj = [Mat.zero(f, q, s).hstack(Mat.identity(f, q)) for s, q in pieces]
+    ones = [Mat.identity(sub.field, s + q) for s, q in zip(sub.dims, quot.dims)]
+    incl = [e.cols(range(s)) for e, s in zip(ones, sub.dims)]
+    proj = [e.rows_at(range(s, e.nrows)) for e, s in zip(ones, sub.dims)]
     return ModuleMap(sub, x, incl, check=False), ModuleMap(x, quot, proj, check=False)
 
 

@@ -99,7 +99,8 @@ def cross_witness(g, fld):
 
     Such a composite is exactly what the flipped sign convention cannot
     preserve, so this module makes the mutation self-test deterministic.
-    Returns None when no vertex has two incoming arrows (e.g. one edge).
+    Returns None when no vertex is fed from two different vertices (e.g.
+    one edge, or parallel edges only).
     """
     a1 = a2 = None
     for c in g.vertices():
@@ -205,8 +206,7 @@ def check_reflection_contracts(g, corpus_size, rng, fld=None, twist=1):
 
     Families: exactness on one-sided-trivial modules, the two functorial
     short exact sequences, the single-edge braid isomorphism, and the
-    dimension-vector reflection law. With twist=-1 the flipped sign
-    convention must fail its self-checks (mutation mode).
+    dimension-vector reflection law.
 
     Each module is reflected forward once per vertex: sigma(i, m) of the
     module under test is kept for the functor on the inclusion and for the
@@ -214,6 +214,14 @@ def check_reflection_contracts(g, corpus_size, rng, fld=None, twist=1):
     projection's reflected source, so the extension x and its quotient are
     reflected once each. The functors draw nothing, so sharing changes no
     result.
+
+    With twist=-1 (mutation mode) the flipped sign convention must break
+    the relations: at each vertex i in turn, the cross witness is reflected
+    by sigma and by sigma_star, the new maps at i (into i after sigma, out
+    of i after sigma_star) are negated, and each result gets the full
+    `PModule` check. The first break fails the check as a construction
+    error; with no witness the check is vacuous, since on such a graph both
+    signs build valid modules.
     """
     fld = fld or default_field()
     params = {
@@ -228,11 +236,28 @@ def check_reflection_contracts(g, corpus_size, rng, fld=None, twist=1):
             return "empty corpus"
         if not g.n:
             return "graph has no vertices"
+        witness_mod = cross_witness(g, fld)
+        if twist != 1:
+            if witness_mod is None:
+                return "no sign witness on this graph"
+            details["contracts_checked"] = 0
+            for i in g.vertices():
+                for which, reflect, end in (("forward", sigma, "tgt"),
+                                            ("backward", sigma_star, "src")):
+                    sm = reflect(i, witness_mod)
+                    maps = {(a.edge, a.dir): sm.arrow_map(a).neg() if getattr(a, end) == i
+                            else sm.arrow_map(a) for a in arrows_of(g)}
+                    try:
+                        PModule(g, fld, sm.dims, maps)
+                    except InternalRelationFailure as exc:
+                        _fail("construction", module=witness_mod.to_dict(),
+                              extra=f"{which} reflection at {i} broke relations: {exc}")
+                details["contracts_checked"] += 1
+            return None
         try:
             corpus = random_corpus(g, corpus_size, rng, fld)
         except InternalRelationFailure as exc:
             _fail("corpus", error=str(exc))
-        witness_mod = cross_witness(g, fld)
         if witness_mod is not None:
             corpus.insert(0, witness_mod)
         details["contracts_checked"] = 0
@@ -244,8 +269,8 @@ def check_reflection_contracts(g, corpus_size, rng, fld=None, twist=1):
             reflected = {}  # sigma(i, m) by vertex, for this module only
             for i in g.vertices():
                 try:
-                    sm = reflected[i] = sigma(i, m, twist=twist)
-                    ssm = sigma_star(i, m, twist=twist)
+                    sm = reflected[i] = sigma(i, m)
+                    ssm = sigma_star(i, m)
                     # The functors check only shapes: the relations are checked here.
                     sm.validate(_nilpotency=False)
                     ssm.validate(_nilpotency=False)
@@ -262,14 +287,14 @@ def check_reflection_contracts(g, corpus_size, rng, fld=None, twist=1):
                 # Functorial sequences: surjection onto forward-of-backward with
                 # kernel the socle part; injection of backward-of-forward with
                 # cokernel the top part.
-                fwd_bwd = sigma(i, ssm, twist=twist)
+                fwd_bwd = sigma(i, ssm)
                 surj = find_surjective_hom(m, fwd_bwd, rng=rng)
                 if surj is None:
                     fail("no-surjection", {"vertex": i})
                 ker = surj.kernel()
                 if ker.dims() != soc.dims():
                     fail("kernel-not-socle", {"vertex": i, "kernel": ker.dims()})
-                bwd_fwd = sigma_star(i, sm, twist=twist)
+                bwd_fwd = sigma_star(i, sm)
                 if find_injective_hom(bwd_fwd, m, rng=rng) is None:
                     fail("no-injection", {"vertex": i})
                 codim = m.total_dim - bwd_fwd.total_dim
@@ -284,8 +309,8 @@ def check_reflection_contracts(g, corpus_size, rng, fld=None, twist=1):
                 x = random_extension(m, quot, rng)
                 incl, proj = extension_maps(m, x, quot)
                 try:
-                    s_incl = sigma_on_map(i, incl, twist=twist, source=reflected[i])
-                    s_proj = sigma_on_map(i, proj, twist=twist, source=s_incl.target)
+                    s_incl = sigma_on_map(i, incl, source=reflected[i])
+                    s_proj = sigma_on_map(i, proj, source=s_incl.target)
                 except (InternalRelationFailure, ValueError) as exc:
                     fail("functor-on-map", str(exc))
                 details["contracts_checked"] += 1
@@ -295,7 +320,7 @@ def check_reflection_contracts(g, corpus_size, rng, fld=None, twist=1):
                 if s_proj.kernel().dims() != s_incl.image().dims():
                     fail("left-exactness-middle", {"vertex": i})
                 try:
-                    ss_proj = sigma_star_on_map(i, proj, twist=twist)
+                    ss_proj = sigma_star_on_map(i, proj)
                 except (InternalRelationFailure, ValueError) as exc:
                     fail("functor-on-map", str(exc))
                 if not ss_proj.is_surjective():
@@ -304,8 +329,8 @@ def check_reflection_contracts(g, corpus_size, rng, fld=None, twist=1):
             for (u, v) in {frozenset(e) for e in g.edges}:
                 if g.edge_count(u, v) != 1:
                     continue
-                lhs = sigma(u, sigma(v, reflected[u], twist=twist), twist=twist)
-                rhs = sigma(v, sigma(u, reflected[v], twist=twist), twist=twist)
+                lhs = sigma(u, sigma(v, reflected[u]))
+                rhs = sigma(v, sigma(u, reflected[v]))
                 details["contracts_checked"] += 1
                 if not is_iso(lhs, rhs, rng=rng):
                     fail("braid-iso", {"pair": [u, v]})

@@ -285,6 +285,19 @@ def test_verify_summary_calls_contracts_on_a_graph_without_vertices_vacuous(tmp_
     ]
 
 
+@pytest.mark.parametrize("graph", ["a2.json", "affine_a1.json"])
+def test_verify_summary_calls_a_graph_without_a_sign_witness_vacuous(capsys, graph):
+    # No vertex is fed from two places, so both signs build valid modules.
+    code = run(["--graph", str(GRAPHS / graph), "--no-timestamp",
+                "verify", "reflection-contracts", "--corpus", "2"])
+    assert code == 0
+    err = capsys.readouterr().err.splitlines()
+    assert [line.rsplit(" (", 1)[0] for line in err] == [
+        "reflection-contracts: PASS",
+        "reflection-contracts-mutated: VACUOUS (no sign witness on this graph)",
+    ]
+
+
 def test_verify_summary_fails_a_mutated_run_that_passes(monkeypatch, capsys):
     # A mutated run that checks contracts and passes them missed the mutation.
     real = veritas.check_reflection_contracts

@@ -93,14 +93,14 @@ def test_cokernel_projects_onto_a_unit_complement(f):
         assert (p @ b).is_zero()
         assert p.cols(units) == Mat.identity(f, n - r)
         # The unit vectors at units complete the column basis of b.
-        assert rank(col_basis(b).hstack(Mat.identity(f, n).cols(units))) == n
+        assert rank(hstack_all(f, [col_basis(b), Mat.identity(f, n).cols(units)], n)) == n
 
 
 def cokernel_of_b_with_identity(b):
     """The cokernel read off the RREF of [b | I]: its pivots in the I-block
     are the units, and the I-block of the rows below b's r pivots is P."""
     f, n, k = b.field, b.nrows, b.ncols
-    R, pivots = rref(b.hstack(Mat.identity(f, n)))
+    R, pivots = rref(hstack_all(f, [b, Mat.identity(f, n)], n))
     r = sum(p < k for p in pivots)
     return [p - k for p in pivots[r:]], Mat(f, n - r, n, [row[k:] for row in R.rows[r:]])
 
@@ -120,8 +120,9 @@ def test_cokernel_units_are_the_greedy_completion_from_the_first_index(f):
         units, p = cokernel(b)
         e = Mat.identity(f, b.nrows)
         for j in range(b.nrows):
-            before = b.hstack(e.cols([u for u in units if u < j]))
-            assert (j in units) == (rank(before.hstack(e.cols([j]))) > rank(before))
+            before = hstack_all(f, [b, e.cols([u for u in units if u < j])], b.nrows)
+            assert (j in units) == (rank(hstack_all(f, [before, e.cols([j])], b.nrows))
+                                    > rank(before))
         assert (units, p) == cokernel_of_b_with_identity(b)
 
 
@@ -242,7 +243,7 @@ def ref_nullspace(m):
 
 def ref_solve(a, b):
     f = a.field
-    rows, pivots = ref_rref(a.hstack(b))
+    rows, pivots = ref_rref(hstack_all(f, [a, b], a.nrows))
     if any(p >= a.ncols for p in pivots):
         return None
     x = [[f.zero] * b.ncols for _ in range(a.ncols)]
@@ -542,14 +543,14 @@ def test_stacks_match_pairwise_stacking():
     blocks = [rand_mat(f, 3, w, rng) for w in widths]
     folded = Mat(f, 3, 0, [[], [], []])
     for b in blocks:
-        folded = folded.hstack(b)
+        folded = hstack_all(f, [folded, b], 3)
     assert hstack_all(f, blocks, 3) == folded
     assert hstack_all(f, [], 3) == Mat(f, 3, 0, [[], [], []])
     assert hstack_all(f, [rand_mat(f, 0, w, rng) for w in widths], 0).ncols == 6
     tall = [b.transpose() for b in blocks]
     folded = Mat(f, 0, 3, [])
     for b in tall:
-        folded = folded.vstack(b)
+        folded = vstack_all(f, [folded, b], 3)
     assert vstack_all(f, tall, 3) == folded
     assert vstack_all(f, [], 2) == Mat(f, 0, 2, [])
     assert vstack_all(f, [rand_mat(f, 2, 0, rng)] * 2, 0) == Mat(f, 4, 0, [[]] * 4)
@@ -566,8 +567,9 @@ def test_block_diag_matches_pairwise_stacking():
     blocks = [rand_mat(f, r, c, rng) for r, c in shapes]
     folded = Mat(f, 0, 0, [])
     for b in blocks:
-        top = folded.hstack(Mat.zero(f, folded.nrows, b.ncols))
-        folded = top.vstack(Mat.zero(f, b.nrows, folded.ncols).hstack(b))
+        top = hstack_all(f, [folded, Mat.zero(f, folded.nrows, b.ncols)], folded.nrows)
+        bottom = hstack_all(f, [Mat.zero(f, b.nrows, folded.ncols), b], b.nrows)
+        folded = vstack_all(f, [top, bottom], top.ncols)
     assert (folded.nrows, folded.ncols) == (5, 7)
     assert block_diag(f, blocks) == folded
     assert block_diag(f, []) == Mat(f, 0, 0, [])

@@ -47,6 +47,45 @@ def test_reflection_contracts_mutated_fails_with_witness():
     assert r.check_id == "reflection-contracts-mutated"
 
 
+# Graphs with no vertex fed from two places, so no cross witness: on them
+# both sign conventions build valid modules.
+NO_WITNESS = {
+    "A1": a_n(1),
+    "A2": a_n(2),
+    "affA1": affine_a1(),
+    "Kronecker3": CartanGraph(2, ((1, 2),) * 3),
+    "A2+A1": CartanGraph(3, ((1, 2),)),
+}
+
+
+@pytest.mark.parametrize("fld", [default_field(), RationalField()], ids=["prime", "rat"])
+@pytest.mark.parametrize("g", list(NO_WITNESS.values()), ids=list(NO_WITNESS))
+def test_sign_mutation_without_a_witness_is_vacuous(g, fld):
+    assert veritas.cross_witness(g, fld) is None
+    r = veritas.check_reflection_contracts(g, 5, random.Random(0), fld=fld, twist=-1)
+    assert r.check_id == "reflection-contracts-mutated"
+    assert r.outcome == "vacuous-pass" and r.confidence is None
+    assert r.details == {"warning": "no sign witness on this graph"}
+
+
+def test_sign_mutation_fails_off_finite_type_and_draws_nothing():
+    # Affine A2 has a witness but is not of finite type; the mutation reflects
+    # the witness alone, so it draws no corpus.
+    g, fld = CartanGraph(3, ((1, 2), (2, 3), (1, 3))), RationalField()
+    assert not g.finite_type
+    rng = random.Random(5)
+    state = rng.getstate()
+    r = veritas.check_reflection_contracts(g, 5, rng, fld=fld, twist=-1)
+    assert r.outcome == "fail"
+    assert r.witness == {
+        "kind": "construction",
+        "module": veritas.cross_witness(g, fld).to_dict(),
+        "extra": "forward reflection at 2 broke relations: relation fails at vertex 1",
+    }
+    assert r.details == {"contracts_checked": 1}
+    assert rng.getstate() == state
+
+
 def test_modules_small():
     r = veritas.check_modules(a_n(2), 3, rng=random.Random(2),
                               socle_chain_oracle=True)
@@ -175,9 +214,9 @@ def test_reflection_contracts_reflect_each_module_once_per_vertex(monkeypatch, g
     calls = []
     real = functors._forward
 
-    def counted(i, m, twist):
+    def counted(i, m):
         calls.append((i, m))
-        return real(i, m, twist)
+        return real(i, m)
 
     monkeypatch.setattr(functors, "_forward", counted)
     r = veritas.check_reflection_contracts(g, 5, random.Random(7), fld=fld)
