@@ -4,21 +4,22 @@ Elements are plain Python objects, so matrices are nested lists and all
 arithmetic stays exact: ints reduced mod p, or rationals, each an int when
 integral and else a Fraction (Fraction(3) == 3, with equal hashes).
 Besides the constants `zero` and `one` and the scalar operations, each
-field supplies the whole-vector kernels `matmul` and `dot`, and the steps
-of the shared elimination in `linalg` (`elim_rows`, `elim_pivot`,
-`elim_reduce`, `elim_result`) on rows of ints. `matmul` takes the rows of
-A and of B. Over F_p a row of A sums the nonzero entries of B's rows at
-its nonzero entries, and a pivot row passes on only its nonzero entries,
-so a reduce step touches only their columns. Over the rationals, a product
-or a dot product puts each vector over its own common denominator and
-divides each sum by theirs; the elimination clears each row to integers,
-reduces fraction-free, and divides each pivot row by its pivot once, at
-the end.
+field supplies `random(rng, k)`: k draws in one call, the values of k calls
+of rng.randrange(sample_size). It supplies the whole-row kernels `matmul`,
+`dot` and `neg_rows` (which reduces over F_p), and the steps of the shared
+elimination in `linalg` (`elim_rows`, `elim_pivot`, `elim_reduce`,
+`elim_result`) on rows of ints. `matmul` takes the rows of A and of B.
+Over F_p a row of A sums the nonzero entries of B's rows at its nonzero
+entries, and a pivot row passes on only its nonzero entries, so a reduce
+step touches only their columns. Over the rationals, a product or a dot
+product puts each vector over its own common denominator and divides each
+sum by theirs; the elimination clears each row to integers, reduces
+fraction-free, and divides each pivot row by its pivot once, at the end.
 """
 
 import functools
 from fractions import Fraction
-from itertools import compress
+from itertools import compress, repeat
 from math import gcd, lcm
 from operator import mul
 
@@ -58,6 +59,16 @@ def is_probable_prime(n):
         else:
             return False
     return True
+
+
+def _random(field, rng, k):
+    """k values of rng.randrange(q), q the field's sample_size, drawn as
+    CPython draws each: getrandbits(q.bit_length()), redrawn while >= q. The
+    first k values below q are kept, so a batch draws only the shortfall."""
+    q, out = field.sample_size, []
+    while len(out) < k:
+        out += filter(q.__gt__, map(rng.getrandbits, repeat(q.bit_length(), k - len(out))))
+    return out
 
 
 class PrimeField:
@@ -101,6 +112,10 @@ class PrimeField:
     def dot(self, xs, ys):
         return sum(map(mul, xs, ys)) % self.p
 
+    def neg_rows(self, rows):
+        p = self.p
+        return [[-x % p for x in r] for r in rows]
+
     def matmul(self, a_rows, b_rows):
         """Rows of A @ B from the rows of A and B, each entry reduced once."""
         p, width = self.p, len(b_rows[0])
@@ -141,8 +156,7 @@ class PrimeField:
     def elim_result(self, rows, pivots):
         return rows
 
-    def random(self, rng):
-        return rng.randrange(self.p)
+    random = _random
 
     def to_str(self, a):
         return str(a)
@@ -195,6 +209,9 @@ class RationalField:
         (nx, dx), (ny, dy) = _over_lcm(xs), _over_lcm(ys)
         return _ratio(sum(map(mul, nx, ny)), dx * dy)
 
+    def neg_rows(self, rows):
+        return [[-x for x in r] for r in rows]
+
     def matmul(self, a_rows, b_rows):
         """Rows of A @ B, given the rows of A and of B."""
         cols = [_over_lcm(c) for c in zip(*b_rows)]
@@ -238,8 +255,7 @@ class RationalField:
                for r, col in zip(rows, pivots)]
         return out + rows[len(pivots):]
 
-    def random(self, rng):
-        return rng.randrange(self.sample_size)
+    random = _random
 
     def to_str(self, a):
         return f"{a.numerator}/{a.denominator}"

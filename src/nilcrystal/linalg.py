@@ -9,7 +9,7 @@ never reaches the field. The arithmetic loops belong to the field
 module holds the one Gaussian elimination that every solve, rank and
 nullspace shares. Its forward pass clears the rows below each pivot, and
 the RREF also clears the rows above. `nullspace` reads a kernel basis off
-the RREF, and `cokernel` reads a cokernel off the nullspace of b^T (a
+the RREF, and `cokernel` reads a cokernel off the RREF of b^T (a
 k x n matrix, where [b | I] would be n x (n + k)); each also returns
 where its frame is the identity (the basis's free rows, the projection's
 unit columns), so a map into a kernel or out of a cokernel is read off
@@ -29,7 +29,7 @@ shape: `PModule.from_dict` counts the entries of rows from outside, and
 the stacks raise `ValueError` on a mismatch.
 """
 
-from itertools import chain
+from itertools import chain, compress
 
 
 class Mat:
@@ -86,7 +86,7 @@ class Mat:
 
     def neg(self):
         f = self.field
-        return Mat(f, self.nrows, self.ncols, [[f.neg(x) for x in r] for r in self.rows])
+        return Mat(f, self.nrows, self.ncols, f.neg_rows(self.rows))
 
     def mul(self, other):
         if self.ncols != other.nrows:
@@ -254,21 +254,24 @@ def kernel_vectors(m, fill):
     free. A vector is yielded as its list comes, so a consumer that stops
     early stops the draws. Each is nullspace(m) @ c for its values c,
     built without the basis or the RREF: back substitution, last pivot
-    first, sets x[p] = -(echelon row of p)[p+1:] . x[p+1:]. A system of
-    k copies of m on disjoint unknowns has m's pivots in every copy, so one
-    call with k lists solves it; fill draws the values in the order that
-    system would, so the draws do not depend on how it is solved.
+    first, sets x[p] = -sum e_j x[j] over the nonzero entries e_j of the
+    echelon row of p right of p, listed once per elimination (x[p] stays 0
+    where there are none). A system of k copies of m on disjoint unknowns
+    has m's pivots in every copy, so one call with k lists solves it; fill
+    draws the values in the order that system would, so the draws do not
+    depend on how it is solved.
     """
     f = m.field
     rows, pivots = _eliminate(m, upward=False)
     is_pivot = set(pivots)
     free = [j for j in range(m.ncols) if j not in is_pivot]
-    last_first = list(zip(pivots, rows))[::-1]
+    last_first = [(p, list(compress(range(p + 1, m.ncols), t)), list(filter(None, t)))
+                  for p, r in zip(pivots, rows) if any(t := r[p + 1:])][::-1]
     for values in fill(free):
         given = iter(values)
         x = [f.zero if j in is_pivot else next(given) for j in range(m.ncols)]
-        for p, r in last_first:
-            x[p] = f.neg(f.dot(r[p + 1:], x[p + 1:]))
+        for p, cols, tail in last_first:
+            x[p] = f.neg(f.dot(tail, [x[j] for j in cols]))
         yield x
 
 
@@ -308,14 +311,22 @@ def cokernel(b):
       <=> column n-1-j of t is a free column of its RREF.
     Given the units, P is unique: its rows lie in the left kernel of b and
     are the identity at the units, and a functional that kills image(b) and
-    every unit vector is 0. So P is the nullspace basis of t, transposed,
-    with its rows and columns read back in reverse.
+    every unit vector is 0. So the row of P at a unit u is the kernel
+    vector of t that is 1 at its free column n-1-u, read in reverse: 1 at
+    u, minus that column of the RREF's pivot rows at n-1-(their pivots).
     """
     f, n = b.field, b.nrows
     t = Mat(f, n, b.ncols, b.rows[::-1]).transpose()
-    basis, free = nullspace(t)
-    units = [n - 1 - c for c in reversed(free)]
-    return units, Mat(f, len(units), n, [r[::-1] for r in reversed(basis.transpose().rows)])
+    R, pivots = rref(t)
+    at = [n - 1 - c for c in pivots]
+    units = sorted(set(range(n)).difference(at))
+    negated = f.neg_rows(R.rows[:len(pivots)])
+    rows = [[f.zero] * n for _ in units]
+    for row, u in zip(rows, units):
+        row[u] = f.one
+        for j, r in zip(at, negated):
+            row[j] = r[n - 1 - u]
+    return units, Mat(f, len(units), n, rows)
 
 
 def is_invertible(m):

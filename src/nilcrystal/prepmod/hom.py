@@ -58,7 +58,7 @@ def random_hom(m, n, rng, predicate, degree):
 
     def fill(free):
         for _ in range(tries if free else 1):
-            yield [f.random(rng) for _ in free]
+            yield f.random(rng, len(free))
 
     for vec in kernel_vectors(system, fill):
         cand = ModuleMap(m, n, read_blocks(f, vec, shapes), check=False)
@@ -82,7 +82,9 @@ def retry_budget(field, total_dim):
 
 
 def find_iso(m, n, rng=None):
-    """An explicit isomorphism witness, or None (probabilistically)."""
+    """An explicit isomorphism witness, or None (probabilistically). Equal
+    matrices get a search too, not the identity: on the equal pairs most
+    callers compare, that search is what exposes a broken elimination."""
     if m.graph != n.graph:
         raise ValueError("isomorphism testing needs a common graph")
     if m.dims != n.dims:

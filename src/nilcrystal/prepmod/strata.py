@@ -74,8 +74,9 @@ def random_extension(sub, quot, rng, copies=1):
         values = [[] for _ in range(copies)]
         for _, cols in groupby(free, key=row_of.__getitem__):
             n = len(list(cols))
-            for vals in values:
-                vals.extend(f.random(rng) for _ in range(n))
+            drawn = f.random(rng, n * copies)
+            for j, vals in enumerate(values):
+                vals += drawn[j * n:(j + 1) * n]
         return values
 
     sols = list(kernel_vectors(system, fill))

@@ -9,7 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nilcrystal import linalg
-from nilcrystal.fields import PrimeField, RationalField, field_from_spec, field_size
+from nilcrystal.fields import (
+    PrimeField,
+    RationalField,
+    default_field,
+    field_from_spec,
+    field_size,
+)
 from nilcrystal.linalg import (
     Mat,
     block_diag,
@@ -23,7 +29,7 @@ from nilcrystal.linalg import (
     solve,
     vstack_all,
 )
-from nilcrystal.prepmod import build_filtered
+from nilcrystal.prepmod import build_filtered, extract_datum
 from nilcrystal.rootsys import a_n
 
 FIELDS = [PrimeField(997), RationalField()]
@@ -129,8 +135,10 @@ def test_cokernel_units_are_the_greedy_completion_from_the_first_index(f):
 def test_cokernel_eliminates_one_k_by_n_matrix(monkeypatch):
     # The cokernel of an n x k matrix costs one elimination of b^T, not of
     # the n x (n + k) matrix [b | I].
+    # The projection is read off that RREF: no nullspace basis is built.
     f, rng, real, shapes = PrimeField(997), random.Random(6), linalg.rref, []
     monkeypatch.setattr(linalg, "rref", lambda m: shapes.append((m.nrows, m.ncols)) or real(m))
+    monkeypatch.setattr(linalg, "nullspace", lambda m: pytest.fail("cokernel built a nullspace"))
     for n, k in ((7, 3), (3, 7), (6, 6)):  # tall, wide, square
         for b in (rand_mat(f, n, k, rng), low_rank_mat(f, n, k, 2, rng)):
             shapes.clear()
@@ -421,7 +429,7 @@ def test_kernel_vector_is_the_nullspace_combination(f):
     if isinstance(f, RationalField):
         draw = lambda: Fraction(rng.randrange(-9, 10), rng.randrange(1, 8))
     else:
-        draw = lambda: f.random(rng)
+        draw = lambda: f.random(rng, 1)[0]
     for m in mats:
         ns, free = nullspace(m)
         pivots = rref(m)[1]
@@ -437,6 +445,42 @@ def test_kernel_vector_is_the_nullspace_combination(f):
             for x, c in zip(xs, coeffs):
                 assert x == [r[0] for r in (ns @ Mat(f, len(c), 1, [[y] for y in c])).rows]
                 assert (m @ Mat(f, len(x), 1, [[y] for y in x])).is_zero()
+
+
+@pytest.mark.parametrize("spec", ["prime:997", "rat"])
+def test_back_substitution_reads_only_the_nonzero_tail_of_each_echelon_row(spec, monkeypatch):
+    # Each pivot unknown is one dot product over the nonzero entries right
+    # of its pivot in the forward elimination's rows, last pivot first, and
+    # none where there are no such entries; at bench size those entries are
+    # a small share of the tails.
+    f, rng = field_from_spec(spec), random.Random(43)
+    real_eliminate, real_dot, echelons, lengths = linalg._eliminate, f.dot, [], []
+    monkeypatch.setattr(linalg, "_eliminate",
+                        lambda m, upward: echelons.append(real_eliminate(m, upward)) or echelons[-1])
+    monkeypatch.setattr(f, "dot", lambda xs, ys: lengths.append((len(xs), len(ys))) or real_dot(xs, ys))
+    for dependent in (0, 12):
+        m = extension_system(f, 160, 260, rng, dependent)
+        echelons.clear()
+        lengths.clear()
+        xs = list(kernel_vectors(m, lambda free: [[f.one] * len(free)] * 2))
+        assert len(echelons) == 1 and len(xs) == 2
+        rows, pivots = echelons[0]
+        tails = [sum(map(bool, r[p + 1:])) for p, r in zip(pivots, rows)][::-1]
+        assert 0 in tails and lengths == [(t, t) for t in tails if t] * 2
+        assert sum(tails) < 0.5 * sum(m.ncols - 1 - p for p in pivots)
+
+
+def test_random_draws_the_values_of_single_randrange_calls():
+    # One call for k values, as k calls of randrange: the same values, the
+    # same redraws past sample_size, and the rng left in the same state.
+    for f in (PrimeField(2), PrimeField(3), PrimeField(5), PrimeField(997), default_field(),
+              RationalField()):
+        for k in (0, 1, 50):
+            rng, twin = random.Random(k + 5), random.Random(k + 5)
+            start = rng.getstate()
+            assert f.random(rng, k) == [twin.randrange(f.sample_size) for _ in range(k)]
+            assert rng.getstate() == twin.getstate()
+            assert (rng.getstate() == start) == (k == 0)
 
 
 @pytest.mark.parametrize("f", FIELDS)
@@ -466,9 +510,10 @@ def test_prime_kernels_reduce_unreduced_inputs():
     assert f.dot(xs, ys) == dot
     y_col = [[y] for y in ys]  # B's rows: B is the one column ys
     assert f.matmul([xs, ys], y_col) == [[dot], [f.dot(ys, ys)]]
-    # Negation reduces an unreduced entry too, as Mat.neg relies on.
+    # Negation reduces an unreduced entry too, entry by entry and row by row.
     negated = [f.neg(x) for x in xs]
     assert negated == [-x % 997 for x in xs] and negated[:3] == [1, 0, 494]
+    assert Mat(f, 1, len(xs), [xs]).neg().rows == f.neg_rows([xs]) == [negated]
     rows = f.elim_rows([xs, ys])
     assert rows == [[x % 997 for x in xs], [y % 997 for y in ys]]
     # The pivot row is scaled in place; its tail is the nonzero entries from
@@ -651,3 +696,29 @@ def test_build_filtered_sample_is_pinned(spec):
                        random.Random(11), field=field_from_spec(spec))
     digest = hashlib.sha256(json.dumps(x.to_dict(), sort_keys=True).encode())
     assert digest.hexdigest() == PINNED_SAMPLES[spec]
+
+
+# sha256 of the canonical JSON of the five sample-large data on one A3
+# longest word, each sample with the datum read back off it, drawn in turn
+# from one rng at seed 7. The values were computed before the sampling path
+# drew in batches, back-substituted over nonzero tails and read cokernels
+# off the RREF, so a changed draw, assembly or kernel value shows here even
+# where the read-back datum would still be right.
+LARGE_DATA = ((5, 6, 5, 7, 6, 5), (8, 7, 8, 6, 7, 8), (6, 6, 6, 6, 6, 6),
+              (7, 5, 8, 5, 7, 6), (5, 8, 6, 8, 5, 7))
+PINNED_LARGE_SAMPLES = {
+    "prime": "4a2f1ba31703c8fc882799a18f8474987886fbd933dd47b6f7e2b62c960b185b",
+    "rat": "b9ad075395ff545442829d838d633872f08ef7aab189b1f540bc665b36104dcf",
+}
+
+
+@pytest.mark.parametrize("spec", sorted(PINNED_LARGE_SAMPLES))
+def test_large_samples_and_their_data_are_pinned(spec):
+    g, w, rng = a_n(3), (1, 2, 1, 3, 2, 1), random.Random(7)
+    out = []
+    for a in LARGE_DATA:
+        x = build_filtered(g, w, a, rng, field=field_from_spec(spec))
+        out.append([x.to_dict(), extract_datum(g, w, x)])
+    assert [datum for _, datum in out] == list(LARGE_DATA)
+    canonical = json.dumps(out, sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(canonical.encode()).hexdigest() == PINNED_LARGE_SAMPLES[spec]

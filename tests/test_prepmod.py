@@ -967,7 +967,7 @@ def test_random_hom_is_the_combination_of_its_draws(f):
                 assert all(x.is_zero() for x in got.mats)
                 continue
             rng.setstate(state)
-            coeffs = [f.random(rng) for _ in basis]
+            coeffs = f.random(rng, len(basis))
             for i in d4().vertices():
                 want = [[f.zero] * m.dim_at(i) for _ in range(n.dim_at(i))]
                 for c, b in zip(coeffs, basis):
