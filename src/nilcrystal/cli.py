@@ -65,7 +65,7 @@ def build_parser():
     roots.add_argument("word", type=int, nargs="+")
 
     mods = sub.add_parser("modules", help="module family dumps along a word")
-    mods.add_argument("which", choices=["M", "V", "N"])
+    mods.add_argument("which", choices=["M", "V"])
     mods.add_argument("word", type=int, nargs="*")
 
     ext = sub.add_parser("extract", help="read the datum of a module file")

@@ -15,7 +15,7 @@ from .module import (
     semisimple,
     simple,
     soc_chain,
-    soc_i,
+    soc_i_dim,
     socle_dims,
     top_i_dim,
     zero_module,
@@ -41,47 +41,3 @@ from .hom import (
 )
 from .injectives import injective_module
 from .strata import build_filtered, extension_maps, extract_datum, random_extension
-
-__all__ = [
-    "Arrow",
-    "ModuleMap",
-    "PModule",
-    "Submodule",
-    "arrows_into",
-    "arrows_of",
-    "arrows_out_of",
-    "build_filtered",
-    "direct_power",
-    "direct_sum",
-    "extension_maps",
-    "extract_datum",
-    "find_injective_hom",
-    "find_iso",
-    "find_surjective_hom",
-    "hat_graph",
-    "hom_space",
-    "injective_module",
-    "is_iso",
-    "k_minus",
-    "m_module",
-    "n_hat",
-    "n_module",
-    "quotient",
-    "random_extension",
-    "random_hom",
-    "restrict_to_unprimed",
-    "retry_budget",
-    "reverse_arrow",
-    "semisimple",
-    "sigma",
-    "sigma_on_map",
-    "sigma_star",
-    "sigma_star_on_map",
-    "simple",
-    "soc_chain",
-    "soc_i",
-    "socle_dims",
-    "top_i_dim",
-    "v_module",
-    "zero_module",
-]

@@ -315,26 +315,17 @@ class ModuleMap:
     def is_isomorphism(self):
         return all(map(is_invertible, self.mats))
 
-    def image(self):
-        return Submodule(self.target, [col_basis(m) for m in self.mats])
-
-    def kernel(self):
-        return Submodule(self.source, [nullspace(m)[0] for m in self.mats])
-
 
 class Submodule:
     """Per-vertex subspace bases (columns), closed under every arrow.
 
-    Closure is not checked: every caller builds the bases of a kernel, an
-    image, a socle or a socle chain, which are closed by construction.
+    Closure is not checked: every caller builds the bases of an injective
+    morphism's image or of a socle chain, which are closed by construction.
     """
 
     def __init__(self, parent, bases):
         self.parent = parent
         self.bases = tuple(bases)
-
-    def dim_at(self, i):
-        return self.bases[i - 1].ncols
 
     def dims(self):
         return tuple(b.ncols for b in self.bases)
@@ -397,15 +388,10 @@ def direct_power(m, k):
     return m if k == 1 else _block_sum(m.graph, m.field, [m] * k)
 
 
-def soc_i(m, i):
-    """The S_i-isotypic socle component, as a submodule at vertex i."""
+def soc_i_dim(m, i):
+    """Multiplicity of S_i in the socle: nullity of the outgoing assembly."""
     m.graph.check_vertex(i)
-    f = m.field
-    ker = nullspace(m.out_map(i))[0]
-    bases = []
-    for j in m.graph.vertices():
-        bases.append(ker if j == i else Mat.zero(f, m.dim_at(j), 0))
-    return Submodule(m, bases)
+    return m.dim_at(i) - rank(m.out_map(i))
 
 
 def top_i_dim(m, i):
@@ -415,8 +401,8 @@ def top_i_dim(m, i):
 
 
 def socle_dims(m):
-    """Socle multiplicities (dim soc_i) for every vertex."""
-    return tuple(soc_i(m, i).dim_at(i) for i in m.graph.vertices())
+    """Socle multiplicities for every vertex."""
+    return tuple(soc_i_dim(m, i) for i in m.graph.vertices())
 
 
 def quotient(m, u):
@@ -446,8 +432,9 @@ def soc_chain(m, seq):
     P_t @ M_a, where P_t is the cokernel projection of U_t: with E_j the
     unit columns where P_j is the identity, x - E_j P_j x lies in U_j, which
     M_a sends into U_t, so the quotient's arrow sends P_j x to P_t M_a x. A
-    `nullspace` basis depends only on its subspace, so the bases equal those
-    of the route through `quotient`, `soc_i` and a preimage at every vertex.
+    `nullspace` basis depends only on its subspace, so at every vertex the
+    bases equal those of the longer route: the quotient M/U, the kernel of
+    its outgoing assembly at j, and that kernel's preimage under P.
     """
     g, f = m.graph, m.field
     bases = [Mat.zero(f, d, 0) for d in m.dims]

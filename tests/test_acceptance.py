@@ -14,7 +14,7 @@ import time
 from nilcrystal import veritas
 from nilcrystal.errors import NotInGenericStratum
 from nilcrystal.fields import default_field
-from nilcrystal.prepmod import build_filtered, extract_datum, simple, soc_i
+from nilcrystal.prepmod import build_filtered, extract_datum, simple, soc_i_dim
 from nilcrystal.rootsys import (
     a_n,
     affine_a1,
@@ -160,7 +160,7 @@ def _roundtrip_stats(g, w, grid, samples, rng):
         for _ in range(samples):
             total += 1
             x = build_filtered(g, w, a, rng, field=F)
-            if soc_i(x, w[0]).dim_at(w[0]) == a[0]:
+            if soc_i_dim(x, w[0]) == a[0]:
                 soc_ok += 1
             got = None
             try:

@@ -72,6 +72,12 @@ def test_modules_empty_word(a2_graph, capsys):
     assert payload["modules"] == []
 
 
+def test_modules_family_n_is_an_unknown_choice(a2_graph, capsys):
+    # The families are M and V; N exits 4 like any other unknown choice.
+    assert run(["--graph", a2_graph, "modules", "N", "1", "2", "1"]) == 4
+    assert "invalid choice: 'N'" in capsys.readouterr().err
+
+
 def test_extract_simple(a2_graph, tmp_path, capsys):
     mpath = tmp_path / "s2.json"
     simple(a_n(2), 2, field=default_field()).dump(str(mpath))

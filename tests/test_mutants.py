@@ -22,6 +22,7 @@ from nilcrystal.fields import RationalField
 from nilcrystal.linalg import Mat, cokernel, nullspace, rref, vstack_all
 from nilcrystal.prepmod import (ModuleMap, Submodule, arrows_into, arrows_out_of, functors, hom,
                                injectives, semisimple, sigma_star, strata, zero_module)
+from nilcrystal.prepmod import module as pmodule
 from nilcrystal.rootsys import a_n, d4
 
 
@@ -394,6 +395,42 @@ def test_top_dimension_zero_fails_the_forward_dimension_law(monkeypatch):
     assert r.outcome == "fail"
     assert r.witness["kind"] == "dims-forward"
     assert r.witness["extra"] == {"vertex": 2, "got": (1, 1, 1)}
+
+
+def _sigma_on_map_zeroing_projections(i, f_map, source=None):
+    """`sigma_on_map` with the block at i zeroed on every map that is not
+    one-to-one: in the contracts, on sigma of each extension's projection."""
+    s = functors.sigma_on_map(i, f_map, source=source)
+    if f_map.is_injective():
+        return s
+    mats = list(s.mats)
+    mats[i - 1] = Mat.zero(s.source.field, mats[i - 1].nrows, mats[i - 1].ncols)
+    return ModuleMap(s.source, s.target, mats, check=False)
+
+
+def _contracts():
+    return veritas.check_reflection_contracts(a_n(3), 4, random.Random(7))
+
+
+# The dimensions the checks read off ranks and dims, each misread in the
+# name veritas looks up: the check that reads it fails with its own kind.
+@pytest.mark.parametrize("name, mutant, check, kind", [
+    ("soc_i_dim", lambda m, i: pmodule.soc_i_dim(m, i) + 1, _contracts, "kernel-not-socle"),
+    ("soc_i_dim", lambda m, i: pmodule.soc_i_dim(m, i) + 1,
+     lambda: veritas.check_cross_model(a_n(3), (1, 2, 1), 1, 1, random.Random(7)), "socle-law"),
+    ("soc_i_dim", lambda m, i: 0, _contracts, "dims-backward"),
+    ("socle_dims", lambda m: tuple(d + 1 for d in pmodule.socle_dims(m)),
+     lambda: veritas.check_modules(a_n(3), 2, rng=random.Random(7)), "n-socle"),
+    ("sigma_on_map", _sigma_on_map_zeroing_projections, _contracts, "left-exactness-middle"),
+], ids=["socle-plus-one-contracts", "socle-plus-one-cross-model", "socle-zero",
+        "socle-dims-plus-one", "zeroed-projection-block"])
+def test_misread_dimensions_fail_the_checks_that_read_them(monkeypatch, name, mutant, check,
+                                                           kind):
+    assert check().passed
+    monkeypatch.setattr(veritas, name, mutant)
+    r = check()
+    assert r.outcome == "fail"
+    assert r.witness["kind"] == kind
 
 
 def _rank_free_is_isomorphism(self):

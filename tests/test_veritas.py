@@ -8,7 +8,8 @@ import pytest
 from nilcrystal import veritas
 from nilcrystal.errors import NotInGenericStratum
 from nilcrystal.fields import RationalField, default_field
-from nilcrystal.prepmod import direct_sum, functors, simple
+from nilcrystal.prepmod import direct_sum, functors, m_module, simple
+from nilcrystal.prepmod import module as pmodule
 from nilcrystal.rootsys import CartanGraph, a_n, affine_a1, all_reduced_words_upto, braid_moves, d4
 
 
@@ -226,6 +227,22 @@ def test_reflection_contracts_reflect_each_module_once_per_vertex(monkeypatch, g
     assert len(calls) == modules * (4 * g.n + 4 * edges)
     keys = [(i, id(m)) for i, m in calls]
     assert len(set(keys)) == len(keys)
+
+
+def test_contracts_and_the_cokernel_route_build_no_basis_to_count(monkeypatch):
+    # Each dimension they read is one rank, or dims alone once a rank has
+    # shown a map onto or one-to-one: no kernel or column basis is built in
+    # the module layer (the reflections build theirs in functors).
+    calls = []
+    for name in ("nullspace", "col_basis"):
+        real = getattr(pmodule, name)
+        monkeypatch.setattr(pmodule, name,
+                            lambda m, name=name, real=real: calls.append(name) or real(m))
+    r = veritas.check_reflection_contracts(a_n(3), 2, random.Random(7), fld=RationalField())
+    assert r.outcome == "probabilistic-pass"
+    assert calls == []
+    m_module(a_n(3), (1, 2, 1, 3, 2, 1), 6, route="cokernel", rng=random.Random(7))
+    assert calls == []
 
 
 @pytest.mark.parametrize("g, maxlen, words", [(a_n(3), 3, 19), (d4(), 4, 112)],
