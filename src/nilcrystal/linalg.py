@@ -6,14 +6,15 @@ module theory downstream lives at the boundary cases, so a product with a
 zero dimension, or an elimination of an empty matrix, returns at once and
 never reaches the field. The arithmetic loops belong to the field
 (`matmul`, on rows, and the elimination steps); this
-module holds the one Gaussian elimination that every solve, rank and
-nullspace shares. Its forward pass clears the rows below each pivot, and
+module holds the one Gaussian elimination that every rank, kernel and
+cokernel shares. Its forward pass clears the rows below each pivot, and
 the RREF also clears the rows above. `nullspace` reads a kernel basis off
 the RREF, and `cokernel` reads a cokernel off the RREF of b^T (a
 k x n matrix, where [b | I] would be n x (n + k)); each also returns
 where its frame is the identity (the basis's free rows, the projection's
 unit columns), so a map into a kernel or out of a cokernel is read off
-those rows or columns (`rows_at`, `cols`), not solved for.
+those rows or columns (`rows_at`, `cols`), not solved for; the cokernel
+of a kernel basis is read off the basis itself (`frame_projection`).
 `kernel_vectors` runs the forward pass alone, once, and then lazily fixes
 the pivot unknowns of each kernel vector its caller supplies free values
 for by back substitution: both random draws, of an extension and of a
@@ -275,22 +276,6 @@ def kernel_vectors(m, fill):
         yield x
 
 
-def solve(a, b):
-    """Solve a @ x = b for a matrix x; returns None if inconsistent."""
-    if a.nrows != b.nrows:
-        raise ValueError("shape mismatch in solve")
-    f = a.field
-    R, pivots = rref(hstack_all(f, [a, b], a.nrows))
-    if any(p >= a.ncols for p in pivots):  # a pivot in the b-block: inconsistent
-        return None
-    by_pivot = dict(zip(pivots, R.rows))
-    rows = [
-        by_pivot[j][a.ncols:] if j in by_pivot else [f.zero] * b.ncols
-        for j in range(a.ncols)
-    ]
-    return Mat(f, a.ncols, b.ncols, rows)
-
-
 def col_basis(m):
     """Pivot columns of m: a full-column-rank matrix with the same image."""
     _, pivots = rref(m)
@@ -327,6 +312,21 @@ def cokernel(b):
         for j, r in zip(at, negated):
             row[j] = r[n - 1 - u]
     return units, Mat(f, len(units), n, rows)
+
+
+def frame_projection(basis, free):
+    """cokernel(basis)[1], read with no elimination off a basis that is the
+    identity at its free rows, as `nullspace` returns it: the units are the
+    other rows, and the row at unit u is 1 at u and -basis[u][c] at free[c],
+    the RREF row with pivot u."""
+    f, n = basis.field, basis.nrows
+    units = sorted(set(range(n)).difference(free))
+    rows = [[f.zero] * n for _ in units]
+    for row, u, negated in zip(rows, units, f.neg_rows([basis.rows[u] for u in units])):
+        row[u] = f.one
+        for c, x in zip(free, negated):
+            row[c] = x
+    return Mat(f, len(units), n, rows)
 
 
 def is_invertible(m):

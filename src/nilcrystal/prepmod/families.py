@@ -14,7 +14,7 @@ from ..fields import default_field
 from ..rootsys import CartanGraph, require_reduced, unit
 from .hom import find_injective_hom
 from .module import _GRAPH_CACHE_SIZE
-from .module import PModule, Submodule, arrows_of, arrows_out_of, quotient, semisimple, zero_module
+from .module import PModule, arrows_of, arrows_out_of, quotient, semisimple, zero_module
 from .functors import sigma
 
 # Bound on the reflection memo, in modules. The largest working set of the
@@ -133,6 +133,6 @@ def m_module(g, w, k, route="reflection", field=None, rng=None):
             raise NoEmbeddingFound(
                 f"no injective morphism for layer k={k} of word {w}"
             )
-        q, _ = quotient(vk, Submodule(vk, emb.mats))
+        q, _ = quotient(vk, emb.mats)
         return q
     raise ValueError(f"unknown route {route!r}")

@@ -19,11 +19,11 @@ from ..linalg import (
     block_diag,
     cokernel,
     col_basis,
+    frame_projection,
     hstack_all,
     is_invertible,
     nullspace,
     rank,
-    solve,
     vstack_all,
 )
 from ..rootsys import CartanGraph, unit
@@ -317,36 +317,29 @@ class ModuleMap:
 
 
 class Submodule:
-    """Per-vertex subspace bases (columns), closed under every arrow.
+    """Per-vertex subspace bases (columns), each the identity at its frame:
+    the free rows of the `nullspace` that `soc_chain` read it off."""
 
-    Closure is not checked: every caller builds the bases of an injective
-    morphism's image or of a socle chain, which are closed by construction.
-    """
-
-    def __init__(self, parent, bases):
+    def __init__(self, parent, bases, frames):
         self.parent = parent
         self.bases = tuple(bases)
-
-    def dims(self):
-        return tuple(b.ncols for b in self.bases)
+        self.frames = tuple(frames)
 
     def as_module(self):
-        """The submodule as a PModule, with its inclusion morphism.
-
-        The maps are restrictions, so the relations and nilpotency hold.
-        """
-        g = self.parent.graph
-        f = self.parent.field
+        """The submodule as a PModule, with its inclusion morphism. An arrow's
+        map is its image of the source basis read at the target's frame, and
+        one product checks closure: the target basis times that map must give
+        the image back (else ValueError). Restrictions keep the relations."""
+        g, f = self.parent.graph, self.parent.field
         maps = {}
         for a in arrows_of(g):
             img = self.parent.arrow_map(a) @ self.bases[a.src - 1]
-            restricted = solve(self.bases[a.tgt - 1], img)
-            if restricted is None:
+            restricted = img.rows_at(self.frames[a.tgt - 1])
+            if (self.bases[a.tgt - 1] @ restricted).rows != img.rows:
                 raise ValueError(f"subspace is not closed under arrow {a}")
             maps[(a.edge, a.dir)] = restricted
-        sub = PModule(g, f, self.dims(), maps, check=False)
-        incl = ModuleMap(sub, self.parent, list(self.bases), check=False)
-        return sub, incl
+        sub = PModule(g, f, tuple(b.ncols for b in self.bases), maps, check=False)
+        return sub, ModuleMap(sub, self.parent, list(self.bases), check=False)
 
 
 def zero_module(g, field=None):
@@ -405,8 +398,8 @@ def socle_dims(m):
     return tuple(soc_i_dim(m, i) for i in m.graph.vertices())
 
 
-def quotient(m, u):
-    """Quotient by a submodule, with the projection morphism.
+def quotient(m, bases):
+    """Quotient by the submodule that the bases (columns) span, with its projection.
 
     At each vertex one elimination (`cokernel`) gives the projection and the
     unit columns where it is the identity, which span a complement of the
@@ -415,7 +408,7 @@ def quotient(m, u):
     projection's commuting with the arrows is checked again.
     """
     g, f = m.graph, m.field
-    units, projs = zip(*map(cokernel, u.bases))
+    units, projs = zip(*map(cokernel, bases))
     maps = {}
     for a in arrows_of(g):
         maps[(a.edge, a.dir)] = projs[a.tgt - 1] @ m.arrow_map(a).cols(units[a.src - 1])
@@ -434,14 +427,16 @@ def soc_chain(m, seq):
     M_a sends into U_t, so the quotient's arrow sends P_j x to P_t M_a x. A
     `nullspace` basis depends only on its subspace, so at every vertex the
     bases equal those of the longer route: the quotient M/U, the kernel of
-    its outgoing assembly at j, and that kernel's preimage under P.
+    its outgoing assembly at j, and that kernel's preimage under P. P_j is
+    read off the basis at its free rows, U_j's frame (`frame_projection`).
     """
     g, f = m.graph, m.field
     bases = [Mat.zero(f, d, 0) for d in m.dims]
+    frames = [[] for _ in m.dims]
     projs = [Mat.identity(f, d) for d in m.dims]
     for j in seq:
         g.check_vertex(j)
         blocks = [projs[a.tgt - 1] @ m.arrow_map(a) for a in arrows_out_of(g, j)]
-        bases[j - 1] = nullspace(vstack_all(f, blocks, m.dim_at(j)))[0]
-        projs[j - 1] = cokernel(bases[j - 1])[1]
-    return Submodule(m, bases)
+        bases[j - 1], frames[j - 1] = nullspace(vstack_all(f, blocks, m.dim_at(j)))
+        projs[j - 1] = frame_projection(bases[j - 1], frames[j - 1])
+    return Submodule(m, bases, frames)

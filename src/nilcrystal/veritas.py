@@ -415,7 +415,11 @@ def check_modules(g, maxlen, rng=None, fld=None, socle_chain_oracle=False):
                     if top_i_dim(part, w[ll - 2]) != 0:
                         _fail("partial-top", word=word, k=k, l=ll - 1)
                 if socle_chain_oracle:
-                    vsc, _ = soc_chain(injectives[w[k - 1]], rev).as_module()
+                    chain = soc_chain(injectives[w[k - 1]], rev)
+                    try:
+                        vsc, _ = chain.as_module()
+                    except ValueError as exc:
+                        _fail("socle-chain-closure", word=word, k=k, error=str(exc))
                     if not is_iso(vsc, v_module(g, w, k, field=fld), rng=rng):
                         _fail("v-socle-chain", word=word, k=k)
 

@@ -26,7 +26,6 @@ from nilcrystal.linalg import (
     nullspace,
     rank,
     rref,
-    solve,
     vstack_all,
 )
 from nilcrystal.prepmod import build_filtered, extract_datum
@@ -59,25 +58,6 @@ def test_rank_nullity(f):
         prod = m @ ns
         assert all(x == f.zero for row in prod.rows for x in row)
         assert ns.rows_at(free) == Mat.identity(f, len(free))
-
-
-@pytest.mark.parametrize("f", FIELDS)
-def test_solve_consistent(f):
-    rng = random.Random(2)
-    for _ in range(20):
-        a = rand_mat(f, 4, rng.randrange(1, 4), rng)
-        x = rand_mat(f, a.ncols, 2, rng)
-        b = a @ x
-        sol = solve(a, b)
-        assert sol is not None
-        assert (a @ sol).rows == b.rows
-
-
-@pytest.mark.parametrize("f", FIELDS)
-def test_solve_inconsistent_returns_none(f):
-    a = Mat(f, 2, 1, [[f.one], [f.zero]])
-    b = Mat(f, 2, 1, [[f.zero], [f.one]])
-    assert solve(a, b) is None
 
 
 def test_mat_is_unhashable():
@@ -249,17 +229,6 @@ def ref_nullspace(m):
     return [[c[i] for c in basis_cols] for i in range(m.ncols)], len(basis_cols)
 
 
-def ref_solve(a, b):
-    f = a.field
-    rows, pivots = ref_rref(hstack_all(f, [a, b], a.nrows))
-    if any(p >= a.ncols for p in pivots):
-        return None
-    x = [[f.zero] * b.ncols for _ in range(a.ncols)]
-    for prow, pcol in enumerate(pivots):
-        x[pcol] = rows[prow][a.ncols:]
-    return x
-
-
 def low_rank_mat(f, nr, nc, rk, rng):
     """A product of random nr x rk and rk x nc factors (rank at most rk)."""
     return rand_mat(f, nr, rk, rng) @ rand_mat(f, rk, nc, rng)
@@ -389,16 +358,12 @@ def test_empty_shapes_never_reach_the_field_kernels(f, monkeypatch):
 
 @pytest.mark.parametrize("f", FIELDS)
 def test_rref_nullspace_solve_match_scalar_loops(f):
-    mats, rng = kernel_cases(f, 21)
+    mats, _ = kernel_cases(f, 21)
     for m in mats:
         r, piv = rref(m)
         assert (r.rows, piv) == ref_rref(m)
         ns, _ = nullspace(m)
         assert (ns.rows, ns.ncols) == ref_nullspace(m)
-        for b in (rand_mat(f, m.nrows, 2, rng), m @ rand_mat(f, m.ncols, 2, rng)):
-            x = solve(m, b)
-            want = ref_solve(m, b)
-            assert (x is None and want is None) or x.rows == want
 
 
 def extension_system(f, nr, nc, rng, dependent):
@@ -567,7 +532,7 @@ def test_rational_kernels_return_ints_where_integral():
         b = mixed_denominator_mat(f, m.ncols, 3, rng)
         _, p = cokernel(m)
         for name, res in (("matmul", m @ b), ("rref", rref(m)[0]), ("nullspace", nullspace(m)[0]),
-                          ("solve", solve(m, m @ b)), ("cokernel", p)):
+                          ("cokernel", p)):
             entries.setdefault(name, []).extend(x for r in res.rows for x in r)
         entries.setdefault("kernel_vectors", []).extend(
             next(kernel_vectors(m, lambda free: [[rng.randrange(-9, 10) for _ in free]])))

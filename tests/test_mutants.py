@@ -19,7 +19,7 @@ from nilcrystal import fields, linalg, veritas
 from nilcrystal.cli import main
 from nilcrystal.errors import NotInGenericStratum
 from nilcrystal.fields import RationalField
-from nilcrystal.linalg import Mat, cokernel, nullspace, rref, vstack_all
+from nilcrystal.linalg import Mat, frame_projection, nullspace, rref, vstack_all
 from nilcrystal.prepmod import (ModuleMap, Submodule, arrows_into, arrows_out_of, functors, hom,
                                injectives, semisimple, sigma_star, strata, zero_module)
 from nilcrystal.prepmod import module as pmodule
@@ -34,16 +34,23 @@ def _soc_chain_mutant(project, update):
     def soc_chain(m, seq):
         g, f = m.graph, m.field
         bases = [Mat.zero(f, d, 0) for d in m.dims]
+        frames = [[] for _ in m.dims]
         projs = [Mat.identity(f, d) for d in m.dims]
         for j in seq:
             blocks = [projs[a.tgt - 1] @ m.arrow_map(a) if project else m.arrow_map(a)
                       for a in arrows_out_of(g, j)]
-            bases[j - 1] = nullspace(vstack_all(f, blocks, m.dim_at(j)))[0]
+            bases[j - 1], frames[j - 1] = nullspace(vstack_all(f, blocks, m.dim_at(j)))
             if update:
-                projs[j - 1] = cokernel(bases[j - 1])[1]
-        return Submodule(m, bases)
+                projs[j - 1] = frame_projection(bases[j - 1], frames[j - 1])
+        return Submodule(m, bases, frames)
 
     return soc_chain
+
+
+def _soc_chain_with_frames_reversed(m, seq):
+    """The right bases, each read at its frame rows in reverse order."""
+    chain = pmodule.soc_chain(m, seq)
+    return Submodule(m, chain.bases, [frame[::-1] for frame in chain.frames])
 
 
 def test_the_socle_chain_law_passes_unmutated():
@@ -58,6 +65,19 @@ def test_socle_chain_mutants_fail_the_socle_chain_law(monkeypatch, mutant):
     r = veritas.check_modules(a_n(3), 2, socle_chain_oracle=True)
     assert r.outcome == "fail"
     assert r.witness == {"kind": "v-socle-chain", "word": [1, 2], "k": 2}
+
+
+def test_misread_frames_fail_the_socle_chain_closure(monkeypatch):
+    # The restricted maps are read at the frames and checked by one product
+    # per arrow; read at the reversed frames, the first chain whose target
+    # frame has two rows fails that product, and the check reports it.
+    assert veritas.check_modules(a_n(3), 4, rng=random.Random(7), socle_chain_oracle=True).passed
+    monkeypatch.setattr(veritas, "soc_chain", _soc_chain_with_frames_reversed)
+    r = veritas.check_modules(a_n(3), 4, rng=random.Random(7), socle_chain_oracle=True)
+    assert r.outcome == "fail"
+    assert r.witness == {"kind": "socle-chain-closure", "word": [2, 1, 3, 2], "k": 4,
+                         "error": "subspace is not closed under arrow "
+                                  "Arrow(edge=0, dir=1, src=1, tgt=2, sign=1)"}
 
 
 def test_unsigned_relations_fail_the_injectives(monkeypatch):
@@ -284,21 +304,21 @@ def test_first_incoming_arrow_fails_the_cross_model_and_transition_checks(monkey
                          "got": (0, 1, 0, 0, 0, 1)}
 
 
-# Past this many columns beyond the pivot, the mutant below drops the tail.
-_PIVOT_TAIL = 13
+def _truncated_pivot_tail(width):
+    """`PrimeField.elim_pivot` with the pivot row cut `width` columns past
+    the pivot: entries further right are neither scaled nor used to clear
+    the other rows, so systems wider than that are solved wrongly."""
 
+    def elim_pivot(self, row, col):
+        p, end = self.p, col + width
+        inv = pow(row[col], -1, p)
+        tail = []
+        for j in compress(range(col, min(end, len(row))), row[col:end]):
+            row[j] = x = inv * row[j] % p
+            tail.append((j, x))
+        return tail
 
-def _truncated_pivot_tail(self, row, col):
-    """`PrimeField.elim_pivot` with the pivot row cut _PIVOT_TAIL columns
-    past the pivot: entries further right are neither scaled nor used to
-    clear the other rows, so wide systems are solved wrongly."""
-    p, end = self.p, col + _PIVOT_TAIL
-    inv = pow(row[col], -1, p)
-    tail = []
-    for j in compress(range(col, min(end, len(row))), row[col:end]):
-        row[j] = x = inv * row[j] % p
-        tail.append((j, x))
-    return tail
+    return elim_pivot
 
 
 def test_truncated_pivot_tail_fails_the_prime_contracts(monkeypatch):
@@ -306,11 +326,30 @@ def test_truncated_pivot_tail_fails_the_prime_contracts(monkeypatch):
     # reflections systems wide enough to cut; `verify all` on A3 at seed 7
     # fails too, with no-surjection, while its sampled suites pass.
     assert veritas.check_reflection_contracts(d4(), 2, random.Random(7)).passed
-    monkeypatch.setattr(fields.PrimeField, "elim_pivot", _truncated_pivot_tail)
+    monkeypatch.setattr(fields.PrimeField, "elim_pivot", _truncated_pivot_tail(13))
     r = veritas.check_reflection_contracts(d4(), 2, random.Random(7))
     assert r.outcome == "fail"
     assert r.witness["kind"] == "braid-iso"
     assert r.witness["extra"] == {"pair": [2, 3]}
+
+
+# The socle-chain oracle's injectives and chains are narrow systems: a cut
+# 1 or 2 columns past the pivot breaks the relations of a D4 injective, and
+# on A3 it moves a chain off V_k. The 13-column cut never fires there: the
+# gap is pinned.
+@pytest.mark.parametrize("width, g, kind", [
+    (1, a_n(3), "v-socle-chain"), (2, a_n(3), "v-socle-chain"), (13, a_n(3), None),
+    (1, d4(), "injectives"), (2, d4(), "injectives"), (13, d4(), None),
+], ids=["A3-1", "A3-2", "A3-13-gap", "D4-1", "D4-2", "D4-13-gap"])
+def test_narrow_pivot_cuts_fail_the_socle_chain_oracle(monkeypatch, width, g, kind):
+    assert veritas.check_modules(g, 4, rng=random.Random(0), socle_chain_oracle=True).passed
+    monkeypatch.setattr(fields.PrimeField, "elim_pivot", _truncated_pivot_tail(width))
+    r = veritas.check_modules(g, 4, rng=random.Random(0), socle_chain_oracle=True)
+    if kind is None:
+        assert r.outcome == "probabilistic-pass"
+    else:
+        assert r.outcome == "fail"
+        assert r.witness["kind"] == kind
 
 
 def test_the_rational_contracts_pass_unmutated():

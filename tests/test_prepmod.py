@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from nilcrystal import veritas
+from nilcrystal import linalg, veritas
 from nilcrystal.errors import (
     InternalRelationFailure,
     InvalidModuleFile,
@@ -11,12 +11,12 @@ from nilcrystal.errors import (
     NotInGenericStratum,
 )
 from nilcrystal.fields import PrimeField, RationalField, default_field
-from nilcrystal.linalg import Mat, cokernel, col_basis, hstack_all, nullspace, vstack_all
+from nilcrystal.linalg import (Mat, cokernel, col_basis, frame_projection, hstack_all, nullspace,
+                              vstack_all)
 from nilcrystal.prepmod import families
 from nilcrystal.prepmod import (
     ModuleMap,
     PModule,
-    Submodule,
     arrows_into,
     arrows_of,
     arrows_out_of,
@@ -293,14 +293,13 @@ def test_injective_socle_chain_matches_v():
         assert is_iso(got, v_module(A2, w, k, field=F), rng=rng)
 
 
-def _peel_by_quotient(m, u, j):
+def _peel_by_quotient(m, bases, j):
     """One socle-chain step by a quotient, its S_j-socle and a preimage at
     every vertex: the route that `soc_chain` replaces by one kernel at j."""
-    q, proj = quotient(m, u)
+    q, proj = quotient(m, bases)
     socle = [nullspace(q.out_map(j))[0] if i == j else Mat.zero(m.field, d, 0)
              for i, d in enumerate(q.dims, start=1)]
-    return Submodule(m, [nullspace(cokernel(b)[1] @ proj.mat_at(i))[0]
-                         for i, b in enumerate(socle, start=1)])
+    return [nullspace(cokernel(b)[1] @ proj.mat_at(i))[0] for i, b in enumerate(socle, start=1)]
 
 
 @pytest.mark.parametrize("f", [F, RationalField(), PrimeField(5)], ids=["prime", "rat", "F5"])
@@ -312,11 +311,37 @@ def test_soc_chain_matches_the_quotient_route(g, f):
     # Every sequence up to length 4, repeats included, each after its prefix.
     seqs = [s for n in range(1, 5) for s in itertools.product(g.vertices(), repeat=n)]
     for m in modules:
-        want = {(): Submodule(m, [Mat.zero(f, d, 0) for d in m.dims])}
+        want = {(): [Mat.zero(f, d, 0) for d in m.dims]}
         for seq in seqs:
             want[seq] = _peel_by_quotient(m, want[seq[:-1]], seq[-1])
             got = soc_chain(m, seq)
-            assert [b.rows for b in got.bases] == [b.rows for b in want[seq].bases], seq
+            assert [b.rows for b in got.bases] == [b.rows for b in want[seq]], seq
+
+
+@pytest.mark.parametrize("f", [F, RationalField(), PrimeField(5)], ids=["prime", "rat", "F5"])
+def test_frame_projection_is_the_cokernel_of_a_nullspace_basis(f):
+    rng = random.Random(13)
+    for _ in range(300):
+        nr, nc, rk = rng.randrange(0, 7), rng.randrange(0, 7), rng.randrange(0, 5)
+        left = Mat(f, nr, rk, [[f.of_int(rng.randrange(-3, 4)) for _ in range(rk)]
+                               for _ in range(nr)])
+        right = Mat(f, rk, nc, [[f.of_int(rng.randrange(-3, 4)) for _ in range(nc)]
+                                for _ in range(rk)])
+        basis, free = nullspace(left @ right)
+        assert frame_projection(basis, free).rows == cokernel(basis)[1].rows
+
+
+def test_a_socle_chain_runs_one_elimination_per_step(monkeypatch):
+    inj = injective_module(A3, 2, F)
+    seq = (2, 1, 3, 2, 1, 3)
+    calls = []
+    real = linalg._eliminate
+    monkeypatch.setattr(linalg, "_eliminate", lambda m, upward: calls.append(1) or real(m, upward))
+    chain = soc_chain(inj, seq)
+    assert len(calls) == len(seq)
+    sub, _ = chain.as_module()
+    assert len(calls) == len(seq)
+    assert sub.dims == tuple(b.ncols for b in chain.bases) and sum(sub.dims) > 0
 
 
 def test_injective_nonfinite_type_capped():
@@ -634,11 +659,11 @@ def test_cokernel_route_leaves_no_memo_entry_on_the_base_graph(monkeypatch):
 
 
 def _n_module_by_quotient(g, w, lam, field):
-    """N as a quotient of the hatted module by the Submodule of its primed
-    part: the construction that `restrict_to_unprimed` reads off directly."""
+    """N as a quotient of the hatted module by its primed part: the
+    construction that `restrict_to_unprimed` reads off directly."""
     nh = n_hat(g, w, lam, field=field)
-    primed = Submodule(nh, [Mat.identity(field, d) if j > g.n else Mat.zero(field, d, 0)
-                            for j, d in enumerate(nh.dims, start=1)])
+    primed = [Mat.identity(field, d) if j > g.n else Mat.zero(field, d, 0)
+              for j, d in enumerate(nh.dims, start=1)]
     q, _ = quotient(nh, primed)
     assert q.dims[g.n:] == (0,) * g.n
     return PModule(g, field, q.dims[: g.n],
@@ -746,9 +771,10 @@ def test_hom_searches_stop_at_the_retry_budget(monkeypatch):
 @pytest.mark.parametrize("f", [F, RationalField()], ids=["prime", "rat"])
 @pytest.mark.parametrize("g", [a_n(3), d4(), affine_a1()], ids=["A3", "D4", "affA1"])
 def test_derived_modules_are_nilpotent(g, f):
-    # sigma, sigma_star, random_extension, quotient and Submodule.as_module
-    # check only shapes, and their morphisms are not checked; every module
-    # they return must pass the full check, and every morphism must commute.
+    # sigma, sigma_star, random_extension and quotient check only shapes,
+    # Submodule.as_module only closure, and their morphisms are not checked;
+    # every module they return must pass the full check, and every morphism
+    # must commute.
     rng = random.Random(3)
     modules = veritas.random_corpus(g, 3, rng, f, max_total_dim=6)
     w = all_reduced_words_upto(g, 3)[3][0]
@@ -763,7 +789,7 @@ def test_derived_modules_are_nilpotent(g, f):
         derived += [sigma_star(i, m) for i in g.vertices()]
         x = random_extension(m, modules[0], rng)
         incl, proj = extension_maps(m, x, modules[0])
-        q, q_proj = quotient(m, u)
+        q, q_proj = quotient(m, u.bases)
         sub, sub_incl = u.as_module()
         derived += [x, q, sub]
         morphisms += [incl, proj, q_proj, sub_incl]
