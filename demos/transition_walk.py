@@ -1,5 +1,5 @@
-"""Carry one crystal element across every reduced word of the A3 longest
-element and confirm the module side agrees at each stop.
+"""Carry one crystal element to every reduced word of the A3 longest
+element in one braid walk, and confirm the module side agrees at each stop.
 
 Run: python3 demos/transition_walk.py
 """
@@ -26,8 +26,9 @@ def main():
     rng = random.Random(7)
     x = build_filtered(g, base, d.a, rng, field=f)
 
+    carried = transport(g, d)
     for w in words:
-        moved = transport(g, d, w)
+        moved = carried[w]
         got = extract_datum(g, w, x)
         mark = "ok" if got == moved.a else "MISMATCH"
         print(f"  word {list(w)}: datum {list(moved.a)}  "

@@ -106,7 +106,7 @@ def _load_graph(path):
         return CartanGraph.from_file(path)
     except GraphTooLarge as exc:
         return _die(EXIT_BAD_INPUT, str(exc))
-    except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
+    except (OSError, KeyError, ValueError, RecursionError) as exc:
         return _die(EXIT_INFRA, f"cannot read graph file: {exc}")
 
 

@@ -2,20 +2,14 @@
 
 An element is named by a reduced word plus a tuple of naturals in
 application order. Its weight, the rank-2 transition maps across braid
-moves, and braid-path transport to another reduced word of the same Weyl
-element live here.
+moves, and its transport to the datum on every word of its braid class
+live here.
 """
 
 from dataclasses import dataclass
 
-from .errors import DifferentWeylElement, InvalidMovePosition, LengthMismatch
-from .rootsys import (
-    braid_moves,
-    braid_walk,
-    mu,
-    require_reduced,
-    weyl_action_matrix,
-)
+from .errors import InvalidMovePosition, LengthMismatch
+from .rootsys import braid_moves, braid_walk, mu, require_reduced
 
 CONVENTION = "application-order; first letter acts first"
 
@@ -75,20 +69,18 @@ def transition(g, d, pos, kind):
     return LusztigDatum(moved, tuple(a))
 
 
-def transport(g, d, target_word, cap=10000):
-    """Transport a datum to another reduced word of the same Weyl element,
-    carrying it along rootsys.braid_walk."""
-    require_reduced(g, target_word)
-    if weyl_action_matrix(g, d.word) != weyl_action_matrix(g, target_word):
-        raise DifferentWeylElement(f"{d.word} and {target_word} differ as Weyl elements")
-    at = {d.word: d}
+def transport(g, d, cap=10000):
+    """The datum on every word of the braid class of d.word, as
+    {word: LusztigDatum}, from one rootsys.braid_walk: each word's datum is
+    its walk parent's carried by transition across the move that joins
+    them. By Matsumoto-Tits the keys are exactly the reduced words of
+    d.word's Weyl element, so a non-reduced word or a word of another
+    element is not a key. Raises CapExceeded once the walk sees more than
+    cap words."""
+    carried = {}
     for word, parent, move in braid_walk(g, d.word, cap):
-        if parent is not None:
-            at[word] = transition(g, at[parent], *move)
-        if word == target_word:
-            return at[word]
-    raise RuntimeError(f"braid moves from {d.word} ran out before {target_word}: "
-                       "by Matsumoto-Tits a search can only reach its target or its cap")
+        carried[word] = d if parent is None else transition(g, carried[parent], *move)
+    return carried
 
 
 def weight(g, d):

@@ -48,9 +48,5 @@ class InvalidMovePosition(NilcrystalError, ValueError):
     """No braid move exists at the requested position."""
 
 
-class DifferentWeylElement(NilcrystalError, ValueError):
-    """Two words do not represent the same Weyl group element."""
-
-
 class InvalidModuleFile(NilcrystalError, ValueError):
     """A serialized module fails its invariants."""

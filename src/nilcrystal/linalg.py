@@ -54,15 +54,6 @@ class Mat:
         z, o = field.zero, field.one
         return Mat(field, n, n, [[o if i == j else z for j in range(n)] for i in range(n)])
 
-    @staticmethod
-    def from_int_rows(field, rows, ncols=None):
-        nrows = len(rows)
-        if ncols is None:
-            if nrows == 0:
-                raise ValueError("ncols required for an empty row list")
-            ncols = len(rows[0])
-        return Mat(field, nrows, ncols, [[field.of_int(x) for x in r] for r in rows])
-
     # -- basic ops -----------------------------------------------------
 
     def __eq__(self, other):

@@ -279,7 +279,7 @@ class PModule:
         with open(path) as fh:
             try:
                 data = json.load(fh)
-            except json.JSONDecodeError as exc:
+            except (ValueError, RecursionError) as exc:  # undecodable, too long or too deep
                 raise InvalidModuleFile(f"not valid JSON: {exc}") from exc
         return PModule.from_dict(data)
 

@@ -5,8 +5,9 @@ application order, so word[0] is the first reflection applied; WeylWord
 turns letters from outside into one, and serialized lists follow the same
 order. Roots and weights are plain tuples of ints, roots in simple-root
 coordinates and weights in fundamental-weight coordinates; unit(n, i) is
-alpha_i or varpi_i. braid_walk is the one search of a braid class, and
-reduced_words and crystal.transport walk it.
+alpha_i or varpi_i. braid_walk is the one search of a braid class:
+reduced_words collects it, and crystal.transport carries a datum along it
+to every word of the class.
 """
 
 import functools
@@ -262,15 +263,6 @@ def braid_walk(g, w, cap=10000):
 def reduced_words(g, w, cap=10000):
     """Braid class of a reduced word, capped."""
     return {word for word, _, _ in braid_walk(g, w, cap)}
-
-
-def weyl_action_matrix(g, w):
-    """The word's action on the weight lattice, as integer rows (0-indexed).
-
-    Column j is the image of the j-th fundamental weight; two words act
-    identically iff they represent the same Weyl element.
-    """
-    return tuple(zip(*(apply_word_to_weight(g, w, unit(g.n, j)) for j in g.vertices())))
 
 
 def all_reduced_words_upto(g, maxlen):

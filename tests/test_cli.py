@@ -391,6 +391,19 @@ def test_mistyped_graph_file_exits_4(tmp_path, graph):
     assert run(["--graph", str(path), "roots", "1"]) == 4
 
 
+@pytest.mark.parametrize("content", [
+    b"[" * 200_000, b"\xff\xfe{", b"1" * 4_301,
+], ids=["nested-200000-deep", "not-utf-8", "4301-digit-integer"])
+def test_files_json_cannot_parse_exit_4_as_a_graph_and_3_as_a_module(tmp_path, capsys,
+                                                                      content):
+    path = tmp_path / "f.json"
+    path.write_bytes(content)
+    assert run(["--graph", str(path), "roots", "1"]) == 4
+    assert "cannot read graph file" in capsys.readouterr().err
+    assert run(["--graph", str(GRAPHS / "a2.json"), "extract", str(path), "1"]) == 3
+    assert "invalid module file" in capsys.readouterr().err
+
+
 def test_orientation_is_the_edge_multiset_in_any_order(tmp_path):
     # Frozensets compare by inclusion, so sorting a list of them does not
     # put it in a canonical order: a check by sorted lists refused this file.

@@ -1,10 +1,14 @@
+import itertools
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nilcrystal import rootsys
+from nilcrystal import crystal, rootsys
 from nilcrystal.crystal import (
     CONVENTION,
+    LusztigDatum,
     datum,
     transition,
     transport,
@@ -12,16 +16,19 @@ from nilcrystal.crystal import (
 )
 from nilcrystal.errors import (
     CapExceeded,
-    DifferentWeylElement,
     InvalidMovePosition,
     LengthMismatch,
     NonReducedWord,
 )
-from nilcrystal.rootsys import a_n
+from nilcrystal.fields import RationalField, default_field
+from nilcrystal.prepmod import build_filtered, extract_datum
+from nilcrystal.rootsys import a_n, d4
 
 A2 = a_n(2)
 A3 = a_n(3)
 W121 = (1, 2, 1)
+A3_LONGEST = (1, 2, 1, 3, 2, 1)
+D4_LONGEST = (1, 2, 1, 3, 2, 1, 4, 2, 1, 3, 2, 4)
 
 
 def test_datum_validation():
@@ -86,38 +93,59 @@ def test_3move_involution_and_weight(a):
 
 def test_transport_and_equal():
     d = datum(A2, W121, (1, 0, 0))
-    moved = transport(A2, d, (2, 1, 2))
-    assert moved.a == (0, 0, 1)
-
-
-def test_transport_different_element_rejected():
-    d = datum(A2, (1, 2), (1, 0))
-    with pytest.raises(DifferentWeylElement):
-        transport(A2, d, (2, 1))
-
-
-def test_transport_rejects_a_non_reduced_target():
-    # s1 s1 is the identity, so (1, 1, 1, 2, 1) names the element of (1, 2, 1).
-    d = datum(A2, W121, (1, 0, 0))
-    with pytest.raises(NonReducedWord, match=r"\(1, 1, 1, 2, 1\) is not reduced"):
-        transport(A2, d, (1, 1, 1, 2, 1))
-
-
-def test_transport_that_runs_out_of_braid_moves_names_matsumoto_tits(monkeypatch):
-    # Unreachable with sound braid moves; a walk with no moves runs out.
-    monkeypatch.setattr(rootsys, "braid_moves", lambda g, w: [])
-    with pytest.raises(RuntimeError, match="Matsumoto-Tits") as info:
-        transport(A2, datum(A2, W121, (1, 0, 0)), (2, 1, 2))
-    assert not isinstance(info.value, CapExceeded)
+    assert transport(A2, d) == {W121: d, (2, 1, 2): LusztigDatum((2, 1, 2), (0, 0, 1))}
+    # s1 s2 and s2 s1 are different elements, so neither word carries to the other.
+    carried = transport(A2, datum(A2, (1, 2), (1, 0)))
+    assert list(carried) == [(1, 2)] and (2, 1) not in carried
 
 
 def test_transport_raises_past_its_cap():
-    d = datum(A3, (1, 2, 1, 3, 2, 1), (1, 0, 2, 0, 1, 0))
-    target = (3, 2, 3, 1, 2, 3)
-    with pytest.raises(CapExceeded, match="cap 1"):
-        transport(A3, d, target, cap=1)
-    # The longest word has 16 reduced words, so a cap of 16 reaches any of them.
-    assert transport(A3, d, target, cap=16).word == target
+    d = datum(A3, A3_LONGEST, (1, 0, 2, 0, 1, 0))
+    with pytest.raises(CapExceeded, match="cap 15"):
+        transport(A3, d, cap=15)
+    # The longest word has 16 reduced words, so a cap of 16 reaches all of them.
+    assert len(transport(A3, d, cap=16)) == 16
+
+
+@pytest.mark.parametrize("g, d, words", [
+    (A3, datum(A3, A3_LONGEST, (1, 0, 2, 0, 1, 0)), 16),
+    (d4(), datum(d4(), D4_LONGEST, (1, 0) * 6), 2316),
+], ids=["A3", "D4"])
+def test_transport_is_one_walk_carrying_each_parent_by_transition(monkeypatch, g, d, words):
+    walks = []
+
+    def recorded(*args):
+        walks.append(list(rootsys.braid_walk(*args)))
+        return iter(walks[-1])
+
+    monkeypatch.setattr(crystal, "braid_walk", recorded)
+    carried = transport(g, d)
+    assert len(walks) == 1
+    assert len(carried) == len(walks[0]) == words
+    for word, parent, move in walks[0]:
+        assert carried[word] == (d if parent is None else transition(g, carried[parent], *move))
+
+
+@pytest.mark.parametrize("fld", [default_field(), RationalField()], ids=["prime", "rat"])
+def test_carry_matches_the_module_on_every_word_of_the_a3_longest_element(fld):
+    # The paper on the whole class: one sample of a datum's stratum reads, on
+    # each reduced word, the datum carried to that word. Its dimension vector
+    # is fixed, so this also says that the carry keeps the weight.
+    for seed, a in enumerate(itertools.product((0, 1), repeat=6)):
+        x = build_filtered(A3, A3_LONGEST, a, random.Random(seed), field=fld)
+        carried = transport(A3, datum(A3, A3_LONGEST, a))
+        assert len(carried) == 16
+        for v, e in carried.items():
+            assert extract_datum(A3, v, x) == e.a, (a, v)
+
+
+def test_carry_matches_the_module_on_every_word_of_the_d4_longest_element():
+    g, a = d4(), (1, 0) * 6
+    x = build_filtered(g, D4_LONGEST, a, random.Random(0), field=default_field())
+    carried = transport(g, datum(g, D4_LONGEST, a))
+    assert len(carried) == 2316
+    for v, e in carried.items():
+        assert extract_datum(g, v, x) == e.a, v
 
 
 def test_datum_serialization():

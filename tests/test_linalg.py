@@ -34,6 +34,10 @@ from nilcrystal.rootsys import a_n
 FIELDS = [PrimeField(997), RationalField()]
 
 
+def int_mat(f, rows):
+    return Mat(f, len(rows), len(rows[0]), [[f.of_int(x) for x in r] for r in rows])
+
+
 def rand_mat(f, nr, nc, rng):
     return Mat(f, nr, nc, [[f.of_int(rng.randrange(-4, 5)) for _ in range(nc)]
                            for _ in range(nr)])
@@ -291,8 +295,8 @@ def test_mul_matches_scalar_loops(f):
         return Mat(f, nr, nc, [[f.of_int(rng.choice((-3, -1, 1, 2, 4))) if rng.random() < density
                                 else f.zero for _ in range(nc)] for _ in range(nr)])
 
-    zero_rows = Mat.from_int_rows(f, [[0, 0, 0, 0], [2, 0, 0, -1], [0, 0, 0, 0]])
-    single = Mat.from_int_rows(f, [[0, 0, 3, 0], [1, 0, 0, 0], [0, 0, 0, -2], [0, 5, 0, 0]])
+    zero_rows = int_mat(f, [[0, 0, 0, 0], [2, 0, 0, -1], [0, 0, 0, 0]])
+    single = int_mat(f, [[0, 0, 3, 0], [1, 0, 0, 0], [0, 0, 0, -2], [0, 5, 0, 0]])
     cases = [(sparse(6, 7, 0.15), sparse(7, 5, 0.15)) for _ in range(8)]
     cases += [(zero_rows, single), (sparse(5, 3, 0.5), zero_rows), (single, single.transpose()),
               (Mat.zero(f, 2, 4), single), (single, Mat.zero(f, 4, 3))]
@@ -384,7 +388,7 @@ def extension_system(f, nr, nc, rng, dependent):
 def test_kernel_vector_is_the_nullspace_combination(f):
     mats, rng = kernel_cases(f, 24)
     mats += [Mat.identity(f, 5), rand_mat(f, 3, 0, rng), Mat.zero(f, 4, 6),
-             Mat.from_int_rows(f, [[2, 1, 0, 3], [0, 0, 1, 4]])]
+             int_mat(f, [[2, 1, 0, 3], [0, 0, 1, 4]])]
     # At bench size: full row rank, and rank-deficient by 12.
     for dependent in (0, 12):
         m = extension_system(f, 160, 260, rng, dependent)
@@ -450,7 +454,7 @@ def test_random_draws_the_values_of_single_randrange_calls():
 
 @pytest.mark.parametrize("f", FIELDS)
 def test_kernel_vectors_pull_one_list_of_free_values_per_vector(f):
-    m = Mat.from_int_rows(f, [[2, 1, 0, 3], [0, 0, 1, 4]])
+    m = int_mat(f, [[2, 1, 0, 3], [0, 0, 1, 4]])
     pulled = []
 
     def fill(free):

@@ -22,7 +22,6 @@ from nilcrystal.rootsys import (
     reflect_weight,
     require_reduced,
     unit,
-    weyl_action_matrix,
 )
 
 
@@ -195,14 +194,6 @@ def test_reduced_words_cap():
     w0 = all_reduced_words_upto(g, 6)[6][0]
     with pytest.raises(CapExceeded):
         reduced_words(g, w0, cap=3)
-
-
-def test_weyl_action_matrix_identity_pairs():
-    g = a_n(3)
-    w1 = (1, 2, 1)
-    w2 = (2, 1, 2)
-    assert weyl_action_matrix(g, w1) == weyl_action_matrix(g, w2)
-    assert weyl_action_matrix(g, w1) != weyl_action_matrix(g, (1, 2))
 
 
 def test_word_counts_a3():
